@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import HoromkError, NotEvenError
-from .geometry import Direction, HyperboloidPoint, convert_model
+from .geometry import Direction, HyperboloidPoint
 from .polytope import (
     DiscreteMeasure,
     HConvexPolytope,
@@ -35,6 +35,9 @@ from .quadrature import build_quadrature
 from .solver import SolverConfig, residual, solve_even
 
 SCHEMA_VERSION = "1"
+
+# Quadrature kinds as files and flags name them, and as build_quadrature does.
+_QUAD_KINDS = {"grid": "uniform-grid", "product": "product-rule", "mc": "monte-carlo"}
 
 
 class SchemaViolation(Exception):
@@ -120,6 +123,21 @@ _SOLVER_KEYS = {
 }
 
 
+def _solver_value(key: str, value, where: str):
+    """One validated `solver` field of an instance file."""
+    if key == "gradient_mode":
+        if value not in ("direct", "fd"):
+            raise SchemaViolation(where, "must be 'direct' or 'fd'")
+        return value
+    if key == "quad_kind":
+        if value is not None and value not in _QUAD_KINDS:
+            raise SchemaViolation(where, f"unknown rule kind; expected one of {list(_QUAD_KINDS)}")
+        return value
+    if key in ("max_iters", "seed", "grad_check_every", "quad_nodes"):
+        return _as_int(value, where, minimum=0)
+    return _as_real(value, where, positive=_SOLVER_KEYS[key][1])
+
+
 def validate_instance(obj: dict) -> dict:
     """Validated InstanceFile contents as plain Python values."""
     _check_keys(
@@ -157,21 +175,7 @@ def validate_instance(obj: dict) -> dict:
     for key, value in solver_raw.items():
         if key not in _SOLVER_KEYS:
             raise SchemaViolation(f"instance.solver.{key}", "unknown field")
-        dest, positive = _SOLVER_KEYS[key]
-        if key == "gradient_mode":
-            if value not in ("direct", "fd"):
-                raise SchemaViolation(
-                    "instance.solver.gradient_mode", "must be 'direct' or 'fd'"
-                )
-            overrides[dest] = value
-        elif key == "quad_kind":
-            if value is not None and value not in ("grid", "product", "mc"):
-                raise SchemaViolation("instance.solver.quad_kind", "unknown rule kind")
-            overrides[dest] = value
-        elif key in ("max_iters", "seed", "grad_check_every", "quad_nodes"):
-            overrides[dest] = _as_int(value, f"instance.solver.{key}", minimum=0)
-        else:
-            overrides[dest] = _as_real(value, f"instance.solver.{key}", positive=positive)
+        overrides[_SOLVER_KEYS[key][0]] = _solver_value(key, value, f"instance.solver.{key}")
     return {"n": n, "p": p, "v0": v0, "even": even, "atoms": atoms, "solver": overrides}
 
 
@@ -241,6 +245,15 @@ def validate_solution(obj: dict) -> dict:
     if not isinstance(z, list) or not z:
         raise SchemaViolation("solution.z", "expected a non-empty list")
     z = [_as_real(v, f"solution.z[{k}]", positive=True) for k, v in enumerate(z)]
+    config = obj["config"]
+    if not isinstance(config, dict):
+        raise SchemaViolation("solution.config", "expected a JSON object")
+    # the quadrature the solve ran on; check and render rebuild the body on it
+    replay = {
+        key: None if config.get(key) is None
+        else _solver_value(key, config[key], f"solution.config.{key}")
+        for key in ("quad_nodes", "quad_kind", "seed")
+    }
     out = {
         "instance": inst_full,
         "z": z,
@@ -253,7 +266,7 @@ def validate_solution(obj: dict) -> dict:
         ],
         "iterations": _as_int(obj["iterations"], "solution.iterations", minimum=0),
         "converged": _as_bool(obj["converged"], "solution.converged"),
-        "config": obj["config"],
+        "config": dict(config, **replay),
     }
     return out
 
@@ -282,7 +295,7 @@ def _poly_from_body(body: dict, scan=None) -> HConvexPolytope:
 
 
 def _poly_from_solution(sol: dict):
-    """(polytope, measure, p) rebuilt from a solution's echo and scales."""
+    """(polytope, measure, p) rebuilt from a solution's echo, scales and quadrature."""
     inst = sol["instance"]
     measure = _measure_from_instance(inst)
     reduced_dirs, _ = measure.reduced_pairs()
@@ -298,7 +311,11 @@ def _poly_from_solution(sol: dict):
         x=np.concatenate([z, z]),
         even=True,
     )
-    return build_polytope(spec), measure, inst["p"]
+    cfg = sol["config"]
+    rule = build_quadrature(
+        inst["n"], cfg["quad_nodes"], _QUAD_KINDS.get(cfg["quad_kind"]), cfg["seed"] or 0
+    )
+    return build_polytope(spec, scan=rule), measure, inst["p"]
 
 
 def _parse_csv_floats(text: str, where: str) -> np.ndarray:
@@ -316,7 +333,7 @@ def _emit(payload: dict):
 def _rule_from_args(n: int, args):
     if args.quad_nodes is None and args.quad_kind is None:
         return None
-    return build_quadrature(n, args.quad_nodes, args.quad_kind, args.seed or 0)
+    return build_quadrature(n, args.quad_nodes, _QUAD_KINDS.get(args.quad_kind), args.seed or 0)
 
 
 # ------------------------------------------------------------------ commands
@@ -325,6 +342,7 @@ def _cmd_solve(args) -> int:
     inst = validate_instance(_load_json(args.input, "instance"))
     measure = _measure_from_instance(inst)
     cfg_kwargs = dict(inst["solver"])
+    quad_kind = cfg_kwargs.pop("quad_kind", None)
     if args.p is not None:
         inst["p"] = args.p
     if args.v0 is not None:
@@ -337,7 +355,9 @@ def _cmd_solve(args) -> int:
         cfg_kwargs["quad_count"] = args.quad_nodes
     if args.seed is not None:
         cfg_kwargs["seed"] = args.seed
-    config = SolverConfig(p=inst["p"], v0=inst["v0"], **cfg_kwargs)
+    config = SolverConfig(
+        p=inst["p"], v0=inst["v0"], quad_kind=_QUAD_KINDS.get(quad_kind), **cfg_kwargs
+    )
     result = solve_even(measure, config)
     areas = [
         facet_area(result.polytope, i)
@@ -370,7 +390,7 @@ def _cmd_solve(args) -> int:
             "gradient_mode": config.gradient_mode,
             "fd_delta": config.fd_delta,
             "quad_nodes": config.quad_count,
-            "quad_kind": config.quad_kind,
+            "quad_kind": quad_kind,
             "seed": config.seed,
         },
     }
@@ -551,7 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vol = sub.add_parser("volume", help="volume of a horoball body")
     p_vol.add_argument("--body", required=True)
     p_vol.add_argument("--quad-nodes", type=int)
-    p_vol.add_argument("--quad-kind", choices=("grid", "product", "mc"))
+    p_vol.add_argument("--quad-kind", choices=tuple(_QUAD_KINDS))
     p_vol.add_argument("--seed", type=int)
     p_vol.set_defaults(func=_cmd_volume)
 

@@ -241,13 +241,6 @@ def boundary_to_halfspace(e: Direction) -> np.ndarray:
     return vec[:-1] / denom
 
 
-def boundary_from_halfspace(p: np.ndarray) -> Direction:
-    """Inverse of boundary_to_halfspace: floor point p in R^n to a direction."""
-    p = np.asarray(p, dtype=np.float64)
-    s = float(np.dot(p, p))
-    return Direction(np.append(2.0 * p, s - 1.0) / (s + 1.0))
-
-
 _MODEL_TYPES = {
     "hyperboloid": HyperboloidPoint,
     "ball": BallPoint,
@@ -356,23 +349,38 @@ class Isometry:
 
     @classmethod
     def rotation_between(cls, a: Direction, b: Direction) -> "Isometry":
-        """Rotation of the spatial factor R^{n+1} taking direction a to b."""
+        """Rotation of the spatial factor R^{n+1} taking direction a to b.
+
+        The rotation turns the plane of a and b and fixes its orthogonal
+        complement. For dot(a, b) < 0 it is built as two reflections, which
+        stays orthogonal to roundoff however close a comes to -b; the
+        closed form divides by 1 + dot(a, b) and only serves the other half.
+        """
         av, bv = a.vector, b.vector
         if av.size != bv.size:
             raise ValueError("directions live in different dimensions")
         k = av.size
         dot = float(np.dot(av, bv))
-        if dot > -1.0 + 1e-14:
+        if dot >= 0.0:
             s = av + bv
             rot = np.eye(k) + 2.0 * np.outer(bv, av) - np.outer(s, s) / (1.0 + dot)
         else:
-            # Antipodal pair: rotate by pi in a plane containing a.
-            pick = 0 if abs(av[0]) < 0.9 else 1
-            v = np.zeros(k)
-            v[pick] = 1.0
-            v -= float(np.dot(v, av)) * av
-            v /= np.linalg.norm(v)
-            rot = np.eye(k) - 2.0 * np.outer(av, av) - 2.0 * np.outer(v, v)
+            # The mirror normal to a - b sends a to b; a second mirror, normal
+            # to the part of a orthogonal to b, fixes b and restores the
+            # orientation. Near a = -b that part is tiny and carries the
+            # cancellation error, hence the second projection; for a = -b
+            # any plane through a will do.
+            w = av - dot * bv
+            w -= float(np.dot(w, bv)) * bv
+            norm = float(np.linalg.norm(w))
+            if norm < 1e-300:
+                w = np.zeros(k)
+                w[0 if abs(bv[0]) < 0.9 else 1] = 1.0
+                w -= float(np.dot(w, bv)) * bv
+                norm = float(np.linalg.norm(w))
+            w /= norm
+            d = (av - bv) / float(np.linalg.norm(av - bv))
+            rot = (np.eye(k) - 2.0 * np.outer(w, w)) @ (np.eye(k) - 2.0 * np.outer(d, d))
         mat = np.eye(k + 1)
         mat[:-1, :-1] = rot
         return cls(mat)

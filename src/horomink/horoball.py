@@ -57,12 +57,6 @@ def busemann_value(e: Direction, point: HyperboloidPoint) -> float:
     return math.log(val)
 
 
-def busemann_many(e: Direction, coords: np.ndarray) -> np.ndarray:
-    """Vectorized busemann_value over rows of hyperboloid coordinates."""
-    null = np.append(e.vector, 1.0)
-    return np.log(-minkowski_dot(coords, null))
-
-
 def horoball_contains(ball: Horoball, point: HyperboloidPoint) -> bool:
     """Membership in the closed horoball."""
     return busemann_value(ball.center, point) <= ball.s

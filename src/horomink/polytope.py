@@ -4,9 +4,19 @@ A body is specified by directions e_i on the ideal sphere and scales
 x_i >= 0; the polytope is the intersection of the closed horoballs
 B(e_i, x_i). With at least two distinct directions and positive scales the
 intersection is compact with the basepoint O interior, so it is star
-shaped about O and fully described by its radial function. Everything
-else (volume, support numbers, facet areas, Hausdorff distance,
-separation) is built on that parameterization plus the half-space chart.
+shaped about O and fully described by its radial function.
+
+Planar bodies (n = 1) are horocyclic polygons. Their boundary is computed
+once per build as one arc per supporting horoball (see _PlanarBoundary),
+and every query reads off that list in closed form: support numbers are
+maxima over the vertices, facet lengths are arc lengths, the volume is a
+sum of per-arc Gauss-Bonnet terms, and the Hausdorff distance is a maximum
+over finitely many candidate angles. No scan enters there, and the one
+tolerance (_ARC_TOL) only absorbs roundoff where a horoball touches a vertex.
+
+For n >= 2 the queries maximize over a scan quadrature, refine with
+Nelder-Mead and estimate facet areas by Monte-Carlo in the half-space
+chart.
 """
 
 from __future__ import annotations
@@ -18,7 +28,8 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import quad as _adaptive_quad
 from scipy.optimize import minimize as _nm_minimize
-from scipy.optimize import minimize_scalar as _scalar_minimize
+# Unused here; the benchmark's tracer wraps this name to count Brent runs.
+from scipy.optimize import minimize_scalar as _scalar_minimize  # noqa: F401
 
 from .errors import (
     DegenerateBodyError,
@@ -38,8 +49,8 @@ from .geometry import (
 from .horoball import Horoball, busemann_value, halfspace_form, horoball_transform, radial_matrix
 from .quadrature import SphereQuadrature, build_quadrature, sinh_power_integral, unit_ball_volume
 
-# A listed direction supports the body when its scale matches the support
-# number this closely.
+# For n >= 2, a listed direction supports the body when its scale matches
+# the support number this closely.
 FACET_TOL = 1e-7
 
 # Pairwise direction separation below this counts as "the same direction".
@@ -48,6 +59,10 @@ DIRECTION_TOL = 1e-9
 # Boundary maxima often sit at body vertices where the objective has a kink,
 # so the value error of a refinement is first order in the bracket width.
 _REFINE_XATOL = 1e-12
+
+# A planar arc shorter than this, relative to its parameter magnitude, is
+# roundoff around a single point: a horoball that only touches a vertex.
+_ARC_TOL = 1e-12
 
 
 def _direction_rows(directions, n: int) -> np.ndarray:
@@ -190,8 +205,34 @@ class PolytopeSpec:
 
 
 @dataclass(frozen=True, eq=False)
+class _PlanarBoundary:
+    """Boundary of a planar body: at most one arc per horoball.
+
+    Horocycle j is parameterized by signed arclength s,
+
+        X_j(s) = P_j + s T_j + s^2 / (2 E_j) (e_j, 1),
+
+    with E_j = e^{x_j}, P_j = polar_point(x_j, -e_j) its point nearest O
+    and T_j = (e_j turned by -pi/2, 0), so s grows counterclockwise about O.
+    Horoball k cuts horocycle j in the interval |s - c_jk| <= w_jk, and the
+    body's arc on it is [lo_j, hi_j], the intersection of those intervals.
+    `starts` holds X_j(lo_j) for every active arc; each vertex of the
+    polygon starts exactly one arc.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    active: np.ndarray
+    starts: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class HConvexPolytope:
-    """A built body: spec plus support numbers and a scan grid for maximizations."""
+    """A built body: spec plus support numbers and the data its queries read.
+
+    n = 1 bodies carry their boundary arcs; n >= 2 bodies carry a scan
+    quadrature with the radial function on its nodes.
+    """
 
     spec: PolytopeSpec
     canonical_support: np.ndarray
@@ -199,6 +240,7 @@ class HConvexPolytope:
     scan: SphereQuadrature | None
     scan_radii: np.ndarray | None
     degenerate: bool = False
+    boundary: _PlanarBoundary | None = None
 
     @property
     def n(self) -> int:
@@ -228,26 +270,156 @@ def _require_interior(poly: HConvexPolytope, op: str):
         raise DegenerateBodyError(f"{op} needs a body with interior, got the point body")
 
 
+# ---------------------------------------------------------------------------
+# planar bodies: the boundary arcs and what reads off them
+# ---------------------------------------------------------------------------
+
+def _arc_points(spec: PolytopeSpec, j: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Hyperboloid coordinates of X_j(s), row by row."""
+    e = spec.directions[j]
+    x = spec.x[j]
+    lift = s * s / (2.0 * np.exp(x))
+    out = np.empty((j.size, 3))
+    out[:, 0] = (lift - np.sinh(x)) * e[:, 0] + s * e[:, 1]
+    out[:, 1] = (lift - np.sinh(x)) * e[:, 1] - s * e[:, 0]
+    out[:, 2] = np.cosh(x) + lift
+    return out
+
+
+def _planar_boundary(spec: PolytopeSpec) -> _PlanarBoundary:
+    """Arcs of every horocycle that lie in all the other horoballs.
+
+    In the half-space chart that sends e_j to infinity, horocycle j is a
+    line at height e^{-x_j} and horoball k a disk; with gamma the
+    counterclockwise angle from e_j to e_k this gives
+    c_jk = -E_j sin(gamma) / (1 - cos gamma) and
+    w_jk^2 = 2 E_j E_k / (1 - cos gamma) - 1, all pairs at once.
+    """
+    dirs, x = spec.directions, spec.x
+    scale = np.exp(x)
+    gap = dirs[:, None, :] - dirs[None, :, :]
+    # |e_j - e_k|^2 = 2 (1 - cos gamma), free of cancellation
+    chord_sq = np.einsum("jkc,jkc->jk", gap, gap)
+    cross = np.outer(dirs[:, 0], dirs[:, 1]) - np.outer(dirs[:, 1], dirs[:, 0])
+    same = chord_sq <= 1e-24
+    with np.errstate(divide="ignore", invalid="ignore"):
+        center = -2.0 * scale[:, None] * cross / chord_sq
+        width_sq = 4.0 * np.outer(scale, scale) / chord_sq - 1.0
+        width = np.sqrt(np.maximum(width_sq, 0.0))
+        lo = np.max(np.where(same, -np.inf, center - width), axis=1)
+        hi = np.min(np.where(same, np.inf, center + width), axis=1)
+    # A horoball about the same ideal point holds all of horocycle j or none
+    # of it; of two equal ones the first listed carries the arc.
+    index = np.arange(spec.count)
+    shadowed = same & (
+        (x[None, :] < x[:, None]) | ((x[None, :] == x[:, None]) & (index[None, :] < index[:, None]))
+    )
+    missed = ~same & (width_sq < 0.0)
+    active = ~np.any(shadowed | missed, axis=1) & (
+        hi - lo > _ARC_TOL * (1.0 + np.abs(lo) + np.abs(hi))
+    )
+    active.setflags(write=False)
+    starts = _arc_points(spec, np.flatnonzero(active), lo[active])
+    return _PlanarBoundary(lo=lo, hi=hi, active=active, starts=starts)
+
+
+def _vertex_support(starts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Planar support numbers for each row of dirs.
+
+    Along a horocycle -<X, (e, 1)> is a convex quadratic in s, so the
+    largest Busemann value over an arc sits at one of its endpoints.
+    """
+    return np.log(np.max(starts[None, :, 2] - dirs @ starts[:, :2].T, axis=1))
+
+
+def _arc_antiderivative(spec: PolytopeSpec, j: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """G_j(s), with G_j(t) - G_j(s) the area of the sector O, X_j(s), X_j(t).
+
+    Gauss-Bonnet on the sector (a horocycle has geodesic curvature 1) gives
+    the arc length s, minus the angle of X_j(s) about O measured from e_j,
+    plus the angle at X_j(s) between the arc's forward tangent and the
+    geodesic back to O.
+    """
+    x = spec.x[j]
+    scale = np.exp(x)
+    lift = s * s / (2.0 * scale)
+    polar = math.pi + np.arctan2(s, np.sinh(x) - lift)
+    corner = np.arctan2(lift + np.sinh(x), -s / scale)
+    return s - polar + corner
+
+
+def _volume_closed_plane(spec: PolytopeSpec, arcs: _PlanarBoundary) -> float:
+    """Exact area of a planar body: the sum of its arcs' sector areas."""
+    j = np.flatnonzero(arcs.active)
+    ends = _arc_antiderivative(spec, j, arcs.hi[j]) - _arc_antiderivative(spec, j, arcs.lo[j])
+    return float(np.sum(ends))
+
+
+def _planar_nearest(poly: HConvexPolytope, q: np.ndarray) -> np.ndarray:
+    """Boundary point of a planar body nearest to the outside point q.
+
+    -<X_j(s), q> = cosh d(X_j(s), q) is a convex quadratic in s, smallest
+    at s = -E_j <T_j, q> / <(e_j, 1), q>; clip that to each arc.
+    """
+    arcs, spec = poly.boundary, poly.spec
+    j = np.flatnonzero(arcs.active)
+    e = spec.directions[j]
+    along = e[:, 1] * q[0] - e[:, 0] * q[1]
+    toward = e @ q[:2] - q[2]
+    s = np.clip(-np.exp(spec.x[j]) * along / toward, arcs.lo[j], arcs.hi[j])
+    points = _arc_points(spec, j, s)
+    return points[int(np.argmin(-minkowski_dot(points, q[None, :])))]
+
+
+def _angles_where(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Every angle phi with p cos(phi) + q sin(phi) + r = 0, over all rows."""
+    rho = np.hypot(p, q)
+    keep = (rho > 0.0) & (np.abs(r) <= rho)
+    base = np.arctan2(q[keep], p[keep])
+    spread = np.arccos(-r[keep] / rho[keep])
+    return np.concatenate([base - spread, base + spread])
+
+
+def _planar_hausdorff(k_body: HConvexPolytope, l_body: HConvexPolytope) -> float:
+    """Largest support gap between two planar bodies.
+
+    For e = (cos phi, sin phi), exp f_e at vertex X_v is A_v(phi) =
+    t_v - x_v cos phi - y_v sin phi, and u(K, e) = log max_v A_v. Between
+    breakpoints of the two upper envelopes the gap is log(A_v / A_w) for
+    one vertex of each body. The breakpoints (A_v = A_v') and the
+    stationary points of those pieces (det(X_v, X_w, (cos phi, sin phi, 1))
+    = 0) all solve an equation linear in (cos phi, sin phi), so the largest
+    gap over those angles is the distance.
+    """
+    # the candidate angles, hence the rounding, must not depend on argument order
+    if l_body.boundary.starts.tobytes() < k_body.boundary.starts.tobytes():
+        k_body, l_body = l_body, k_body
+    a, b = k_body.boundary.starts, l_body.boundary.starts
+    parts = []
+    for rows in (a, b):
+        i, j = np.triu_indices(rows.shape[0], 1)
+        step = rows[i] - rows[j]
+        parts.append(_angles_where(step[:, 0], step[:, 1], -step[:, 2]))
+    cross = np.cross(a[:, None, :], b[None, :, :]).reshape(-1, 3)
+    parts.append(_angles_where(cross[:, 0], cross[:, 1], cross[:, 2]))
+    phi = np.concatenate(parts)
+    dirs = np.column_stack([np.cos(phi), np.sin(phi)])
+    gap = np.abs(_support_grid(k_body, dirs) - _support_grid(l_body, dirs))
+    return float(np.max(gap, initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# building and support
+# ---------------------------------------------------------------------------
+
 def _chart_basis(theta: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the tangent space at theta (rows)."""
     _, _, vt = np.linalg.svd(theta[None, :])
     return vt[1:]
 
 
-def _refine_max_circle(objective, phi0: float, delta: float) -> float:
-    # Optimize the offset from phi0, not the absolute angle: the bounded
-    # minimizer's stopping rule carries a sqrt(eps)*|x| term, which for
-    # |x| ~ pi floors the bracket near 5e-8 however small xatol is.
-    res = _scalar_minimize(
-        lambda a: -objective(phi0 + a),
-        bounds=(-delta, delta),
-        method="bounded",
-        options={"xatol": _REFINE_XATOL},
-    )
-    return max(objective(phi0), -float(res.fun))
-
-
 def _refine_max_sphere(objective, theta0: np.ndarray, step: float) -> float:
+    """Maximize a function of a unit vector in R^{n+1}, n >= 2, near theta0."""
     basis = _chart_basis(theta0)
     k = basis.shape[0]
 
@@ -271,21 +443,7 @@ def _refine_max_sphere(objective, theta0: np.ndarray, step: float) -> float:
     return max(objective(theta0), -float(res.fun))
 
 
-def _refine_max_direction(objective_vec, theta0: np.ndarray, spacing: float) -> float:
-    """Maximize a function of a unit vector near theta0."""
-    if theta0.size == 2:
-        phi0 = math.atan2(theta0[1], theta0[0])
-
-        def obj(a):
-            return objective_vec(np.array([math.cos(a), math.sin(a)]))
-
-        return _refine_max_circle(obj, phi0, 1.1 * spacing)
-    return _refine_max_sphere(objective_vec, theta0, spacing)
-
-
 def _scan_spacing(scan: SphereQuadrature) -> float:
-    if scan.kind == "uniform-grid":
-        return 2.0 * math.pi / scan.count
     # mean angular spacing estimate for scattered node sets on S^n
     return (float(np.sum(scan.weights)) / scan.count) ** (1.0 / scan.n)
 
@@ -306,11 +464,15 @@ def build_polytope(
 ) -> HConvexPolytope:
     """Intersect the spec's horoballs and precompute support data.
 
-    The scan quadrature doubles as the default direction set for support
-    and extremal maximizations and as the default volume rule. An even
-    spec containing a zero-scale pair collapses to the single point O;
-    that body is only representable with allow_degenerate=True and raises
-    DegenerateBodyError otherwise.
+    For n = 1 the body is described exactly by its boundary arcs; the scan
+    is not used, and a horoball carries a facet exactly when its arc has
+    positive length. For n >= 2 the scan quadrature (by default the
+    16384-node product rule on S^2) is the direction set for support and
+    extremal maximizations and the default volume rule, and a horoball
+    carries a facet when its scale is within FACET_TOL of its refined
+    support number. An even spec containing a zero-scale pair collapses to
+    the single point O; that body is only representable with
+    allow_degenerate=True and raises DegenerateBodyError otherwise.
     """
     if np.any(spec.x == 0.0):
         if not allow_degenerate:
@@ -326,10 +488,23 @@ def build_polytope(
             scan_radii=None,
             degenerate=True,
         )
+    if scan is not None and scan.n != spec.n:
+        raise SpecError("scan quadrature dimension does not match the spec")
+    if spec.n == 1:
+        arcs = _planar_boundary(spec)
+        top = _vertex_support(arcs.starts, spec.directions)
+        # an arc lies on its own horocycle, so that horoball touches the body
+        support_vals = np.where(arcs.active, spec.x, np.minimum(top, spec.x))
+        return HConvexPolytope(
+            spec=spec,
+            canonical_support=support_vals,
+            facet_nonempty=arcs.active,
+            scan=None,
+            scan_radii=None,
+            boundary=arcs,
+        )
     if scan is None:
         scan = build_quadrature(spec.n)
-    elif scan.n != spec.n:
-        raise SpecError("scan quadrature dimension does not match the spec")
     radii = _radial_rows(spec, scan.nodes)
     if not np.all(np.isfinite(radii)):
         raise SpecError("body is unbounded along a scanned direction")
@@ -342,7 +517,7 @@ def build_polytope(
     spacing = _scan_spacing(scan)
     support_vals = np.empty(spec.count)
     for i in range(spec.count):
-        refined = _refine_max_direction(
+        refined = _refine_max_sphere(
             _support_objective(spec, spec.directions[i]),
             scan.nodes[best[i]],
             spacing,
@@ -367,165 +542,91 @@ def radial(poly: HConvexPolytope, theta: Direction) -> float:
     return _radial_single(poly.spec, theta.vector)
 
 
-def support(poly: HConvexPolytope, e: Direction, refine: bool = True) -> float:
-    """Horospherical support number: the largest Busemann value over the body."""
+def support(poly: HConvexPolytope, e: Direction) -> float:
+    """Horospherical support number: the largest Busemann value over the body.
+
+    Exact for n = 1 (the largest value over the vertices); for n >= 2 the
+    best scan node is refined by Nelder-Mead.
+    """
     _require_interior(poly, "support")
     if e.n != poly.n:
         raise SpecError("direction dimension mismatch")
+    if poly.n == 1:
+        return float(_vertex_support(poly.boundary.starts, e.vector[None, :])[0])
     cos = poly.scan.nodes @ e.vector
     vals = np.log(poly._scan_cosh - poly._scan_sinh * cos)
     g = int(np.argmax(vals))
-    coarse = float(vals[g])
-    if not refine:
-        return coarse
-    refined = _refine_max_direction(
+    refined = _refine_max_sphere(
         _support_objective(poly.spec, e.vector), poly.scan.nodes[g], _scan_spacing(poly.scan)
     )
-    return max(coarse, refined)
+    return max(float(vals[g]), refined)
 
 
 def _support_grid(poly: HConvexPolytope, dirs: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Coarse support numbers for many directions (scan-grid maximization)."""
+    """Support numbers for many directions: exact for n = 1, scan maxima for n >= 2."""
     out = np.empty(dirs.shape[0])
-    a = poly._scan_cosh[:, None]
-    b = poly._scan_sinh[:, None]
     for lo in range(0, dirs.shape[0], chunk):
-        cos = poly.scan.nodes @ dirs[lo : lo + chunk].T
-        out[lo : lo + chunk] = np.max(np.log(a - b * cos), axis=0)
+        rows = dirs[lo : lo + chunk]
+        if poly.n == 1:
+            out[lo : lo + chunk] = _vertex_support(poly.boundary.starts, rows)
+        else:
+            cos = poly.scan.nodes @ rows.T
+            out[lo : lo + chunk] = np.max(
+                np.log(poly._scan_cosh[:, None] - poly._scan_sinh[:, None] * cos), axis=0
+            )
     return out
 
 
 def extremal_radii(poly: HConvexPolytope) -> tuple[float, float]:
-    """(R, r): the circumscribed and inscribed geodesic ball radii about O."""
+    """(R, r): the circumscribed and inscribed geodesic ball radii about O.
+
+    For n = 1, cosh of the distance to O is convex along each arc and
+    smallest at s = 0, so R is the largest vertex radius and r the
+    smallest radius at each arc's point nearest s = 0.
+    """
     _require_interior(poly, "extremal_radii")
     spec = poly.spec
+    if poly.n == 1:
+        arcs = poly.boundary
+        j = np.flatnonzero(arcs.active)
+        nearest = _arc_points(spec, j, np.clip(0.0, arcs.lo[j], arcs.hi[j]))
+        # sinh of the distance to O is the norm of the spatial part
+        big = np.max(np.linalg.norm(arcs.starts[:, :2], axis=1))
+        small = np.min(np.linalg.norm(nearest[:, :2], axis=1))
+        return float(np.arcsinh(big)), float(np.arcsinh(small))
     spacing = _scan_spacing(poly.scan)
 
     def rho(theta):
         return _radial_single(spec, theta)
 
-    hi = _refine_max_direction(rho, poly.scan.nodes[int(np.argmax(poly.scan_radii))], spacing)
-    lo = -_refine_max_direction(
+    hi = _refine_max_sphere(rho, poly.scan.nodes[int(np.argmax(poly.scan_radii))], spacing)
+    lo = -_refine_max_sphere(
         lambda t: -rho(t), poly.scan.nodes[int(np.argmin(poly.scan_radii))], spacing
     )
     return float(hi), float(lo)
 
 
-def _horosphere_crossings(spec: PolytopeSpec) -> np.ndarray:
-    """Angles (sorted, in [0, 2pi)) where two boundary horospheres meet.
-
-    Works on the planar hyperboloid: each Busemann level set is a linear
-    constraint there, so a pair leaves a line whose cut with the sheet is
-    one quadratic. Returns every pairwise crossing, including ones buried
-    inside other balls; spurious entries only split an arc in two.
-    """
-    dirs = spec.directions
-    scales = np.exp(spec.x)
-    found: list[float] = []
-    for i in range(spec.count):
-        for j in range(i + 1, spec.count):
-            d = dirs[j] - dirs[i]
-            dd = float(d @ d)
-            if dd < 1e-24:
-                continue
-            p0 = ((scales[i] - scales[j]) / dd) * d
-            q = np.array([-d[1], d[0]]) / math.sqrt(dd)
-            w0 = scales[i] + float(dirs[i] @ p0)
-            eq = float(dirs[i] @ q)
-            # a > 0 always: e_i orthogonal to d would need e_i . d = 0,
-            # but e_i . d = cos(gamma) - 1 < 0 for distinct directions.
-            a = 1.0 - eq * eq
-            b = float(p0 @ q) - w0 * eq
-            c = float(p0 @ p0) - w0 * w0 + 1.0
-            disc = b * b - a * c
-            if disc < 0.0:
-                continue
-            root = math.sqrt(disc)
-            for t in ((-b - root) / a, (-b + root) / a):
-                p = p0 + t * q
-                if float(p @ p) < 1e-24 or w0 + t * eq < 1.0 - 1e-9:
-                    continue
-                found.append(math.atan2(float(p[1]), float(p[0])))
-    if not found:
-        return np.empty(0)
-    return np.sort(np.mod(np.asarray(found), 2.0 * math.pi))
-
-
-def _arc_cosh_antiderivative(scale: float, alpha: float) -> float:
-    """Antiderivative of cosh(rho(alpha)) - 1 along one horosphere arc.
-
-    alpha in (0, 2pi) is the angle from the arc's ideal direction and
-    scale is e^x. Eliminating rho from the Busemann level equation gives
-    cosh(rho) = (E + cos(a) sqrt(E^2 - sin(a)^2)) / sin(a)^2, which
-    integrates in elementary terms; the second branch rewrites the
-    quotient to dodge cancellation where cos(a) < 0.
-    """
-    s, c = math.sin(alpha), math.cos(alpha)
-    root = math.sqrt(max(scale * scale - s * s, 0.0))
-    if c >= 0.0:
-        g = (scale * c + root) / s
-    else:
-        g = s * (1.0 - scale * scale) / (scale * c - root)
-    return -g - math.asin(s / scale) - alpha
-
-
-def _volume_closed_plane(spec: PolytopeSpec) -> float:
-    """Exact volume of a planar body, integrated arc by arc.
-
-    Splitting the circle at the horosphere crossing angles keeps each arc
-    on a single ball's smooth radial branch. Unlike a fixed angular grid,
-    whose error moves first order with the kink positions, the closed
-    form also differentiates cleanly in the scales x.
-    """
-    cross = _horosphere_crossings(spec)
-    if cross.size < 2:
-        raise SpecError("body is unbounded along a scanned direction")
-    phis = np.arctan2(spec.directions[:, 1], spec.directions[:, 0])
-    two_pi = 2.0 * math.pi
-    total = 0.0
-    for k in range(cross.size):
-        lo = float(cross[k])
-        hi = float(cross[k + 1]) if k + 1 < cross.size else float(cross[0]) + two_pi
-        width = hi - lo
-        if width < 1e-14:
-            continue
-        mid = 0.5 * (lo + hi)
-        node = np.array([[math.cos(mid), math.sin(mid)]])
-        i = int(np.argmin(radial_matrix(spec.directions, spec.x, node)[0]))
-        # An active arc never reaches its own ideal direction (the radial
-        # blows up there), so the alpha interval stays inside (0, 2pi).
-        a_lo = (lo - float(phis[i])) % two_pi
-        a_hi = a_lo + width
-        if a_hi > two_pi + 1e-9:
-            raise SpecError("body is unbounded along a scanned direction")
-        a_lo = max(a_lo, 1e-14)
-        a_hi = min(a_hi, two_pi - 1e-14)
-        scale = math.exp(float(spec.x[i]))
-        total += _arc_cosh_antiderivative(scale, a_hi) - _arc_cosh_antiderivative(scale, a_lo)
-    return total
-
-
 def volume(poly: HConvexPolytope, rule: SphereQuadrature | None = None) -> float:
     """Hyperbolic volume via the radial sinh-power integral.
 
-    Planar bodies (n = 1) are integrated in closed form on each boundary
-    arc, so the rule argument only picks the node set for n >= 2.
+    Planar bodies (n = 1) are integrated exactly arc by arc, so the rule
+    argument only picks the node set for n >= 2.
     """
     if poly.degenerate:
         return 0.0
     if rule is not None and rule.n != poly.n:
         raise SpecError("quadrature dimension mismatch")
     if poly.n == 1:
-        return _volume_closed_plane(poly.spec)
+        return _volume_closed_plane(poly.spec, poly.boundary)
     if rule is None:
         return poly.scan.integrate(sinh_power_integral(poly.n, poly.scan_radii))
     radii = _radial_rows(poly.spec, rule.nodes)
     return rule.integrate(sinh_power_integral(poly.n, radii))
 
 
-def _volume_of_spec(spec: PolytopeSpec, rule: SphereQuadrature) -> float:
+def _volume_of_spec(spec: PolytopeSpec, rule: SphereQuadrature | None) -> float:
     if spec.n == 1:
-        return _volume_closed_plane(spec)
+        return _volume_closed_plane(spec, _planar_boundary(spec))
     radii = _radial_rows(spec, rule.nodes)
     if not np.all(np.isfinite(radii)):
         raise SpecError("body is unbounded along a scanned direction")
@@ -577,11 +678,11 @@ def facet_area(
 ) -> float:
     """n-dimensional area of the facet carried by horoball i.
 
-    Zero when the horoball does not support the body. The shadow of the
-    facet on the chart floor is an intersection of disks; its Euclidean
-    volume is exact for n = 1 (intervals) and Monte-Carlo estimated over
-    the smallest disk's bounding box for n >= 2. The hyperbolic area is
-    e^{n x_i} times the shadow volume.
+    Zero when the horoball does not support the body. For n = 1 this is
+    the length of the horoball's boundary arc. For n >= 2 the shadow of
+    the facet on the chart floor is an intersection of disks whose
+    Euclidean volume is Monte-Carlo estimated over the smallest disk's
+    bounding box; the hyperbolic area is e^{n x_i} times that volume.
     """
     _require_interior(poly, "facet_area")
     spec = poly.spec
@@ -589,15 +690,13 @@ def facet_area(
         raise IndexError("facet index out of range")
     if not poly.facet_nonempty[i]:
         return 0.0
+    if spec.n == 1:
+        return float(poly.boundary.hi[i] - poly.boundary.lo[i])
     shadow = _facet_shadow(poly, i)
     if shadow is None:
         return 0.0
     h, centers, radii = shadow
     scale = math.exp(spec.n * float(spec.x[i]))
-    if spec.n == 1:
-        lo = float(np.max(centers[:, 0] - radii))
-        hi = float(np.min(centers[:, 0] + radii))
-        return scale * max(0.0, hi - lo)
     smallest = int(np.argmin(radii))
     box_center = centers[smallest]
     half = float(radii[smallest])
@@ -677,15 +776,20 @@ def hausdorff_distance(
 ) -> float:
     """Uniform distance between horospherical support functions.
 
-    Coarse maximization of |u_K - u_L| over the rule's directions, then
-    local refinement with fully refined support evaluations.
+    Exact for n = 1, where the rule is not used: the largest gap over the
+    finitely many angles where the gap can peak (see _planar_hausdorff).
+    For n >= 2, coarse maximization of |u_K - u_L| over the rule's
+    directions (build_quadrature's 4096-node rule by default), then local
+    refinement with fully refined support evaluations.
     """
     _require_interior(k_body, "hausdorff_distance")
     _require_interior(l_body, "hausdorff_distance")
     if k_body.n != l_body.n:
         raise SpecError("bodies live in different dimensions")
+    if k_body.n == 1:
+        return _planar_hausdorff(k_body, l_body)
     if rule is None:
-        rule = build_quadrature(k_body.n, 1024 if k_body.n == 1 else 4096)
+        rule = build_quadrature(k_body.n, 4096)
     dirs = rule.nodes
     diff = np.abs(_support_grid(k_body, dirs) - _support_grid(l_body, dirs))
     g = int(np.argmax(diff))
@@ -694,7 +798,7 @@ def hausdorff_distance(
         e = Direction(vec / np.linalg.norm(vec))
         return abs(support(k_body, e) - support(l_body, e))
 
-    refined = _refine_max_direction(gap, dirs[g], _scan_spacing(rule))
+    refined = _refine_max_sphere(gap, dirs[g], _scan_spacing(rule))
     return max(float(diff[g]), refined)
 
 
@@ -702,8 +806,8 @@ def canonicalize(poly: HConvexPolytope) -> PolytopeSpec:
     """Spec with every scale replaced by its support number.
 
     The body is unchanged and every horoball of the new spec touches it,
-    so rebuilding and canonicalizing again is a fixed point up to the
-    support refinement tolerance. Even pairing is preserved exactly.
+    so rebuilding and canonicalizing again is a fixed point (for n >= 2 up
+    to the support refinement tolerance). Even pairing is preserved exactly.
     """
     _require_interior(poly, "canonicalize")
     new_x = np.array(poly.canonical_support)
@@ -717,7 +821,8 @@ def canonicalize(poly: HConvexPolytope) -> PolytopeSpec:
 def separate(poly: HConvexPolytope, point: HyperboloidPoint) -> Horoball:
     """Closed horoball containing the body but not the (strictly outside) point.
 
-    Finds the boundary point nearest to the query, then returns the
+    Finds the boundary point nearest to the query (in closed form for
+    n = 1, by a scan and Nelder-Mead for n >= 2), then returns the
     horoball tangent there to the geodesic sphere around the query,
     expressed in the original coordinates.
     """
@@ -728,7 +833,19 @@ def separate(poly: HConvexPolytope, point: HyperboloidPoint) -> Horoball:
     gaps = [busemann_value(Direction(spec.directions[i]), point) - float(spec.x[i]) for i in range(spec.count)]
     if max(gaps) <= 0.0:
         raise PointInsideError("the point is not strictly outside the body")
+    if poly.n == 1:
+        nearest = HyperboloidPoint(_planar_nearest(poly, point.coords))
+    else:
+        nearest = _scan_nearest(poly, point)
+    to_origin = boost_to_origin(point)
+    moved = to_origin.apply(nearest)
+    dist = float(safe_acosh(moved.coords[-1]))
+    center = Direction.from_vector(moved.coords[:-1])
+    return horoball_transform(Horoball(center, -dist), to_origin.inverse())
 
+
+def _scan_nearest(poly: HConvexPolytope, point: HyperboloidPoint) -> HyperboloidPoint:
+    spec = poly.spec
     boundary = np.empty((poly.scan.count, spec.n + 2))
     boundary[:, :-1] = poly._scan_sinh[:, None] * poly.scan.nodes
     boundary[:, -1] = poly._scan_cosh
@@ -745,15 +862,10 @@ def separate(poly: HConvexPolytope, point: HyperboloidPoint) -> Horoball:
             best["d"], best["theta"] = d, theta
         return -d
 
-    _refine_max_direction(neg_dist, poly.scan.nodes[g], _scan_spacing(poly.scan))
+    _refine_max_sphere(neg_dist, poly.scan.nodes[g], _scan_spacing(poly.scan))
 
     theta_star = best["theta"] / np.linalg.norm(best["theta"])
-    nearest = polar_point(_radial_single(spec, theta_star), Direction(theta_star))
-    to_origin = boost_to_origin(point)
-    moved = to_origin.apply(nearest)
-    dist = float(safe_acosh(moved.coords[-1]))
-    center = Direction.from_vector(moved.coords[:-1])
-    return horoball_transform(Horoball(center, -dist), to_origin.inverse())
+    return polar_point(_radial_single(spec, theta_star), Direction(theta_star))
 
 
 def outer_parallel_support(
@@ -765,13 +877,14 @@ def outer_parallel_support(
 
     Each grid direction contributes the horoball with scale u(K, e) + eps;
     the resulting body contains the true parallel body and matches its
-    support numbers exactly at the grid directions.
+    support numbers exactly at the grid directions. The default grid is
+    the body's scan, or build_quadrature's default for n = 1 bodies.
     """
     _require_interior(poly, "outer_parallel_support")
     if eps <= 0.0:
         raise ValueError("needs eps > 0")
     if dirs is None:
-        rows = poly.scan.nodes
+        rows = (poly.scan if poly.scan is not None else build_quadrature(poly.n)).nodes
     elif isinstance(dirs, SphereQuadrature):
         rows = dirs.nodes
     else:

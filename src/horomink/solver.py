@@ -142,22 +142,38 @@ def rescale_to_constraint(
     return 0.5 * (lo + hi)
 
 
+def _lagrange_residual(areas, u, weights, p: float) -> tuple[float, float]:
+    """(lambda, max_i |e^{-p u_i} S_i - lambda a_i| / (lambda a_i)), with
+    lambda = (sum of the areas S_i) / (sum of a_i e^{p u_i})."""
+    lam = float(np.sum(areas)) / float(np.sum(weights * np.exp(p * u)))
+    if lam <= 0.0:
+        return 0.0, math.inf
+    rel = np.abs(np.exp(-p * u) * areas - lam * weights) / (lam * weights)
+    return lam, float(np.max(rel))
+
+
 def residual(poly: HConvexPolytope, measure: DiscreteMeasure, p: float) -> tuple[float, float]:
     """Multiplier and worst relative defect of the optimality system.
 
-    Matches measure atoms to the polytope's directions (within 1e-9),
-    computes lambda = (sum of facet areas) / (sum of a_i e^{p u_i}), and
-    returns (lambda, max_i |e^{-p u_i} S_i - lambda a_i| / (lambda a_i)).
-    The polytope need not be even: certifying that a perturbed body is
-    NOT optimal for an even measure is a supported use.
+    Matches measure atoms to the polytope's directions (within 1e-9) and
+    returns _lagrange_residual over the matched facets. Antipodal facets of
+    an even body are congruent, so for an even spec only the measure's
+    first atom of each antipodal pair is evaluated, exactly as solve_even
+    does. The polytope need not be even: certifying that a perturbed body
+    is NOT optimal for an even measure is a supported use, and then every
+    atom is evaluated.
     """
     if not measure.even:
         raise NotEvenError("residual is defined for even measures")
 
+    if poly.spec.even:
+        atoms, weights = measure.reduced_pairs()
+    else:
+        atoms, weights = measure.directions, measure.weights
     dirs = poly.spec.directions
     idx = []
-    for k in range(measure.count):
-        gaps = np.linalg.norm(dirs - measure.directions[k][None, :], axis=1)
+    for k in range(atoms.shape[0]):
+        gaps = np.linalg.norm(dirs - atoms[k][None, :], axis=1)
         j = int(np.argmin(gaps))
         if gaps[j] > 1e-9:
             raise MismatchedDirectionsError(
@@ -167,15 +183,7 @@ def residual(poly: HConvexPolytope, measure: DiscreteMeasure, p: float) -> tuple
     if len(set(idx)) != len(idx):
         raise MismatchedDirectionsError("two atoms matched the same facet direction")
     areas = np.array([facet_area(poly, j) for j in idx])
-    u = poly.canonical_support[idx]
-    weights = measure.weights
-    denom = float(np.sum(weights * np.exp(p * u)))
-    lam = float(np.sum(areas)) / denom
-    if lam <= 0.0:
-        return 0.0, math.inf
-    atoms = np.exp(-p * u) * areas
-    rel = np.abs(atoms - lam * weights) / (lam * weights)
-    return lam, float(np.max(rel))
+    return _lagrange_residual(areas, poly.canonical_support[idx], weights, p)
 
 
 @dataclass
@@ -217,20 +225,18 @@ class SolverResult:
     gradient_check_max_rel: float = 0.0
 
 
+@dataclass(slots=True)
 class _Iterate:
     """Built body plus the quantities the loop needs, evaluated once."""
 
-    __slots__ = ("z", "poly", "areas", "u", "lam", "res", "vol", "phi")
-
-    def __init__(self, z, poly, areas, u, lam, res, vol, phi):
-        self.z = z
-        self.poly = poly
-        self.areas = areas
-        self.u = u
-        self.lam = lam
-        self.res = res
-        self.vol = vol
-        self.phi = phi
+    z: np.ndarray
+    poly: HConvexPolytope
+    areas: np.ndarray
+    u: np.ndarray
+    lam: float
+    res: float
+    vol: float
+    phi: float
 
 
 def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
@@ -285,13 +291,7 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
         poly = build(z)
         areas = np.array([facet_area(poly, i) for i in range(m)])
         u = np.array(poly.canonical_support[:m])
-        denom = float(np.sum(reduced_w * np.exp(p * u)))
-        lam = float(np.sum(areas)) / denom
-        if lam > 0.0:
-            rel = np.abs(np.exp(-p * u) * areas - lam * reduced_w) / (lam * reduced_w)
-            res = float(np.max(rel))
-        else:
-            res = math.inf
+        lam, res = _lagrange_residual(areas, u, reduced_w, p)
         vol = volume(poly)
         phi = phi_p(np.concatenate([z, z]), full_w, p)
         return _Iterate(z, poly, areas, u, lam, res, vol, phi)

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from horomink import PolytopeSpec, build_polytope, build_quadrature, volume
 from horomink.cli import main
 
 LOG2 = math.log(2.0)
@@ -254,6 +255,85 @@ def test_volume_command(lens_body, capsys):
     assert main(["volume", "--body", lens_body]) == 0
     got = last_json(capsys)["volume"]
     assert got == pytest.approx(4.0 * (math.sqrt(3.0) - math.pi / 3.0), abs=1e-4)
+
+
+@pytest.mark.parametrize("kind", ["grid", "mc", "product"])
+def test_volume_quad_kind(tmp_path, kind, capsys):
+    n = 2 if kind == "product" else 1
+    dirs = np.zeros((2, n + 1))
+    dirs[:, 0] = [1.0, -1.0]
+    body = write_json(
+        tmp_path / "body.json",
+        {
+            "schema_version": "1",
+            "n": n,
+            "horoballs": [{"direction": d.tolist(), "x": LOG2} for d in dirs],
+        },
+    )
+    long_name = {"grid": "uniform-grid", "mc": "monte-carlo", "product": "product-rule"}[kind]
+    args = ["volume", "--body", body, "--quad-kind", kind, "--quad-nodes", "400", "--seed", "3"]
+    assert main(args) == 0
+    rule = build_quadrature(n, 400, long_name, 3)
+    spec = PolytopeSpec(n=n, directions=dirs, x=np.array([LOG2, LOG2]))
+    assert last_json(capsys)["volume"] == volume(build_polytope(spec, scan=rule))
+
+
+def test_instance_quad_kind_round_trip(tmp_path, capsys):
+    inst = {
+        "schema_version": "1",
+        "n": 1,
+        "p": 0.0,
+        "even": True,
+        "atoms": [
+            {"direction": [1.0, 0.0], "weight": 1.0},
+            {"direction": [-1.0, 0.0], "weight": 1.0},
+            {"direction": [0.0, 1.0], "weight": 2.0},
+            {"direction": [0.0, -1.0], "weight": 2.0},
+        ],
+        "solver": {"quad_kind": "grid", "quad_nodes": 512},
+    }
+    path = write_json(tmp_path / "inst.json", inst)
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--input", path, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["quad_kind"] == "grid"
+    assert main(["check", "--instance", path, "--solution", str(out)]) == 0
+    assert last_json(capsys)["match"] is True
+    inst["solver"]["quad_kind"] = "uniform-grid"
+    bad = write_json(tmp_path / "bad.json", inst)
+    assert main(["solve", "--input", bad, "--output", str(out)]) == 2
+    assert "instance.solver.quad_kind" in capsys.readouterr().err
+
+
+def test_check_rebuilds_on_the_solution_quadrature(tmp_path, capsys):
+    # n = 2 support numbers and facet areas depend on the scan; check must
+    # rebuild on the solve's own 900 Monte-Carlo nodes to reproduce it
+    atoms = []
+    for axis, weight in ((0, 1.0), (1, 1.5), (2, 2.0)):
+        for sign in (1.0, -1.0):
+            direction = [0.0, 0.0, 0.0]
+            direction[axis] = sign
+            atoms.append({"direction": direction, "weight": weight})
+    inst = write_json(
+        tmp_path / "inst.json",
+        {
+            "schema_version": "1",
+            "n": 2,
+            "p": 0.0,
+            "even": True,
+            "atoms": atoms,
+            "solver": {"quad_nodes": 900, "quad_kind": "mc"},
+        },
+    )
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--input", inst, "--output", str(out), "--max-iters", "0"]) == 3
+    capsys.readouterr()
+    assert main(["check", "--instance", inst, "--solution", str(out)]) == 0
+    assert last_json(capsys)["match"] is True
+    sol = json.loads(out.read_text())
+    sol["config"]["quad_kind"] = "bogus"
+    bad = write_json(tmp_path / "bad.json", sol)
+    assert main(["check", "--instance", inst, "--solution", bad]) == 2
+    assert "solution.config.quad_kind" in capsys.readouterr().err
 
 
 def test_facets_command(lens_body, capsys):

@@ -193,3 +193,18 @@ def test_rotation_between_maps_first_to_second():
     down = Direction(np.array([0.0, -1.0]))
     image = Isometry.rotation_between(up, down).matrix[:-1, :-1] @ up.vector
     assert np.allclose(image, down.vector, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 3e-4, 1e-5, 1e-7])
+def test_rotation_between_near_antipode(n, delta):
+    # the mirror pair keeps the matrix Lorentz where 1 / (1 + dot) blows up
+    rng = np.random.default_rng(12)
+    target = Direction(np.append(np.zeros(n), 1.0))
+    for _ in range(10):
+        side = rng.normal(size=n)
+        side /= np.linalg.norm(side)
+        a = Direction(np.append(math.sin(delta) * side, -math.cos(delta)))
+        iso = Isometry.rotation_between(a, target)  # checks M^T eta M = eta
+        assert np.allclose(iso.matrix[:-1, :-1] @ a.vector, target.vector, atol=1e-12)
+        assert np.linalg.det(iso.matrix) == pytest.approx(1.0, abs=1e-12)

@@ -369,6 +369,17 @@ def test_facet_area_fd_matches_direct(lens):
             assert abs(direct[i] - fd) / max(direct[i], 1e-8) <= 1e-3
 
 
+def test_facet_area_near_the_chart_antipode():
+    # the facet shadow rotates e_i to e* = (0, 0, 1); here e_0 sits 3e-4 rad
+    # from -e*, where that rotation used to fail its Lorentz check
+    tilt = 3e-4
+    axis = np.array([math.sin(tilt), 0.0, -math.cos(tilt)])
+    spec = PolytopeSpec(n=2, directions=np.array([axis, -axis]), x=np.array([LOG2, LOG2]))
+    poly = build_polytope(spec)
+    for i in range(2):
+        assert facet_area(poly, i, mc_samples=1_000_000) == pytest.approx(3.0 * math.pi, rel=5e-3)
+
+
 def test_facet_index_out_of_range(lens):
     with pytest.raises(IndexError):
         facet_area(lens, 2)
@@ -426,6 +437,119 @@ def test_hausdorff_lens_pair_dense_oracle():
     # support gap at the listed directions is 0.2; the max lives at the equator
     equator_gap = math.acosh(math.exp(1.2)) - math.acosh(math.exp(1.0))
     assert got == pytest.approx(equator_gap, abs=1e-6)
+
+
+# ---------------------------------------------------------- planar closed forms
+
+def scattered_spec(rng, m: int) -> PolytopeSpec:
+    """Random n=1 spec without a gap condition, so some horoballs are redundant."""
+    ang = rng.uniform(0.0, 2.0 * math.pi, size=m)
+    return PolytopeSpec(
+        n=1,
+        directions=np.column_stack([np.cos(ang), np.sin(ang)]),
+        x=rng.uniform(0.3, 2.5, size=m),
+    )
+
+
+def test_planar_results_do_not_depend_on_the_scan():
+    rng = np.random.Generator(np.random.Philox(21))
+    scans = (
+        build_quadrature(1, 64),
+        None,
+        build_quadrature(1, 777, kind="monte-carlo", seed=3),
+    )
+    probes = np.column_stack([np.cos(np.arange(7.0)), np.sin(np.arange(7.0))])
+    for m in (2, 3, 5, 9):
+        spec, other = scattered_spec(rng, m), scattered_spec(rng, m + 1)
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        theta = Direction(np.array([math.cos(ang), math.sin(ang)]))
+        results = []
+        for scan in scans:
+            poly = build_polytope(spec, scan=scan)
+            q = polar_point(radial(poly, theta) + 0.5, theta)
+            ball = separate(poly, q)
+            results.append(
+                (
+                    poly.canonical_support,
+                    poly.facet_nonempty,
+                    facet_areas(poly),
+                    np.array(extremal_radii(poly)),
+                    np.array([support(poly, Direction(e)) for e in probes]),
+                    np.array([volume(poly), hausdorff_distance(poly, build_polytope(other, scan))]),
+                    np.append(ball.center.vector, ball.s),
+                )
+            )
+        for got in results[1:]:
+            for want, value in zip(results[0], got):
+                assert np.array_equal(want, value)
+
+
+def test_planar_facet_lengths_are_volume_derivatives():
+    rng = np.random.Generator(np.random.Philox(22))
+    redundant = 0
+    for _ in range(24):
+        spec = scattered_spec(rng, int(rng.integers(3, 17)))
+        poly = build_polytope(spec)
+        redundant += int(np.count_nonzero(~poly.facet_nonempty))
+        for i in range(spec.count):
+            direct = facet_area(poly, i)
+            fd = facet_area_fd(poly, i, delta=1e-5)
+            assert abs(direct - fd) <= 1e-6 * (1.0 + direct)
+    assert redundant > 0
+
+
+def test_planar_hausdorff_bounds_dense_sampling():
+    rng = np.random.Generator(np.random.Philox(23))
+    angles = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    for _ in range(6):
+        a = build_polytope(scattered_spec(rng, int(rng.integers(2, 9))))
+        b = build_polytope(scattered_spec(rng, int(rng.integers(2, 9))))
+        exact = hausdorff_distance(a, b)
+        sampled = float(np.max(np.abs(_support_grid(a, dirs) - _support_grid(b, dirs))))
+        # the sampled angles are a subset of the circle; 1e-12 absorbs roundoff
+        assert exact >= sampled - 1e-12
+        assert exact - sampled <= 1e-4
+        assert hausdorff_distance(b, a) == exact
+
+
+def test_planar_separate_returns_the_nearest_point():
+    rng = np.random.Generator(np.random.Philox(24))
+    angles = np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False)
+    thetas = np.column_stack([np.cos(angles), np.sin(angles)])
+    for _ in range(3):
+        spec = scattered_spec(rng, int(rng.integers(3, 7)))
+        poly = build_polytope(spec)
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        theta = Direction(np.array([math.cos(ang), math.sin(ang)]))
+        q = polar_point(radial(poly, theta) + rng.uniform(0.1, 1.5), theta)
+        ball = separate(poly, q)
+        gap = busemann_value(ball.center, q) - ball.s
+        cosines = thetas @ spec.directions.T
+        rho = np.array(
+            [min(radial_bisection(s, c) for s, c in zip(spec.x, row)) for row in cosines]
+        )
+        boundary = np.column_stack([np.sinh(rho)[:, None] * thetas, np.cosh(rho)])
+        cosh_dists = boundary[:, 2] * q.coords[2] - boundary[:, :2] @ q.coords[:2]
+        dists = np.arccosh(np.maximum(cosh_dists, 1.0))
+        assert gap <= float(np.min(dists)) + 1e-9
+
+
+def test_triple_point_body():
+    # the canonicalized redundant horoball meets both lens vertices' horocycles
+    # at one point: one vertex, and an empty facet for the touching ball
+    spec = PolytopeSpec(
+        n=1,
+        directions=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+        x=np.array([LOG2, LOG2, ACOSH2]),
+    )
+    poly = build_polytope(spec)
+    assert poly.facet_nonempty.tolist() == [True, True, False]
+    assert poly.boundary.starts.shape == (2, 3)
+    assert np.allclose(facet_areas(poly), [LENS_FACET_LOG2, LENS_FACET_LOG2, 0.0], atol=1e-12)
+    assert volume(poly) == pytest.approx(LENS_VOLUME_LOG2, abs=1e-12)
+    assert np.allclose(poly.canonical_support, spec.x, atol=1e-12)
+    assert extremal_radii(poly) == pytest.approx((ACOSH2, LOG2), abs=1e-12)
 
 
 # ------------------------------------------------------------- canonical form
