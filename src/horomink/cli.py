@@ -1,9 +1,10 @@
 """Command-line front end: JSON I/O, solver runs, geometry queries, SVG render.
 
-Exit codes: 0 success, 2 schema violation (message names the offending
-field), 3 solver did not converge, 4 geometry errors. Query subcommands
-print a single JSON object to stdout. HOROMINK_THREADS caps the thread
-pools numpy delegates to.
+Exit codes: 0 success, 1 `check` mismatch, 2 invalid input (the message
+names the offending field or flag), 3 solver did not converge, 4 geometry
+or domain errors, 5 internal errors (a fault in the program; the traceback
+goes to stderr). Query subcommands print a single JSON object to stdout.
+HOROMINK_THREADS caps the thread pools numpy delegates to.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -107,6 +109,16 @@ def _load_json(path: str, where: str) -> dict:
         raise SchemaViolation(where, f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaViolation(where, f"invalid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaViolation(where, f"unreadable file {path}: {exc}")
+
+
+def _write_text(path: str, text: str, where: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaViolation(where, f"cannot write {path}: {exc}")
 
 
 _SOLVER_KEYS = {
@@ -123,6 +135,10 @@ _SOLVER_KEYS = {
 }
 
 
+# smallest accepted value of each integer `solver` field
+_SOLVER_INT_MINIMUM = {"max_iters": 0, "seed": 0, "grad_check_every": 1, "quad_nodes": 2}
+
+
 def _solver_value(key: str, value, where: str):
     """One validated `solver` field of an instance file."""
     if key == "gradient_mode":
@@ -133,9 +149,20 @@ def _solver_value(key: str, value, where: str):
         if value is not None and value not in _QUAD_KINDS:
             raise SchemaViolation(where, f"unknown rule kind; expected one of {list(_QUAD_KINDS)}")
         return value
-    if key in ("max_iters", "seed", "grad_check_every", "quad_nodes"):
-        return _as_int(value, where, minimum=0)
-    return _as_real(value, where, positive=_SOLVER_KEYS[key][1])
+    if key in _SOLVER_INT_MINIMUM:
+        return _as_int(value, where, minimum=_SOLVER_INT_MINIMUM[key])
+    value = _as_real(value, where, positive=_SOLVER_KEYS[key][1])
+    if key == "backtrack" and value >= 1.0:
+        raise SchemaViolation(where, "must lie in (0, 1)")
+    return value
+
+
+def _check_rule_kind(n: int, kind, where: str):
+    """The grid exists only on the circle and the product rule only on S^2."""
+    if kind == "grid" and n != 1:
+        raise SchemaViolation(where, "the grid rule exists only for n = 1")
+    if kind == "product" and n != 2:
+        raise SchemaViolation(where, "the product rule exists only for n = 2")
 
 
 def validate_instance(obj: dict) -> dict:
@@ -176,6 +203,7 @@ def validate_instance(obj: dict) -> dict:
         if key not in _SOLVER_KEYS:
             raise SchemaViolation(f"instance.solver.{key}", "unknown field")
         overrides[_SOLVER_KEYS[key][0]] = _solver_value(key, value, f"instance.solver.{key}")
+    _check_rule_kind(n, overrides.get("quad_kind"), "instance.solver.quad_kind")
     return {"n": n, "p": p, "v0": v0, "even": even, "atoms": atoms, "solver": overrides}
 
 
@@ -254,6 +282,7 @@ def validate_solution(obj: dict) -> dict:
         else _solver_value(key, config[key], f"solution.config.{key}")
         for key in ("quad_nodes", "quad_kind", "seed")
     }
+    _check_rule_kind(inst_full["n"], replay["quad_kind"], "solution.config.quad_kind")
     out = {
         "instance": inst_full,
         "z": z,
@@ -320,10 +349,21 @@ def _poly_from_solution(sol: dict):
 
 def _parse_csv_floats(text: str, where: str) -> np.ndarray:
     try:
-        values = [float(part) for part in text.split(",")]
+        values = np.array([float(part) for part in text.split(",")])
     except ValueError:
         raise SchemaViolation(where, "expected comma-separated numbers")
-    return np.array(values)
+    if not np.all(np.isfinite(values)):
+        raise SchemaViolation(where, "must be finite")
+    return values
+
+
+def _flag(value, where: str, minimum=None, positive=False):
+    """A validated optional command line number; None when the flag is absent."""
+    if value is None:
+        return None
+    if isinstance(value, int):
+        return _as_int(value, where, minimum=minimum)
+    return _as_real(value, where, positive=positive)
 
 
 def _emit(payload: dict):
@@ -331,6 +371,9 @@ def _emit(payload: dict):
 
 
 def _rule_from_args(n: int, args):
+    _flag(args.quad_nodes, "--quad-nodes", minimum=2)
+    _flag(args.seed, "--seed", minimum=0)
+    _check_rule_kind(n, args.quad_kind, "--quad-kind")
     if args.quad_nodes is None and args.quad_kind is None:
         return None
     return build_quadrature(n, args.quad_nodes, _QUAD_KINDS.get(args.quad_kind), args.seed or 0)
@@ -343,18 +386,20 @@ def _cmd_solve(args) -> int:
     measure = _measure_from_instance(inst)
     cfg_kwargs = dict(inst["solver"])
     quad_kind = cfg_kwargs.pop("quad_kind", None)
-    if args.p is not None:
-        inst["p"] = args.p
-    if args.v0 is not None:
-        inst["v0"] = args.v0
-    if args.tol is not None:
-        cfg_kwargs["tol"] = args.tol
-    if args.max_iters is not None:
-        cfg_kwargs["max_iters"] = args.max_iters
-    if args.quad_nodes is not None:
-        cfg_kwargs["quad_count"] = args.quad_nodes
-    if args.seed is not None:
-        cfg_kwargs["seed"] = args.seed
+    for key, value in (
+        ("p", _flag(args.p, "--p")),
+        ("v0", _flag(args.v0, "--v0", positive=True)),
+    ):
+        if value is not None:
+            inst[key] = value
+    for key, value in (
+        ("tol", _flag(args.tol, "--tol", positive=True)),
+        ("max_iters", _flag(args.max_iters, "--max-iters", minimum=0)),
+        ("quad_count", _flag(args.quad_nodes, "--quad-nodes", minimum=2)),
+        ("seed", _flag(args.seed, "--seed", minimum=0)),
+    ):
+        if value is not None:
+            cfg_kwargs[key] = value
     config = SolverConfig(
         p=inst["p"], v0=inst["v0"], quad_kind=_QUAD_KINDS.get(quad_kind), **cfg_kwargs
     )
@@ -394,9 +439,7 @@ def _cmd_solve(args) -> int:
             "seed": config.seed,
         },
     }
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n", "--output")
     print(
         f"solve: converged={result.converged} iterations={result.iterations} "
         f"residual={result.residual_max_rel:.3e}"
@@ -450,6 +493,8 @@ def _cmd_support(args) -> int:
     vec = _parse_csv_floats(args.direction, "direction")
     if vec.shape[0] != body["n"] + 1:
         raise SchemaViolation("direction", f"expected {body['n'] + 1} components")
+    if not np.any(vec):
+        raise SchemaViolation("direction", "must be nonzero")
     poly = _poly_from_body(body)
     value = support(poly, Direction.from_vector(vec))
     _emit({"support": value})
@@ -486,6 +531,8 @@ def _cmd_oracle_volume(args) -> int:
     from .oracle import mc_volume
 
     body = validate_body(_load_json(args.body, "body"))
+    _flag(args.samples, "--samples", minimum=2)
+    _flag(args.seed, "--seed", minimum=0)
     poly = _poly_from_body(body)
     estimate, stderr = mc_volume(poly, num_samples=args.samples, seed=args.seed or 0)
     _emit(
@@ -537,8 +584,7 @@ def _cmd_render(args) -> int:
         'fill="none" stroke="#aa0000" stroke-width="0.01"/>'
     )
     lines.append("</svg>")
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(args.svg, "\n".join(lines) + "\n", "--svg")
     print(f"render: wrote {args.svg}")
     return 0
 
@@ -618,9 +664,10 @@ def _dispatch(args) -> int:
     except HoromkError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"geometry error: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 5
 
 
 def main(argv=None) -> int:

@@ -6,17 +6,24 @@ B(e_i, x_i). With at least two distinct directions and positive scales the
 intersection is compact with the basepoint O interior, so it is star
 shaped about O and fully described by its radial function.
 
-Planar bodies (n = 1) are horocyclic polygons. Their boundary is computed
-once per build as one arc per supporting horoball (see _PlanarBoundary),
-and every query reads off that list in closed form: support numbers are
-maxima over the vertices, facet lengths are arc lengths, the volume is a
-sum of per-arc Gauss-Bonnet terms, and the Hausdorff distance is a maximum
-over finitely many candidate angles. No scan enters there, and the one
-tolerance (_ARC_TOL) only absorbs roundoff where a horoball touches a vertex.
+Every horosphere is intrinsically flat, and in its flat chart each other
+horoball cuts out a Euclidean disk (_shadows, one formula for every
+dimension). For n <= 2 a build turns those disks into the body's boundary
+once, and every query reads off it in closed form:
 
-For n >= 2 the queries maximize over a scan quadrature, refine with
-Nelder-Mead and estimate facet areas by Monte-Carlo in the half-space
-chart.
+* n = 1: one arc per supporting horoball (_PlanarBoundary). Support
+  numbers are maxima over the vertices, facet lengths are arc lengths, the
+  volume is a sum of per-arc Gauss-Bonnet terms, and the Hausdorff
+  distance is a maximum over finitely many candidate angles.
+* n = 2: the circular arcs that bound each facet (_FacetArcs). Support
+  numbers are maxima over arc ends and one stationary point per arc, facet
+  areas follow from Green's theorem, and the volume is a divergence-theorem
+  sum of one smooth integral per arc.
+
+No scan enters there, and the one tolerance (_ARC_TOL) only absorbs
+roundoff where a horoball touches a vertex. For n >= 3 the queries maximize
+over a scan quadrature, refine with Nelder-Mead and estimate facet areas by
+Monte-Carlo over the facet's disks.
 """
 
 from __future__ import annotations
@@ -40,16 +47,17 @@ from .errors import (
 from .geometry import (
     Direction,
     HyperboloidPoint,
-    Isometry,
+    # Unused here; the benchmark's tracer swaps this name to count rotations.
+    Isometry,  # noqa: F401
     boost_to_origin,
     minkowski_dot,
     polar_point,
     safe_acosh,
 )
-from .horoball import Horoball, busemann_value, halfspace_form, horoball_transform, radial_matrix
+from .horoball import Horoball, busemann_value, horoball_transform, radial_matrix
 from .quadrature import SphereQuadrature, build_quadrature, sinh_power_integral, unit_ball_volume
 
-# For n >= 2, a listed direction supports the body when its scale matches
+# For n >= 3, a listed direction supports the body when its scale matches
 # the support number this closely.
 FACET_TOL = 1e-7
 
@@ -60,9 +68,20 @@ DIRECTION_TOL = 1e-9
 # so the value error of a refinement is first order in the bracket width.
 _REFINE_XATOL = 1e-12
 
-# A planar arc shorter than this, relative to its parameter magnitude, is
-# roundoff around a single point: a horoball that only touches a vertex.
+# An arc shorter than this, relative to its parameter magnitude (arclength
+# for n = 1, angle for n = 2), is roundoff around a single point: a
+# horoball that only touches a vertex.
 _ARC_TOL = 1e-12
+
+# Gauss-Legendre nodes on [-1, 1]: 16 per arc for the n = 2 volume, whose
+# integrand is analytic along each arc, and 4 for the cone kernel's short
+# intervals.
+_ARC_NODES = np.polynomial.legendre.leggauss(16)
+_KERNEL_NODES = np.polynomial.legendre.leggauss(4)
+
+# An n = 2 facet's arcs are first swept over this many of its disks; the
+# rest join only where they cut the result.
+_SWEEP_START = 12
 
 
 def _direction_rows(directions, n: int) -> np.ndarray:
@@ -208,16 +227,11 @@ class PolytopeSpec:
 class _PlanarBoundary:
     """Boundary of a planar body: at most one arc per horoball.
 
-    Horocycle j is parameterized by signed arclength s,
-
-        X_j(s) = P_j + s T_j + s^2 / (2 E_j) (e_j, 1),
-
-    with E_j = e^{x_j}, P_j = polar_point(x_j, -e_j) its point nearest O
-    and T_j = (e_j turned by -pi/2, 0), so s grows counterclockwise about O.
-    Horoball k cuts horocycle j in the interval |s - c_jk| <= w_jk, and the
-    body's arc on it is [lo_j, hi_j], the intersection of those intervals.
-    `starts` holds X_j(lo_j) for every active arc; each vertex of the
-    polygon starts exactly one arc.
+    In the flat chart of horocycle j (see _shadows), s is signed arclength
+    and grows counterclockwise about O. Horoball k cuts horocycle j in the
+    interval |s - c_jk| <= w_jk, and the body's arc on it is [lo_j, hi_j],
+    the intersection of those intervals. `starts` holds X_j(lo_j) for every
+    active arc; each vertex of the polygon starts exactly one arc.
     """
 
     lo: np.ndarray
@@ -227,11 +241,32 @@ class _PlanarBoundary:
 
 
 @dataclass(frozen=True, eq=False)
+class _FacetArcs:
+    """Boundary of an n = 2 body: the circular arcs around each facet.
+
+    Arc a bounds facet i = facet[a]. In the flat chart of horosphere i (see
+    _shadows) it is s = center[a] + width[a] (cos t, sin t) for t in
+    [lo[a], hi[a]], part of the circle that another horoball cuts from the
+    horosphere, and it runs counterclockwise around the facet. `frames`
+    holds the chart frame T_i of every horoball.
+    """
+
+    facet: np.ndarray
+    center: np.ndarray
+    width: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    active: np.ndarray
+    frames: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class HConvexPolytope:
     """A built body: spec plus support numbers and the data its queries read.
 
-    n = 1 bodies carry their boundary arcs; n >= 2 bodies carry a scan
-    quadrature with the radial function on its nodes.
+    n <= 2 bodies carry their boundary arcs; n >= 2 bodies carry a scan
+    quadrature with the radial function on its nodes (for n = 2 only
+    extremal_radii, separate and the Hausdorff refinement read it).
     """
 
     spec: PolytopeSpec
@@ -240,7 +275,7 @@ class HConvexPolytope:
     scan: SphereQuadrature | None
     scan_radii: np.ndarray | None
     degenerate: bool = False
-    boundary: _PlanarBoundary | None = None
+    boundary: _PlanarBoundary | _FacetArcs | None = None
 
     @property
     def n(self) -> int:
@@ -271,6 +306,67 @@ def _require_interior(poly: HConvexPolytope, op: str):
 
 
 # ---------------------------------------------------------------------------
+# flat charts: the disks that horoballs cut from each horosphere
+# ---------------------------------------------------------------------------
+
+def _chart_basis(theta: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the tangent space at theta (rows), for one
+    unit vector or for each row of a stack of them."""
+    _, _, vt = np.linalg.svd(theta[..., None, :])
+    return vt[..., 1:, :]
+
+
+def _chart_frames(dirs: np.ndarray) -> np.ndarray:
+    """T_i for every row e_i: an orthonormal frame of e_i^perp, (m, n, n + 1)."""
+    if dirs.shape[1] == 2:
+        # e_i turned by -pi/2, so that planar arcs run counterclockwise about O
+        return (dirs[:, ::-1] * np.array([1.0, -1.0]))[:, None, :]
+    return _chart_basis(dirs)
+
+
+def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
+    """The disks that the horoballs cut from the horospheres in `rows`.
+
+    Horosphere i has the flat, isometric chart
+
+        X_i(s) = P_i + (T_i^T s, 0) + |s|^2 / (2 E_i) (e_i, 1),  s in R^n,
+
+    with E_i = e^{x_i}, P_i = (-sinh(x_i) e_i, cosh x_i) its point nearest O
+    and T_i = frames[i]. Along it -<X_i(s), (e_k, 1)> <= E_k says that
+    horoball k holds the disk |s - c_ik| <= w_ik, where
+
+        c_ik = 2 E_i T_i e_k / |e_i - e_k|^2,
+        w_ik^2 = 4 E_i E_k / |e_i - e_k|^2 - 1.
+
+    Returns c (r, m, n), w^2 (r, m) and `same` (r, m). `same` marks the
+    horoballs about the ideal point of horosphere i (including i itself);
+    their entries are not finite, and each holds all of horosphere i or
+    none of it (see _eclipsed).
+    """
+    dirs = spec.directions
+    scale = np.exp(spec.x)
+    gap = dirs[rows, None, :] - dirs[None, :, :]
+    # |e_i - e_k|^2 = 2 (1 - e_i . e_k), free of cancellation
+    chord_sq = np.einsum("ikc,ikc->ik", gap, gap)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # T_i e_k = T_i (e_k - e_i), which keeps its digits as e_k nears e_i
+        toward = np.einsum("iac,ikc->ika", frames, -gap)
+        center = 2.0 * scale[rows, None, None] * toward / chord_sq[..., None]
+        width_sq = 4.0 * np.outer(scale[rows], scale) / chord_sq - 1.0
+    return center, width_sq, chord_sq <= 1e-24
+
+
+def _eclipsed(spec: PolytopeSpec, rows: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """Rows whose horosphere lies outside a horoball about the same ideal
+    point; of two equal horoballs the first listed keeps the facet."""
+    i, k = np.nonzero(same)
+    x, j = spec.x, rows[i]
+    out = np.zeros(rows.size, dtype=bool)
+    out[i[(x[k] < x[j]) | ((x[k] == x[j]) & (k < j))]] = True
+    return out
+
+
+# ---------------------------------------------------------------------------
 # planar bodies: the boundary arcs and what reads off them
 # ---------------------------------------------------------------------------
 
@@ -287,35 +383,17 @@ def _arc_points(spec: PolytopeSpec, j: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _planar_boundary(spec: PolytopeSpec) -> _PlanarBoundary:
-    """Arcs of every horocycle that lie in all the other horoballs.
-
-    In the half-space chart that sends e_j to infinity, horocycle j is a
-    line at height e^{-x_j} and horoball k a disk; with gamma the
-    counterclockwise angle from e_j to e_k this gives
-    c_jk = -E_j sin(gamma) / (1 - cos gamma) and
-    w_jk^2 = 2 E_j E_k / (1 - cos gamma) - 1, all pairs at once.
-    """
-    dirs, x = spec.directions, spec.x
-    scale = np.exp(x)
-    gap = dirs[:, None, :] - dirs[None, :, :]
-    # |e_j - e_k|^2 = 2 (1 - cos gamma), free of cancellation
-    chord_sq = np.einsum("jkc,jkc->jk", gap, gap)
-    cross = np.outer(dirs[:, 0], dirs[:, 1]) - np.outer(dirs[:, 1], dirs[:, 0])
-    same = chord_sq <= 1e-24
-    with np.errstate(divide="ignore", invalid="ignore"):
-        center = -2.0 * scale[:, None] * cross / chord_sq
-        width_sq = 4.0 * np.outer(scale, scale) / chord_sq - 1.0
+    """Arcs of every horocycle that lie in all the other horoballs: the
+    intersection of the intervals from _shadows, all pairs at once."""
+    rows = np.arange(spec.count)
+    center, width_sq, same = _shadows(spec, rows, _chart_frames(spec.directions))
+    center = center[..., 0]
+    with np.errstate(invalid="ignore"):
         width = np.sqrt(np.maximum(width_sq, 0.0))
         lo = np.max(np.where(same, -np.inf, center - width), axis=1)
         hi = np.min(np.where(same, np.inf, center + width), axis=1)
-    # A horoball about the same ideal point holds all of horocycle j or none
-    # of it; of two equal ones the first listed carries the arc.
-    index = np.arange(spec.count)
-    shadowed = same & (
-        (x[None, :] < x[:, None]) | ((x[None, :] == x[:, None]) & (index[None, :] < index[:, None]))
-    )
-    missed = ~same & (width_sq < 0.0)
-    active = ~np.any(shadowed | missed, axis=1) & (
+    missed = np.any(~same & (width_sq < 0.0), axis=1)
+    active = ~(_eclipsed(spec, rows, same) | missed) & (
         hi - lo > _ARC_TOL * (1.0 + np.abs(lo) + np.abs(hi))
     )
     active.setflags(write=False)
@@ -409,14 +487,240 @@ def _planar_hausdorff(k_body: HConvexPolytope, l_body: HConvexPolytope) -> float
 
 
 # ---------------------------------------------------------------------------
-# building and support
+# n = 2 bodies: the arcs around each facet and what reads off them
 # ---------------------------------------------------------------------------
 
-def _chart_basis(theta: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space at theta (rows)."""
-    _, _, vt = np.linalg.svd(theta[None, :])
-    return vt[1:]
+def _arc_turns(lo: np.ndarray, hi: np.ndarray, g: np.ndarray):
+    """Angles t where g . u(t), u(t) = (cos t, sin t), can peak on the arcs
+    [lo, hi] (broadcast against g's leading axes): both ends, and the angle
+    of g when it lies on the arc (else lo once more)."""
+    peak = np.arctan2(g[..., 1], g[..., 0])
+    return lo, hi, np.where(np.mod(peak - lo, 2.0 * math.pi) <= hi - lo, peak, lo)
 
+
+def _on_circle(c: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The points c + w u(t), broadcast."""
+    return c + w[..., None] * np.stack(np.broadcast_arrays(np.cos(t), np.sin(t)), axis=-1)
+
+
+def _disk_intersection(c: np.ndarray, w: np.ndarray):
+    """Arcs (circle, lo, hi) bounding the common part of the disks
+    |s - c_a| <= w_a, counterclockwise; empty when that is at most a point.
+
+    On circle a, every disk b that crosses it keeps the angles within
+    atan2(h, d) of the direction of c_b - c_a, where h is half the common
+    chord and d its distance from c_a; written with Heron's formula for
+    the triangle of sides w_a, w_b and |c_b - c_a|, that angle keeps its
+    digits when one circle is far larger than the other, where an arccos of
+    the law of cosines would not. A coverage sweep over the sorted interval
+    ends keeps the pieces that lie in all of them. Two disks whose overlap,
+    or whose gap between one nested in the other, is below _ARC_TOL of
+    their radii count as touching, decided once per pair; pieces shorter
+    than _ARC_TOL (relative to 2 pi) are roundoff at a vertex where three
+    or more circles meet.
+    """
+    tau = 2.0 * math.pi
+    step = c[None, :, :] - c[:, None, :]
+    dist = np.hypot(step[..., 0], step[..., 1])
+    wa, wb = w[:, None], w[None, :]
+    slack = _ARC_TOL * (wa + wb)
+    overlap = wa + wb - dist
+    if np.any(overlap <= slack):
+        return np.empty(0, dtype=int), np.empty(0), np.empty(0)
+    # a disk that holds another bounds nothing there; the other lies outside
+    # it (of two equal disks, the first listed bounds)
+    cuts = dist - np.abs(wa - wb) > slack
+    index = np.arange(w.size)
+    larger = (wa > wb) | ((wa == wb) & (index[None, :] < index[:, None]))
+    heron = overlap * (dist + wb - wa) * (dist + wa - wb) * (dist + wa + wb)
+    spread = np.arctan2(np.sqrt(np.maximum(heron, 0.0)), wa * wa - wb * wb + dist * dist)
+    start = np.mod(np.arctan2(step[..., 1], step[..., 0]) - spread, tau)
+    end = start + 2.0 * spread
+    wraps = np.count_nonzero(cuts & (end > tau), axis=1)[:, None]
+    ends = np.concatenate([start, np.where(end > tau, end - tau, end)], axis=1)
+    ends = np.where(np.concatenate([cuts, cuts], axis=1), ends, tau)
+    order = np.argsort(ends, axis=1, kind="stable")
+    flips = np.take_along_axis(np.concatenate([cuts, -1 * cuts], axis=1), order, axis=1)
+    bounds = np.concatenate(
+        [np.zeros(wraps.shape), np.take_along_axis(ends, order, axis=1), np.full(wraps.shape, tau)],
+        axis=1,
+    )
+    # cover[a, j]: how many of the intervals hold the piece bounds[a, j : j + 2]
+    cover = np.concatenate([wraps, wraps + np.cumsum(flips, axis=1)], axis=1)
+    lo, hi = bounds[:, :-1].copy(), bounds[:, 1:]
+    keep = (
+        (cover == np.count_nonzero(cuts, axis=1)[:, None])
+        & ~np.any(~cuts & larger, axis=1)[:, None]
+        & (hi - lo > _ARC_TOL * tau)
+    )
+    # a piece that ends at 2 pi goes on into the one that starts at 0
+    closing = keep[:, 1:] & (hi[:, 1:] == tau)
+    joined = np.flatnonzero(keep[:, 0] & np.any(closing, axis=1))
+    last = 1 + np.argmax(closing[joined], axis=1)
+    lo[joined, 0] = lo[joined, last] - tau
+    keep[joined, last] = False
+    a, j = np.nonzero(keep)
+    return a, lo[a, j], hi[a, j]
+
+
+def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
+    """The arcs that bound every facet of an n = 2 body.
+
+    Facet i is the common part of the disks that the other horoballs cut
+    from horosphere i (_shadows). Most of those disks hold the whole facet,
+    so the arcs come from the _SWEEP_START disks that hold the middle of
+    their bounding boxes' overlap most tightly; every disk that does not
+    hold the common part of those (to within _ARC_TOL, checked on its arcs)
+    joins them, until none is left. A facet is nonempty exactly when it
+    keeps an arc.
+    """
+    rows = np.arange(spec.count)
+    frames = _chart_frames(spec.directions)
+    center, width_sq, same = _shadows(spec, rows, frames)
+    empty = _eclipsed(spec, rows, same) | np.any(~same & (width_sq <= 0.0), axis=1)
+    parts = []
+    for i in np.flatnonzero(~empty):
+        c, w = center[i, ~same[i]], np.sqrt(width_sq[i, ~same[i]])
+        low, high = np.max(c - w[:, None], axis=0), np.min(c + w[:, None], axis=0)
+        if np.any(low >= high):
+            continue
+        clearance = w - np.hypot(*(0.5 * (low + high) - c).T)
+        chosen = np.sort(np.argsort(clearance, kind="stable")[:_SWEEP_START])
+        while True:
+            a, lo, hi = _disk_intersection(c[chosen], w[chosen])
+            a = chosen[a]
+            if a.size == 0 or chosen.size == w.size:
+                break
+            # |s - c_k|^2 is largest at an end of an arc or at its point
+            # farthest from c_k
+            ends = _arc_turns(lo[:, None], hi[:, None], c[a][:, None, :] - c[None, :, :])
+            reach = np.max(
+                [np.sum((_on_circle(c[a][:, None, :], w[a][:, None], t) - c) ** 2, axis=2) for t in ends],
+                axis=(0, 1),
+            )
+            missing = np.setdiff1d(np.flatnonzero(reach > (w * (1.0 + _ARC_TOL)) ** 2), chosen)
+            if missing.size == 0:
+                break
+            chosen = np.union1d(chosen, missing)
+        parts.append((np.full(a.size, i), c[a], w[a], lo, hi))
+    facet, arc_center, width, lo, hi = (np.concatenate(column) for column in zip(*parts))
+    active = np.zeros(spec.count, dtype=bool)
+    active[facet] = True
+    active.setflags(write=False)
+    return _FacetArcs(
+        facet=facet, center=arc_center, width=width, lo=lo, hi=hi, active=active, frames=frames
+    )
+
+
+def _arc_support(spec: PolytopeSpec, arcs: _FacetArcs, dirs: np.ndarray) -> np.ndarray:
+    """n = 2 support numbers for each row of dirs.
+
+    On horosphere i, -<X_i(s), (e, 1)> = alpha + beta . s + gamma |s|^2
+    with alpha = sinh(x_i) (e_i . e) + cosh(x_i), beta = -T_i e and
+    gamma = (1 - e_i . e) / (2 E_i) >= 0. A convex quadratic peaks on the
+    boundary of a facet; along an arc s = c + w u(t) it is affine in u(t),
+    so it peaks at an end of the arc or at u = g / |g|, g = beta + 2 gamma c,
+    when that angle lies on the arc (_arc_turns). The quadratic is evaluated
+    at those points, not expanded about c, which may lie far from the facet.
+    """
+    x = spec.x[arcs.facet][:, None]
+    cos = spec.directions[arcs.facet] @ dirs.T
+    beta = -np.einsum("aij,qj->aqi", arcs.frames[arcs.facet], dirs)
+    gamma = (1.0 - cos) / (2.0 * np.exp(x))
+    c, w = arcs.center[:, None, :], arcs.width[:, None]
+    ends = _arc_turns(arcs.lo[:, None], arcs.hi[:, None], beta + 2.0 * gamma[..., None] * c)
+    best = np.max(
+        [np.sum((beta + gamma[..., None] * s) * s, axis=2) for s in (_on_circle(c, w, t) for t in ends)],
+        axis=0,
+    )
+    return np.log(np.sinh(x) * cos + np.cosh(x) + best).max(axis=0)
+
+
+def _arc_areas(arcs: _FacetArcs, count: int) -> np.ndarray:
+    """Facet areas by Green's theorem, half the integral of s x ds around
+    each facet: per arc, the circular segment between the arc and its chord,
+    w^2 (dt - sin dt) / 2, plus the shoelace term of the chord, A x B / 2.
+    Unlike the sector form w (w dt + c x du) / 2 this keeps its digits when
+    a circle is much larger than the facet."""
+    w, span = arcs.width, arcs.hi - arcs.lo
+    (ax, ay), (bx, by) = (
+        (arcs.center + w[:, None] * np.column_stack([np.cos(t), np.sin(t)])).T for t in (arcs.lo, arcs.hi)
+    )
+    halves = 0.5 * (w * w * (span - np.sin(span)) + ax * by - ay * bx)
+    return np.bincount(arcs.facet, weights=halves, minlength=count)
+
+
+def _cone_kernel(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Psi(rho) / rho^2 on a horosphere of scale x, for delta = rho^2 / (2 e^x).
+
+    The field Y = (I_2(r) / sinh(r)^2) d/dr has div Y = 1, and on facet i
+    <d/dr, nu> = (cosh r - e^{-x_i}) / sinh r. So the volume is the sum over
+    facets of the integral of F(r) = I_2(r) (cosh r - e^{-x_i}) / sinh(r)^3,
+    with cosh r = cosh x_i + delta a function of rho = |s| alone; in polar
+    coordinates about s = 0 that is the boundary integral of Psi(rho) dphi,
+    Psi(rho) = E_i (G(r) - G(x_i)) and G(t) = (cosh t + t (1 - e^{-x_i}
+    cosh t) / sinh t) / 2. Here Psi / rho^2 = (G(r) - G(x)) / (2 delta), the
+    mean of F / 2 over cosh r in [cosh x, cosh x + delta]; since
+    1 - e^{-x} cosh r = e^{-x} (sinh x - delta), G(r) - G(x) =
+    (delta + e^{-x} (r (sinh x - delta) / sinh r - x)) / 2. The closed form
+    loses about log10(1 / delta) digits to cancellation, so below
+    delta = 1e-2 a 4-node Gauss-Legendre mean of F takes over (F is analytic
+    in cosh r away from -1, so on so short an interval that is exact to
+    roundoff).
+    """
+    a = np.exp(-x)
+    r = np.arccosh(np.cosh(x) + delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = (delta + a * (r * (np.sinh(x) - delta) / np.sinh(r) - x)) / (4.0 * delta)
+    nodes, weights = _KERNEL_NODES
+    lift = np.cosh(x)[..., None] + 0.5 * delta[..., None] * (1.0 + nodes)
+    rr = np.arccosh(lift)
+    sh = np.sinh(rr)
+    density = (sh * lift - rr) * (lift - a[..., None]) / (2.0 * sh**3)
+    return np.where(delta < 1e-2, 0.25 * np.sum(weights * density, axis=-1), closed)
+
+
+def _arc_volume(spec: PolytopeSpec, arcs: _FacetArcs) -> float:
+    """Exact n = 2 volume: the sum over arcs of the integral of Psi_i dphi.
+
+    Along s = c + w u(t), rho^2 dphi = s x ds = w (w + c . u(t)) dt, so each
+    arc adds the integral of _cone_kernel * w (w + c . u(t)) dt, which is
+    analytic in t; 16-node Gauss-Legendre reaches roundoff.
+    """
+    nodes, weights = _ARC_NODES
+    half = 0.5 * (arcs.hi - arcs.lo)[:, None]
+    t = 0.5 * (arcs.hi + arcs.lo)[:, None] + half * nodes
+    ux, uy = np.cos(t), np.sin(t)
+    cx, cy = arcs.center[:, :1], arcs.center[:, 1:]
+    w = arcs.width[:, None]
+    x = spec.x[arcs.facet][:, None]
+    rho_sq = (cx + w * ux) ** 2 + (cy + w * uy) ** 2
+    kernel = _cone_kernel(np.broadcast_to(x, rho_sq.shape), rho_sq / (2.0 * np.exp(x)))
+    return float(np.sum(half * weights * kernel * w * (w + cx * ux + cy * uy)))
+
+
+def _exact_boundary(spec: PolytopeSpec) -> _PlanarBoundary | _FacetArcs | None:
+    """The boundary arcs of an n <= 2 body; None for n >= 3."""
+    if spec.n == 1:
+        return _planar_boundary(spec)
+    return _facet_arcs(spec) if spec.n == 2 else None
+
+
+def _exact_support(spec: PolytopeSpec, arcs, dirs: np.ndarray) -> np.ndarray:
+    if spec.n == 1:
+        return _vertex_support(arcs.starts, dirs)
+    return _arc_support(spec, arcs, dirs)
+
+
+def _exact_volume(spec: PolytopeSpec, arcs) -> float:
+    if spec.n == 1:
+        return _volume_closed_plane(spec, arcs)
+    return _arc_volume(spec, arcs)
+
+
+# ---------------------------------------------------------------------------
+# building and support
+# ---------------------------------------------------------------------------
 
 def _refine_max_sphere(objective, theta0: np.ndarray, step: float) -> float:
     """Maximize a function of a unit vector in R^{n+1}, n >= 2, near theta0."""
@@ -464,15 +768,18 @@ def build_polytope(
 ) -> HConvexPolytope:
     """Intersect the spec's horoballs and precompute support data.
 
-    For n = 1 the body is described exactly by its boundary arcs; the scan
-    is not used, and a horoball carries a facet exactly when its arc has
-    positive length. For n >= 2 the scan quadrature (by default the
-    16384-node product rule on S^2) is the direction set for support and
-    extremal maximizations and the default volume rule, and a horoball
-    carries a facet when its scale is within FACET_TOL of its refined
-    support number. An even spec containing a zero-scale pair collapses to
-    the single point O; that body is only representable with
-    allow_degenerate=True and raises DegenerateBodyError otherwise.
+    For n <= 2 the body is described exactly by its boundary arcs (one per
+    facet for n = 1, the arcs around every facet for n = 2), a horoball
+    carries a facet exactly when it keeps an arc, and support numbers are
+    maxima over the arcs. For n = 2 the scan quadrature (by default the
+    16384-node product rule on S^2) is still built, for extremal_radii,
+    separate and the Hausdorff refinement; n = 1 bodies keep no scan. For
+    n >= 3 the scan is the direction set for support and extremal
+    maximizations and the volume rule, and a horoball carries a facet when
+    its scale is within FACET_TOL of its Nelder-Mead refined support number.
+    An even spec containing a zero-scale pair collapses to the single point
+    O; that body is only representable with allow_degenerate=True and raises
+    DegenerateBodyError otherwise.
     """
     if np.any(spec.x == 0.0):
         if not allow_degenerate:
@@ -490,47 +797,45 @@ def build_polytope(
         )
     if scan is not None and scan.n != spec.n:
         raise SpecError("scan quadrature dimension does not match the spec")
+    radii = None
     if spec.n == 1:
-        arcs = _planar_boundary(spec)
-        top = _vertex_support(arcs.starts, spec.directions)
-        # an arc lies on its own horocycle, so that horoball touches the body
+        scan = None
+    else:
+        if scan is None:
+            scan = build_quadrature(spec.n)
+        radii = _radial_rows(spec, scan.nodes)
+        if not np.all(np.isfinite(radii)):
+            raise SpecError("body is unbounded along a scanned direction")
+    arcs = _exact_boundary(spec)
+    if arcs is not None:
+        top = _exact_support(spec, arcs, spec.directions)
+        # a facet lies on its own horosphere, so that horoball touches the body
         support_vals = np.where(arcs.active, spec.x, np.minimum(top, spec.x))
-        return HConvexPolytope(
-            spec=spec,
-            canonical_support=support_vals,
-            facet_nonempty=arcs.active,
-            scan=None,
-            scan_radii=None,
-            boundary=arcs,
-        )
-    if scan is None:
-        scan = build_quadrature(spec.n)
-    radii = _radial_rows(spec, scan.nodes)
-    if not np.all(np.isfinite(radii)):
-        raise SpecError("body is unbounded along a scanned direction")
-
-    # Coarse support values for all listed directions in one pass.
-    a, b = np.cosh(radii), np.sinh(radii)
-    cos = scan.nodes @ spec.directions.T
-    coarse = np.log(a[:, None] - b[:, None] * cos)
-    best = np.argmax(coarse, axis=0)
-    spacing = _scan_spacing(scan)
-    support_vals = np.empty(spec.count)
-    for i in range(spec.count):
-        refined = _refine_max_sphere(
-            _support_objective(spec, spec.directions[i]),
-            scan.nodes[best[i]],
-            spacing,
-        )
-        # Support of a listed direction never exceeds its own scale.
-        support_vals[i] = min(refined, float(spec.x[i]))
-    nonempty = (spec.x - support_vals) <= FACET_TOL
+        nonempty = arcs.active
+    else:
+        # Coarse support values for all listed directions in one pass.
+        a, b = np.cosh(radii), np.sinh(radii)
+        cos = scan.nodes @ spec.directions.T
+        coarse = np.log(a[:, None] - b[:, None] * cos)
+        best = np.argmax(coarse, axis=0)
+        spacing = _scan_spacing(scan)
+        support_vals = np.empty(spec.count)
+        for i in range(spec.count):
+            refined = _refine_max_sphere(
+                _support_objective(spec, spec.directions[i]),
+                scan.nodes[best[i]],
+                spacing,
+            )
+            # Support of a listed direction never exceeds its own scale.
+            support_vals[i] = min(refined, float(spec.x[i]))
+        nonempty = (spec.x - support_vals) <= FACET_TOL
     return HConvexPolytope(
         spec=spec,
         canonical_support=support_vals,
         facet_nonempty=nonempty,
         scan=scan,
         scan_radii=radii,
+        boundary=arcs,
     )
 
 
@@ -545,14 +850,15 @@ def radial(poly: HConvexPolytope, theta: Direction) -> float:
 def support(poly: HConvexPolytope, e: Direction) -> float:
     """Horospherical support number: the largest Busemann value over the body.
 
-    Exact for n = 1 (the largest value over the vertices); for n >= 2 the
-    best scan node is refined by Nelder-Mead.
+    Exact for n <= 2: the largest value over the vertices for n = 1, and
+    over the arc ends and each arc's stationary point for n = 2. For n >= 3
+    the best scan node is refined by Nelder-Mead.
     """
     _require_interior(poly, "support")
     if e.n != poly.n:
         raise SpecError("direction dimension mismatch")
-    if poly.n == 1:
-        return float(_vertex_support(poly.boundary.starts, e.vector[None, :])[0])
+    if poly.boundary is not None:
+        return float(_exact_support(poly.spec, poly.boundary, e.vector[None, :])[0])
     cos = poly.scan.nodes @ e.vector
     vals = np.log(poly._scan_cosh - poly._scan_sinh * cos)
     g = int(np.argmax(vals))
@@ -563,12 +869,12 @@ def support(poly: HConvexPolytope, e: Direction) -> float:
 
 
 def _support_grid(poly: HConvexPolytope, dirs: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Support numbers for many directions: exact for n = 1, scan maxima for n >= 2."""
+    """Support numbers for many directions: exact for n <= 2, scan maxima for n >= 3."""
     out = np.empty(dirs.shape[0])
     for lo in range(0, dirs.shape[0], chunk):
         rows = dirs[lo : lo + chunk]
-        if poly.n == 1:
-            out[lo : lo + chunk] = _vertex_support(poly.boundary.starts, rows)
+        if poly.boundary is not None:
+            out[lo : lo + chunk] = _exact_support(poly.spec, poly.boundary, rows)
         else:
             cos = poly.scan.nodes @ rows.T
             out[lo : lo + chunk] = np.max(
@@ -607,17 +913,20 @@ def extremal_radii(poly: HConvexPolytope) -> tuple[float, float]:
 
 
 def volume(poly: HConvexPolytope, rule: SphereQuadrature | None = None) -> float:
-    """Hyperbolic volume via the radial sinh-power integral.
+    """Hyperbolic volume.
 
-    Planar bodies (n = 1) are integrated exactly arc by arc, so the rule
-    argument only picks the node set for n >= 2.
+    Exact for n <= 2, read off the boundary arcs: a sum of per-arc
+    Gauss-Bonnet terms for n = 1 and of per-arc divergence-theorem
+    integrals for n = 2 (see _cone_kernel), so the rule is not used there.
+    For n >= 3 the radial sinh-power integral over the rule's nodes (the
+    body's scan by default).
     """
     if poly.degenerate:
         return 0.0
     if rule is not None and rule.n != poly.n:
         raise SpecError("quadrature dimension mismatch")
-    if poly.n == 1:
-        return _volume_closed_plane(poly.spec, poly.boundary)
+    if poly.boundary is not None:
+        return _exact_volume(poly.spec, poly.boundary)
     if rule is None:
         return poly.scan.integrate(sinh_power_integral(poly.n, poly.scan_radii))
     radii = _radial_rows(poly.spec, rule.nodes)
@@ -625,8 +934,10 @@ def volume(poly: HConvexPolytope, rule: SphereQuadrature | None = None) -> float
 
 
 def _volume_of_spec(spec: PolytopeSpec, rule: SphereQuadrature | None) -> float:
-    if spec.n == 1:
-        return _volume_closed_plane(spec, _planar_boundary(spec))
+    """Volume of the spec's body without building it; the rule serves n >= 3 only."""
+    arcs = _exact_boundary(spec)
+    if arcs is not None:
+        return _exact_volume(spec, arcs)
     radii = _radial_rows(spec, rule.nodes)
     if not np.all(np.isfinite(radii)):
         raise SpecError("body is unbounded along a scanned direction")
@@ -637,39 +948,6 @@ def _volume_of_spec(spec: PolytopeSpec, rule: SphereQuadrature | None) -> float:
 # facets
 # ---------------------------------------------------------------------------
 
-def _facet_shadow(poly: HConvexPolytope, i: int):
-    """Half-space data for facet i: slice height and constraining floor disks.
-
-    Rotates e_i to the chart's infinity direction; the facet then lives in
-    the horizontal plane at height e^{-x_i} and each other horoball cuts a
-    Euclidean disk out of it. Returns (height, centers, radii) or None
-    when some constraint empties the slice.
-    """
-    spec = poly.spec
-    k = spec.n + 1
-    estar = Direction(np.append(np.zeros(spec.n), 1.0))
-    rot = Isometry.rotation_between(Direction(spec.directions[i]), estar)
-    h = math.exp(-float(spec.x[i]))
-    centers, radii = [], []
-    for j in range(spec.count):
-        if j == i:
-            continue
-        form = halfspace_form(horoball_transform(Horoball(Direction(spec.directions[j]), float(spec.x[j])), rot))
-        if form.kind == "plane":
-            # Same ideal center as facet i: constrains all-or-nothing.
-            if form.height > h * (1.0 + 1e-12):
-                return None
-            continue
-        w_sq = h * (2.0 * form.radius - h)
-        if w_sq <= 0.0:
-            return None
-        centers.append(form.contact)
-        radii.append(math.sqrt(w_sq))
-    if not centers:
-        raise SpecError("facet shadow is unbounded; spec lacks distinct directions")
-    return h, np.array(centers), np.array(radii)
-
-
 def facet_area(
     poly: HConvexPolytope,
     i: int,
@@ -678,11 +956,13 @@ def facet_area(
 ) -> float:
     """n-dimensional area of the facet carried by horoball i.
 
-    Zero when the horoball does not support the body. For n = 1 this is
-    the length of the horoball's boundary arc. For n >= 2 the shadow of
-    the facet on the chart floor is an intersection of disks whose
-    Euclidean volume is Monte-Carlo estimated over the smallest disk's
-    bounding box; the hyperbolic area is e^{n x_i} times that volume.
+    Zero when the horoball does not support the body. Exact for n <= 2:
+    the length of the horoball's boundary arc for n = 1, and Green's
+    theorem over the arcs around the facet for n = 2. For n >= 3 the facet
+    is the intersection of the disks the other horoballs cut from
+    horosphere i in its flat chart (_shadows), whose area is estimated by
+    seeded Monte-Carlo (mc_samples points, seed) over the smallest disk's
+    bounding box; those arguments are not used for n <= 2.
     """
     _require_interior(poly, "facet_area")
     spec = poly.spec
@@ -692,11 +972,13 @@ def facet_area(
         return 0.0
     if spec.n == 1:
         return float(poly.boundary.hi[i] - poly.boundary.lo[i])
-    shadow = _facet_shadow(poly, i)
-    if shadow is None:
+    if spec.n == 2:
+        return float(_arc_areas(poly.boundary, spec.count)[i])
+    row = np.array([i])
+    center, width_sq, same = _shadows(spec, row, _chart_frames(spec.directions[row]))
+    if _eclipsed(spec, row, same)[0] or np.any(~same & (width_sq <= 0.0)):
         return 0.0
-    h, centers, radii = shadow
-    scale = math.exp(spec.n * float(spec.x[i]))
+    centers, radii = center[0, ~same[0]], np.sqrt(width_sq[0, ~same[0]])
     smallest = int(np.argmin(radii))
     box_center = centers[smallest]
     half = float(radii[smallest])
@@ -707,7 +989,7 @@ def facet_area(
         d = pts - c[None, :]
         inside &= np.einsum("ij,ij->i", d, d) <= r * r
     box_volume = (2.0 * half) ** spec.n
-    return scale * box_volume * float(np.count_nonzero(inside)) / mc_samples
+    return box_volume * float(np.count_nonzero(inside)) / mc_samples
 
 
 def facet_areas(poly: HConvexPolytope, **kwargs) -> np.ndarray:
@@ -723,10 +1005,10 @@ def facet_area_fd(
 ) -> float:
     """Facet area as the central difference of the volume in the scale x_i.
 
-    Independent of the half-space shadow construction. For n = 1 both
-    volumes come from the closed-form arc integration, so the difference
-    tracks the true derivative; for n >= 2 the same quadrature rule is
-    used on both sides so the node error largely cancels.
+    Independent of the facet-area formulas. For n <= 2 both volumes are
+    exact arc sums, so the difference tracks the true derivative and the
+    rule is not used; for n >= 3 the same quadrature rule is used on both
+    sides so the node error largely cancels.
     """
     _require_interior(poly, "facet_area_fd")
     spec = poly.spec
@@ -779,8 +1061,9 @@ def hausdorff_distance(
     Exact for n = 1, where the rule is not used: the largest gap over the
     finitely many angles where the gap can peak (see _planar_hausdorff).
     For n >= 2, coarse maximization of |u_K - u_L| over the rule's
-    directions (build_quadrature's 4096-node rule by default), then local
-    refinement with fully refined support evaluations.
+    directions (build_quadrature's 4096-node rule by default), then
+    Nelder-Mead refinement with support evaluations that are exact for
+    n = 2.
     """
     _require_interior(k_body, "hausdorff_distance")
     _require_interior(l_body, "hausdorff_distance")
@@ -806,7 +1089,7 @@ def canonicalize(poly: HConvexPolytope) -> PolytopeSpec:
     """Spec with every scale replaced by its support number.
 
     The body is unchanged and every horoball of the new spec touches it,
-    so rebuilding and canonicalizing again is a fixed point (for n >= 2 up
+    so rebuilding and canonicalizing again is a fixed point (for n >= 3 up
     to the support refinement tolerance). Even pairing is preserved exactly.
     """
     _require_interior(poly, "canonicalize")

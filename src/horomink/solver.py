@@ -9,8 +9,9 @@ lambda. The variational formulations differ by the sign of p:
 * p < 0: minimize Phi_p subject to volume = V0.
 
 Each accepted iterate is canonicalized (scales replaced by support
-numbers, which never changes the body) and rescaled back onto the active
-constraint, so the objective trace is monotone. Convergence is certified
+numbers, which never changes the body) and, in the Phi_p-constrained
+mode, rescaled back onto the constraint, so the objective trace is
+monotone. Convergence is certified
 by the relative residual of the optimality system, never by iterate
 distance.
 """
@@ -77,7 +78,7 @@ def rescale_to_constraint(
     mode "phi" solves Phi_p(t x) = target by bisection (exactly for p = 0,
     where the functional is linear) to absolute accuracy 1e-8. mode
     "volume" solves V(P(t x)) = target to relative accuracy 1e-5, with the
-    body built from spec's directions and the given quadrature rule.
+    body built from spec's directions (the rule matters for n >= 3 only).
     Raises UnreachableTargetError when the target exceeds the functional's
     supremum (possible only for p < 0 in phi mode).
     """
@@ -159,9 +160,12 @@ def residual(poly: HConvexPolytope, measure: DiscreteMeasure, p: float) -> tuple
     returns _lagrange_residual over the matched facets. Antipodal facets of
     an even body are congruent, so for an even spec only the measure's
     first atom of each antipodal pair is evaluated, exactly as solve_even
-    does. The polytope need not be even: certifying that a perturbed body
-    is NOT optimal for an even measure is a supported use, and then every
-    atom is evaluated.
+    does: the certificate then reproduces the solver's own number. That
+    matters for n >= 3, where the two facets of a pair get independent
+    Monte-Carlo areas; for n <= 2 their exact areas agree to roundoff. The
+    polytope need not be even: certifying that a perturbed body is NOT
+    optimal for an even measure is a supported use, and then every atom is
+    evaluated.
     """
     if not measure.even:
         raise NotEvenError("residual is defined for even measures")
@@ -282,10 +286,11 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
         return np.array(fixed.x[:m])
 
     def project(z: np.ndarray) -> np.ndarray:
-        z = np.clip(z, _Z_FLOOR, z_cap)
-        z = rescaled(z)
-        z = canonical(z)
-        return rescaled(z)
+        z = canonical(rescaled(np.clip(z, _Z_FLOOR, z_cap)))
+        # Canonicalizing keeps the body, hence its volume, but lowers Phi_p.
+        # For n >= 3 support numbers are Nelder-Mead estimates that can fall
+        # short, so there the volume needs the second rescale too.
+        return rescaled(z) if maximizing or n > 2 else z
 
     def evaluate(z: np.ndarray) -> _Iterate:
         poly = build(z)

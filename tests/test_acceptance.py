@@ -77,13 +77,13 @@ def test_criterion_01_lens_facet_goldens():
     got1 = facet_area(poly1, 0)
     assert got1 == pytest.approx(2.0 * math.sqrt(3.0), abs=1e-9)
     poly2 = build_polytope(lens_spec(LOG2, n=2))
-    got2 = facet_area(poly2, 0, mc_samples=1_000_000)
-    assert got2 == pytest.approx(3.0 * math.pi, rel=5e-3)
+    got2 = facet_area(poly2, 0)
+    assert got2 == pytest.approx(3.0 * math.pi, abs=1e-9)
     elapsed = time.perf_counter() - start
     assert elapsed <= 5.0
     print(
         f"criterion 1: PASS (n=1 facet {got1:.12f} vs 2*sqrt(3), "
-        f"n=2 facet {got2:.6f} vs 3*pi, {elapsed:.2f}s)"
+        f"n=2 facet {got2:.12f} vs 3*pi, {elapsed:.2f}s)"
     )
 
 

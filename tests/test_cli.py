@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import horomink
 from horomink import PolytopeSpec, build_polytope, build_quadrature, volume
 from horomink.cli import main
 
@@ -75,6 +76,13 @@ def lens_body(tmp_path):
             ],
         },
     )
+
+
+def child_env(**extra) -> dict:
+    """Environment for a child interpreter that imports this same package."""
+    package_root = os.path.dirname(os.path.dirname(horomink.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def last_json(capsys):
@@ -218,6 +226,62 @@ def test_schema_rejects_missing_and_malformed_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def cube_body(tmp_path) -> str:
+    rows = np.vstack([np.eye(3), -np.eye(3)])
+    return write_json(
+        tmp_path / "cube.json",
+        {
+            "schema_version": "1",
+            "n": 2,
+            "even": True,
+            "horoballs": [{"direction": d.tolist(), "x": 0.5} for d in rows],
+        },
+    )
+
+
+def backtrack_instance(tmp_path, instance: str) -> str:
+    payload = json.loads(open(instance, encoding="utf-8").read())
+    payload["solver"] = {"backtrack": 1.5}
+    return write_json(tmp_path / "backtrack.json", payload)
+
+
+# each case used to escape as exit 4 "geometry error"
+@pytest.mark.parametrize(
+    "case, field",
+    [
+        ("backtrack", "instance.solver.backtrack"),
+        ("tol", "--tol"),
+        ("quad_nodes", "--quad-nodes"),
+        ("quad_kind", "--quad-kind"),
+        ("direction", "direction"),
+    ],
+)
+def test_invalid_user_input_exits_2(tmp_path, symmetric_instance, lens_body, capsys, case, field):
+    out = str(tmp_path / "unused.json")
+    argv = {
+        "backtrack": ["solve", "--input", backtrack_instance(tmp_path, symmetric_instance), "--output", out],
+        "tol": ["solve", "--input", symmetric_instance, "--output", out, "--tol", "-1"],
+        "quad_nodes": ["volume", "--body", lens_body, "--quad-nodes", "1"],
+        "quad_kind": ["volume", "--body", cube_body(tmp_path), "--quad-kind", "grid"],
+        "direction": ["support", "--body", cube_body(tmp_path), "--direction", "0,0,0"],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:")
+    assert field in err
+
+
+def test_program_faults_exit_5(lens_body, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr("horomink.cli.volume", broken)
+    assert main(["volume", "--body", lens_body]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "internal error: ValueError('injected fault')" in err
+
+
 def test_body_schema_violation(tmp_path, capsys):
     body = write_json(
         tmp_path / "bad_body.json",
@@ -305,8 +369,8 @@ def test_instance_quad_kind_round_trip(tmp_path, capsys):
 
 
 def test_check_rebuilds_on_the_solution_quadrature(tmp_path, capsys):
-    # n = 2 support numbers and facet areas depend on the scan; check must
-    # rebuild on the solve's own 900 Monte-Carlo nodes to reproduce it
+    # check rebuilds on the solve's own quadrature (900 Monte-Carlo nodes),
+    # which n = 2 bodies still carry for their scan-based queries
     atoms = []
     for axis, weight in ((0, 1.0), (1, 1.5), (2, 2.0)):
         for sign in (1.0, -1.0):
@@ -429,9 +493,7 @@ def test_render_rejects_higher_dimensions(tmp_path, capsys):
         },
     )
     sol = tmp_path / "sol2.json"
-    # n = 2 facet areas are Monte-Carlo estimates, so the certificate
-    # saturates near the sampler's noise floor; this test only needs a file
-    assert main(["solve", "--input", inst, "--output", str(sol), "--tol", "0.05"]) == 0
+    assert main(["solve", "--input", inst, "--output", str(sol)]) == 0
     capsys.readouterr()
     assert main(["render", "--solution", str(sol), "--svg", str(tmp_path / "x.svg")]) == 4
     assert "geometry error" in capsys.readouterr().err
@@ -440,7 +502,7 @@ def test_render_rejects_higher_dimensions(tmp_path, capsys):
 # ------------------------------------------------------------------ process
 
 def test_module_entrypoint_with_thread_cap(tmp_path, lens_body):
-    env = dict(os.environ, HOROMINK_THREADS="1")
+    env = child_env(HOROMINK_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "horomink.cli", "volume", "--body", lens_body],
         capture_output=True,
@@ -452,7 +514,7 @@ def test_module_entrypoint_with_thread_cap(tmp_path, lens_body):
 
 
 def test_thread_cap_garbage_is_ignored(tmp_path, lens_body):
-    env = dict(os.environ, HOROMINK_THREADS="not-a-number")
+    env = child_env(HOROMINK_THREADS="not-a-number")
     proc = subprocess.run(
         [sys.executable, "-m", "horomink.cli", "volume", "--body", lens_body],
         capture_output=True,

@@ -2,6 +2,7 @@
 distances, canonicalization, separation, tube bodies."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -39,8 +40,16 @@ from horomink import (
     t_body_volume_lower_bound,
     volume,
 )
-from horomink.oracle import radial_bisection
-from horomink.polytope import _radial_rows, _support_grid
+from horomink.oracle import mc_volume, radial_bisection
+from horomink.polytope import (
+    _chart_frames,
+    _cone_kernel,
+    _radial_rows,
+    _shadows,
+    _support_grid,
+    _volume_of_spec,
+)
+from horomink.quadrature import sinh_power_integral
 
 LOG2 = math.log(2.0)
 ACOSH2 = 1.3169578969248166  # arccosh(2): lens reach orthogonal to the axis
@@ -337,10 +346,9 @@ def test_asymmetric_lens_facet_area():
 
 def test_lens_facet_area_3d():
     poly = build_polytope(lens_spec(n=2))
-    got = facet_area(poly, 0, mc_samples=1_000_000)
-    assert got == pytest.approx(3.0 * math.pi, rel=5e-3)
-    # seeded: repeated call is identical
-    assert facet_area(poly, 0, mc_samples=1_000_000) == got
+    got = facet_area(poly, 0)
+    assert got == pytest.approx(3.0 * math.pi, abs=1e-9)
+    assert facet_area(poly, 0) == got
 
 
 def test_redundant_facet_is_empty():
@@ -370,14 +378,14 @@ def test_facet_area_fd_matches_direct(lens):
 
 
 def test_facet_area_near_the_chart_antipode():
-    # the facet shadow rotates e_i to e* = (0, 0, 1); here e_0 sits 3e-4 rad
-    # from -e*, where that rotation used to fail its Lorentz check
+    # e_0 sits 3e-4 rad from -e* = (0, 0, -1), where a rotation of e_i to e*
+    # used to fail its Lorentz check
     tilt = 3e-4
     axis = np.array([math.sin(tilt), 0.0, -math.cos(tilt)])
     spec = PolytopeSpec(n=2, directions=np.array([axis, -axis]), x=np.array([LOG2, LOG2]))
     poly = build_polytope(spec)
     for i in range(2):
-        assert facet_area(poly, i, mc_samples=1_000_000) == pytest.approx(3.0 * math.pi, rel=5e-3)
+        assert facet_area(poly, i) == pytest.approx(3.0 * math.pi, abs=1e-9)
 
 
 def test_facet_index_out_of_range(lens):
@@ -550,6 +558,327 @@ def test_triple_point_body():
     assert volume(poly) == pytest.approx(LENS_VOLUME_LOG2, abs=1e-12)
     assert np.allclose(poly.canonical_support, spec.x, atol=1e-12)
     assert extremal_radii(poly) == pytest.approx((ACOSH2, LOG2), abs=1e-12)
+
+
+# ------------------------------------------------------------ n = 2 closed forms
+
+def even_sphere_spec(rng, pairs: int, x_range=(0.3, 1.5)) -> PolytopeSpec:
+    """Random even n=2 spec: `pairs` Gaussian directions and their antipodes."""
+    raw = rng.normal(size=(pairs, 3))
+    rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    x = rng.uniform(*x_range, size=pairs)
+    return PolytopeSpec(
+        n=2, directions=np.vstack([rows, -rows]), x=np.concatenate([x, x]), even=True
+    )
+
+
+def n2_corpus(count: int = 40, seed: int = 31) -> list:
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [even_sphere_spec(rng, int(rng.integers(2, 7))) for _ in range(count)]
+
+
+def nelder_mead_undershoot_spec() -> PolytopeSpec:
+    # a scan refined by Nelder-Mead puts the support number of direction 2
+    # 1.4e-5 below that of its antipode, direction 6
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        spec = even_sphere_spec(rng, int(rng.integers(2, 6)), x_range=(0.5, 1.5))
+    return spec
+
+
+def chart_points(spec, i, s) -> np.ndarray:
+    """X_i(s) on horosphere i, s given in its flat chart (rows)."""
+    e, x = spec.directions[i], float(spec.x[i])
+    lift = np.sum(s * s, axis=1) / (2.0 * math.exp(x))
+    spatial = (lift - math.sinh(x))[:, None] * e + s @ _chart_frames(spec.directions[[i]])[0]
+    return np.column_stack([spatial, math.cosh(x) + lift])
+
+
+def exp_busemann(points, directions) -> np.ndarray:
+    """-<X, (e, 1)> for every point (rows) and direction (columns)."""
+    return points[:, -1:] - points[:, :-1] @ directions.T
+
+
+def test_shadow_circles_lie_on_both_horospheres():
+    rng = np.random.Generator(np.random.Philox(30))
+    turns = np.linspace(0.0, 2.0 * math.pi, 7)
+    for spec in n2_corpus(5, seed=30) + [random_spec(rng, 5)]:
+        rows = np.arange(spec.count)
+        center, width_sq, same = _shadows(spec, rows, _chart_frames(spec.directions))
+        for i in rows:
+            for k in np.flatnonzero(~same[i] & (width_sq[i] > 0.0)):
+                if spec.n == 1:
+                    s = center[i, k] + math.sqrt(width_sq[i, k]) * np.array([[-1.0], [1.0]])
+                else:
+                    u = np.column_stack([np.cos(turns), np.sin(turns)])
+                    s = center[i, k] + math.sqrt(width_sq[i, k]) * u
+                points = chart_points(spec, i, s)
+                lorentz = np.sum(points[:, :-1] ** 2, axis=1) - points[:, -1] ** 2
+                assert np.allclose(lorentz, -1.0, atol=1e-9)
+                values = exp_busemann(points, spec.directions[[i, k]])
+                assert np.allclose(values, np.exp(spec.x[[i, k]]), rtol=1e-12)
+
+
+def mc_facet_area(spec, i, samples, rng) -> tuple[float, float]:
+    """(estimate, standard error) of the common part of the disks that the
+    other horoballs cut from horosphere i, from uniform points in the
+    overlap of the disks' bounding boxes."""
+    center, width_sq, same = _shadows(spec, np.array([i]), _chart_frames(spec.directions[[i]]))
+    if np.any(width_sq[0, ~same[0]] <= 0.0):
+        return 0.0, 0.0
+    c, w = center[0, ~same[0]], np.sqrt(width_sq[0, ~same[0]])
+    low, high = np.max(c - w[:, None], axis=0), np.min(c + w[:, None], axis=0)
+    if np.any(low >= high):
+        return 0.0, 0.0
+    corners = np.array([low, [low[0], high[1]], [high[0], low[1]], high])
+    # a disk that holds the whole box rejects no point
+    cuts = np.max(np.linalg.norm(corners[None, :, :] - c[:, None, :], axis=2), axis=1) > w
+    px, py = rng.uniform(low, high, size=(samples, 2)).T
+    inside = np.ones(samples, dtype=bool)
+    for ck, wk in zip(c[cuts], w[cuts]):
+        inside &= (px - ck[0]) ** 2 + (py - ck[1]) ** 2 <= wk * wk
+    box, hit = float(np.prod(high - low)), float(np.mean(inside))
+    # no hits (or no misses) still leaves a resolution of one sample
+    return box * hit, box * math.sqrt(max(hit * (1.0 - hit), 1.0 / samples) / samples)
+
+
+def test_n2_facet_areas_match_monte_carlo():
+    rng = np.random.Generator(np.random.Philox(32))
+    scores = []
+    for spec in n2_corpus():
+        poly = build_polytope(spec)
+        # antipodal facets of an even body are congruent: one per pair
+        for i in range(spec.count // 2):
+            estimate, stderr = mc_facet_area(spec, i, 500_000, rng)
+            if estimate == 0.0:
+                assert facet_area(poly, i) <= 3.0 * stderr
+            else:
+                scores.append((facet_area(poly, i) - estimate) / stderr)
+    scores = np.array(scores)
+    assert scores.size >= 80
+    # 3 sigma for the pooled mean, and for the largest of the independent
+    # scores at the same family-wise level (Sidak)
+    assert abs(float(np.mean(scores))) <= 3.0 / math.sqrt(scores.size)
+    level = 2.0 * NormalDist().cdf(-3.0)
+    worst = NormalDist().inv_cdf(1.0 - 0.5 * (1.0 - (1.0 - level) ** (1.0 / scores.size)))
+    assert float(np.max(np.abs(scores))) <= worst
+
+
+def test_n2_facet_areas_are_volume_derivatives():
+    for spec in n2_corpus():
+        poly = build_polytope(spec)
+        for i in range(spec.count):
+            direct = facet_area(poly, i)
+            assert abs(direct - facet_area_fd(poly, i, delta=1e-5)) <= 1e-6 * (1.0 + direct)
+
+
+def test_n2_volume_matches_quadrature_and_monte_carlo():
+    fine = build_quadrature(2, 1_000_000)
+    for k, spec in enumerate(n2_corpus()[::5]):
+        exact = volume(build_polytope(spec))
+        quad = fine.integrate(sinh_power_integral(2, _radial_rows(spec, fine.nodes)))
+        assert abs(exact - quad) <= 1e-6 * exact
+        estimate, stderr = mc_volume(build_polytope(spec), num_samples=250_000, seed=40 + k)
+        assert abs(exact - estimate) <= 3.0 * stderr
+
+
+def test_n2_support_numbers_bound_sampled_boundaries():
+    # below: no boundary point found by bisection along 600 rays beats the
+    # support number; above: it is attained, within 1e-6, at a point of
+    # the arcs that lies in every horoball and on the bisected boundary
+    rng = np.random.Generator(np.random.Philox(33))
+    count = 600
+    golden = math.pi * (3.0 - math.sqrt(5.0)) * np.arange(count)
+    height = 1.0 - (np.arange(count) + 0.5) * 2.0 / count
+    ring = np.sqrt(1.0 - height**2)
+    thetas = np.column_stack([ring * np.cos(golden), ring * np.sin(golden), height])
+    for spec in n2_corpus(4, seed=34):
+        poly = build_polytope(spec)
+        probes = rng.normal(size=(4, 3))
+        probes = np.vstack([spec.directions, probes / np.linalg.norm(probes, axis=1, keepdims=True)])
+        exact = _support_grid(poly, probes)
+        rho = np.array(
+            [min(radial_bisection(s, c) for s, c in zip(spec.x, row)) for row in thetas @ spec.directions.T]
+        )
+        sampled = np.log(np.cosh(rho)[:, None] - np.sinh(rho)[:, None] * (thetas @ probes.T))
+        assert np.all(exact >= np.max(sampled, axis=0) - 1e-12)
+        arcs = poly.boundary
+        points = []
+        for a in range(arcs.facet.size):
+            t = np.linspace(arcs.lo[a], arcs.hi[a], 4001)
+            s = arcs.center[a] + arcs.width[a] * np.column_stack([np.cos(t), np.sin(t)])
+            points.append(chart_points(spec, arcs.facet[a], s))
+        points = np.vstack(points)
+        values = np.log(exp_busemann(points, probes))
+        for q in range(probes.shape[0]):
+            best = points[int(np.argmax(values[:, q]))]
+            assert -1e-12 <= exact[q] - values[:, q].max() <= 1e-6
+            assert np.all(np.log(exp_busemann(best[None, :], spec.directions))[0] <= spec.x + 1e-12)
+            theta = best[:3] / np.linalg.norm(best[:3])
+            reach = min(radial_bisection(s, c) for s, c in zip(spec.x, spec.directions @ theta))
+            assert math.asinh(np.linalg.norm(best[:3])) == pytest.approx(reach, abs=1e-9)
+
+
+def test_n2_even_bodies_are_symmetric_and_canonical():
+    rng = np.random.Generator(np.random.Philox(36))
+    probes = rng.normal(size=(50, 3))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    for spec in n2_corpus() + [nelder_mead_undershoot_spec()]:
+        poly = build_polytope(spec)
+        m = spec.count // 2
+        u = poly.canonical_support
+        assert np.max(np.abs(u[:m] - u[m:])) <= 1e-12
+        assert np.max(np.abs(_support_grid(poly, probes) - _support_grid(poly, -probes))) <= 1e-12
+        v = volume(poly)
+        assert abs(_volume_of_spec(canonicalize(poly), None) - v) <= 1e-12 * v
+
+
+def test_n2_results_do_not_depend_on_the_scan():
+    scans = (
+        build_quadrature(2, 900, kind="monte-carlo", seed=5),
+        None,
+        build_quadrature(2, 4096),
+    )
+    rule = build_quadrature(2, 900, kind="monte-carlo", seed=9)
+    probes = np.array([[0.6, 0.0, 0.8], [0.0, -1.0, 0.0], [-0.48, 0.6, 0.64]])
+    for spec in n2_corpus(3, seed=35):
+        results = []
+        for scan in scans:
+            poly = build_polytope(spec, scan=scan)
+            results.append(
+                (
+                    poly.canonical_support,
+                    poly.facet_nonempty,
+                    facet_areas(poly),
+                    facet_areas(poly, mc_samples=1000, seed=3),
+                    np.array([volume(poly), volume(poly, rule=rule)]),
+                    np.array([support(poly, Direction(e)) for e in probes]),
+                )
+            )
+        for got in results[1:]:
+            for want, value in zip(results[0], got):
+                assert np.array_equal(want, value)
+
+
+def test_n2_duplicate_and_nearly_coincident_horoballs():
+    rng = np.random.Generator(np.random.Philox(38))
+    base = even_sphere_spec(rng, 4, x_range=(0.4, 1.2))
+    dirs, x = base.directions, base.x
+    poly = build_polytope(base)
+    top = int(np.argmax(facet_areas(poly)))
+    # a copy of the largest facet's horoball cuts the same disk from every
+    # other horosphere
+    twin = build_polytope(
+        PolytopeSpec(n=2, directions=np.vstack([dirs, dirs[top]]), x=np.append(x, x[top]))
+    )
+    assert volume(twin) == pytest.approx(volume(poly), rel=1e-12)
+    assert np.allclose(facet_areas(twin), np.append(facet_areas(poly), 0.0), rtol=1e-12)
+    # horoballs 2e-7 rad from that one cut disks of radius ~1e7 from its
+    # horosphere; once canonicalized they touch the body
+    for _ in range(6):
+        tilt = dirs[top] + 2e-7 * np.cross(dirs[top], rng.normal(size=3))
+        near = PolytopeSpec(
+            n=2, directions=np.vstack([dirs, tilt]), x=np.append(x, x[top] + 0.3 * rng.random())
+        )
+        v = volume(build_polytope(near))
+        assert v == pytest.approx(volume(poly), rel=1e-9)
+        assert _volume_of_spec(canonicalize(build_polytope(near)), None) == pytest.approx(v, rel=1e-9)
+    # one of equal scale 1e-9 rad away cuts the facet near its foot point:
+    # both facets are bounded by a circle of radius ~1e9 (a central
+    # difference would move it by 1e-5 / 1e-9 per unit step in x, so the
+    # check is Monte-Carlo)
+    tilt = dirs[top] + 1e-9 * np.cross(dirs[top], rng.normal(size=3))
+    cut = build_polytope(
+        PolytopeSpec(n=2, directions=np.vstack([dirs, tilt]), x=np.append(x, x[top]))
+    )
+    sampler = np.random.Generator(np.random.Philox(39))
+    for i in (top, 8):
+        estimate, stderr = mc_facet_area(cut.spec, i, 500_000, sampler)
+        assert estimate > 0.1
+        assert abs(facet_area(cut, i) - estimate) <= 3.0 * stderr
+    # support numbers against dense points of the arcs, placed in 3-space
+    arcs = cut.boundary
+    points = np.vstack(
+        [
+            chart_points(cut.spec, arcs.facet[a], arcs.center[a] + arcs.width[a] * np.column_stack([np.cos(t), np.sin(t)]))
+            for a in range(arcs.facet.size)
+            for t in [np.linspace(arcs.lo[a], arcs.hi[a], 2001)]
+        ]
+    )
+    probes = sampler.normal(size=(20, 3))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    dense = np.max(np.log(exp_busemann(points, probes)), axis=0)
+    exact = _support_grid(cut, probes)
+    assert np.all(exact >= dense - 1e-12)
+    assert np.all(exact - dense <= 1e-6)
+
+
+def test_cube_vertices_meet_three_facets():
+    spec = PolytopeSpec(
+        n=2, directions=np.vstack([np.eye(3), -np.eye(3)]), x=np.full(6, 0.5), even=True
+    )
+    poly = build_polytope(spec)
+    arcs = poly.boundary
+    assert np.bincount(arcs.facet).tolist() == [4] * 6
+    assert np.all(arcs.hi - arcs.lo > 0.1)
+    for a in range(arcs.facet.size):
+        for t in (arcs.lo[a], arcs.hi[a]):
+            s = arcs.center[a] + arcs.width[a] * np.array([[math.cos(t), math.sin(t)]])
+            gaps = exp_busemann(chart_points(spec, arcs.facet[a], s), spec.directions) - np.exp(spec.x)
+            assert np.count_nonzero(np.abs(gaps) <= 1e-12) == 3
+    areas = facet_areas(poly)
+    assert areas.min() > 0.0
+    assert np.ptp(areas) <= 1e-12 * areas.max()
+
+
+def test_arc_near_the_foot_point():
+    # horoball 2 cuts horosphere 0 along a circle that passes 1e-4 from the
+    # foot point s = 0, where Psi = E (G(r) - G(x)) cancels to O(rho^2); the
+    # body is turned off the axes, along which the product rule converges
+    # slowly
+    chart_gap = 1e-4
+    big = 2.0
+    width = big + chart_gap  # |c_02| = E_0 for orthogonal e_0, e_2
+    turn, _ = np.linalg.qr(np.random.Generator(np.random.Philox(37)).normal(size=(3, 3)))
+    spec = PolytopeSpec(
+        n=2,
+        directions=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) @ turn.T,
+        x=np.array([math.log(big), math.log(big), math.log((width**2 + 1.0) / (2.0 * big))]),
+    )
+    poly = build_polytope(spec)
+    arcs = poly.boundary
+    on_foot = (arcs.facet == 0) & (np.abs(np.linalg.norm(arcs.center, axis=1) - arcs.width) < 2e-4)
+    assert np.count_nonzero(on_foot) == 1
+    a = int(np.flatnonzero(on_foot)[0])
+    toward = math.atan2(-arcs.center[a, 1], -arcs.center[a, 0])
+    assert np.mod(toward - arcs.lo[a], 2.0 * math.pi) <= arcs.hi[a] - arcs.lo[a]
+    fine = build_quadrature(2, 1_000_000)
+    quad = fine.integrate(sinh_power_integral(2, _radial_rows(spec, fine.nodes)))
+    assert volume(poly) == pytest.approx(quad, rel=1e-6)
+    for i in range(spec.count):
+        direct = facet_area(poly, i)
+        assert abs(direct - facet_area_fd(poly, i, delta=1e-5)) <= 1e-6 * (1.0 + direct)
+
+
+def test_cone_kernel_matches_adaptive_quadrature():
+    # the kernel is the mean of F / 2 over [cosh x, cosh x + delta]; below
+    # delta = 1e-4 the rounding of cosh x + t spoils an adaptive rule, and
+    # two-point Gauss (error delta^4 F / 4320) is the reference
+    from scipy.integrate import quad
+
+    def density(c, x):
+        r = math.acosh(c)
+        return (math.sinh(r) * c - r) * (c - math.exp(-x)) / (2.0 * math.sinh(r) ** 3)
+
+    for x in (0.05, 0.7, 2.5):
+        base = math.cosh(x)
+        deltas = np.logspace(-14.0, 1.5, 32)
+        for delta, value in zip(deltas, _cone_kernel(np.full(deltas.size, x), deltas)):
+            if delta >= 1e-4:
+                mean = quad(density, base, base + delta, args=(x,), epsabs=0.0, epsrel=1e-13)[0] / delta
+            else:
+                mean = 0.5 * sum(density(base + 0.5 * delta * (1.0 + t), x) for t in (-3**-0.5, 3**-0.5))
+            assert value == pytest.approx(0.5 * mean, rel=1e-10)
 
 
 # ------------------------------------------------------------- canonical form

@@ -298,3 +298,41 @@ def test_solver_result_consistency():
     result = solve_even(cross_measure(), SolverConfig(p=2.0))
     assert np.allclose(result.polytope.spec.x[:2], result.z)
     assert len(result.objective_trace) == result.iterations + 1
+
+
+# ------------------------------------------------------------------ n = 2
+
+def test_solve_cube_starts_at_its_optimum():
+    # equal weights on the coordinate axes: the cube with z = 1/6 is optimal
+    mu = DiscreteMeasure.from_even_pairs(np.eye(3), np.ones(3))
+    result = solve_even(mu, SolverConfig(p=0.0))
+    assert result.converged
+    assert result.iterations == 0
+    assert result.residual_max_rel <= 1e-12
+    assert np.allclose(result.z, 1.0 / 6.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, -1.0])
+def test_solve_three_pairs_on_the_sphere_at_default_tol(p):
+    rows = np.array(
+        [
+            [-0.4546916775860576, -0.890614114308254, 0.00787259353079515],
+            [0.6446738120210247, -0.7643172293890372, -0.01465772674551246],
+            [0.24101517703466213, -0.22644116660060482, -0.9437351760464943],
+        ]
+    )
+    weights = np.array([0.8919566456575361, 1.3387236434529521, 1.3995118001798388])
+    mu = DiscreteMeasure.from_even_pairs(rows, weights)
+    result = solve_even(mu, SolverConfig(p=p))
+    assert result.converged
+    assert result.residual_max_rel <= 1e-3
+    assert residual(result.polytope, mu, p)[1] == result.residual_max_rel
+    trace = np.diff(np.array(result.objective_trace))
+    if p >= 0.0:
+        assert np.all(trace >= -1e-12)
+        assert phi_p(np.concatenate([result.z, result.z]), np.concatenate([weights, weights]), p) == (
+            pytest.approx(1.0, abs=1e-8)
+        )
+    else:
+        assert np.all(trace <= 1e-12)
+        assert volume(result.polytope) == pytest.approx(1.0, rel=1e-6)
