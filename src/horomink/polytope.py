@@ -289,6 +289,11 @@ class HConvexPolytope:
     def _scan_sinh(self) -> np.ndarray:
         return np.sinh(self.scan_radii)
 
+    @cached_property
+    def _areas(self) -> np.ndarray:
+        # every facet's exact area (n <= 2), computed once for all facets
+        return _exact_areas(self.spec, self.boundary)
+
 
 def _radial_rows(spec: PolytopeSpec, thetas: np.ndarray) -> np.ndarray:
     """Radial function of the body on the given unit rows."""
@@ -718,6 +723,16 @@ def _exact_volume(spec: PolytopeSpec, arcs) -> float:
     return _arc_volume(spec, arcs)
 
 
+def _exact_areas(spec: PolytopeSpec, arcs) -> np.ndarray:
+    """Every facet's area, 0 for an empty facet: arc lengths for n = 1,
+    Green's theorem over the facet's arcs for n = 2."""
+    if spec.n == 1:
+        out = np.zeros(spec.count)
+        out[arcs.active] = arcs.hi[arcs.active] - arcs.lo[arcs.active]
+        return out
+    return _arc_areas(arcs, spec.count)
+
+
 # ---------------------------------------------------------------------------
 # building and support
 # ---------------------------------------------------------------------------
@@ -970,10 +985,8 @@ def facet_area(
         raise IndexError("facet index out of range")
     if not poly.facet_nonempty[i]:
         return 0.0
-    if spec.n == 1:
-        return float(poly.boundary.hi[i] - poly.boundary.lo[i])
-    if spec.n == 2:
-        return float(_arc_areas(poly.boundary, spec.count)[i])
+    if poly.boundary is not None:
+        return float(poly._areas[i])
     row = np.array([i])
     center, width_sq, same = _shadows(spec, row, _chart_frames(spec.directions[row]))
     if _eclipsed(spec, row, same)[0] or np.any(~same & (width_sq <= 0.0)):

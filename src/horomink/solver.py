@@ -11,7 +11,10 @@ lambda. The variational formulations differ by the sign of p:
 Each accepted iterate is canonicalized (scales replaced by support
 numbers, which never changes the body) and, in the Phi_p-constrained
 mode, rescaled back onto the constraint, so the objective trace is
-monotone. Convergence is certified
+monotone. A trial point is projected onto its constraint along the ray
+t z by safeguarded Newton, with exact slopes: d/dt Phi_p(t z) in closed
+form, and d/dt V(t z) = sum of z_i S_i(t z) for n <= 2, where volume and
+facet areas read off one boundary build. Convergence is certified
 by the relative residual of the optimality system, never by iterate
 distance.
 """
@@ -40,6 +43,9 @@ from .polytope import (
     facet_area,
     facet_area_fd,
     volume,
+    _exact_areas,
+    _exact_boundary,
+    _exact_volume,
     _volume_of_spec,
 )
 from .quadrature import SphereQuadrature, build_quadrature
@@ -75,11 +81,29 @@ def rescale_to_constraint(
 ) -> float:
     """Multiplier t > 0 placing t * x on the constraint set.
 
-    mode "phi" solves Phi_p(t x) = target by bisection (exactly for p = 0,
-    where the functional is linear) to absolute accuracy 1e-8. mode
-    "volume" solves V(P(t x)) = target to relative accuracy 1e-5, with the
-    body built from spec's directions (the rule matters for n >= 3 only).
-    Raises UnreachableTargetError when the target exceeds the functional's
+    mode "phi" solves Phi_p(t x) = target to absolute accuracy 1e-8 (in
+    closed form for p = 0, where the functional is linear). mode "volume"
+    solves V(P(t x)) = target to relative accuracy 1e-9, with the body built
+    from spec's directions (the rule matters for n >= 3 only).
+
+    Both functionals F increase in t, and both are solved by safeguarded
+    Newton from t = 1: each value narrows a bracket [lo, hi] by its sign,
+    the Newton step for log F = log target in log t, t exp(log(target / F)
+    F / (t F')), is taken when it lies strictly inside the bracket, and
+    otherwise t doubles while there is no upper end, halves while there is
+    no lower end, and bisects once both are known. Newton in log-log form
+    is exact for a power law c t^k, the shape of V and Phi_p near t = 0;
+    where F grows exponentially, plain Newton on F overshoots by orders of
+    magnitude and then comes back one e-fold of F per step.
+
+    The slopes are exact: d/dt Phi_p(t x) = sum of a_i x_i e^{p t x_i},
+    and for n <= 2 d/dt V(t x) = sum of x_i S_i(t x) by the variational
+    identity S_i = dV/dx_i, with volume and facet areas read off one
+    boundary build. For n >= 3 the areas are Monte-Carlo estimates, so no
+    slope is used and the same loop bisects on the rule's volume.
+
+    Raises UnreachableTargetError when the target cannot be bracketed
+    within t in [1e-12, 1e9], e.g. when it exceeds the functional's
     supremum (possible only for p < 0 in phi mode).
     """
     x = np.asarray(x, dtype=np.float64)
@@ -99,48 +123,56 @@ def rescale_to_constraint(
                     f"target {target} is not below the p<0 supremum {supremum}"
                 )
 
-        def value(t: float) -> float:
-            return phi_p(t * x, w, p)
+        def value(t: float) -> tuple[float, float]:
+            return phi_p(t * x, w, p), float(np.sum(w * x * np.exp(p * t * x)))
 
-        stop = lambda v: abs(v - target) <= 1e-8  # noqa: E731
+        tol = 1e-8
     elif mode == "volume":
         if spec is None or rule is None:
             raise SpecError("volume rescaling needs a spec template and a rule")
 
-        def value(t: float) -> float:
-            return _volume_of_spec(spec.with_x(t * x, even=False), rule)
+        def value(t: float) -> tuple[float, float]:
+            scaled = spec.with_x(t * x, even=False)
+            arcs = _exact_boundary(scaled)
+            if arcs is None:
+                return _volume_of_spec(scaled, rule), math.nan
+            return _exact_volume(scaled, arcs), float(np.dot(x, _exact_areas(scaled, arcs)))
 
-        # contract is 1e-5 relative; iterate well past it so the solver's
-        # objective comparisons are not polluted by rescaling noise
-        stop = lambda v: abs(v - target) <= 1e-9 * target  # noqa: E731
+        # tight, so that the solver's objective comparisons are not
+        # polluted by rescaling noise
+        tol = 1e-9 * target
     else:
         raise ValueError(f"unknown rescale mode {mode!r}")
 
-    lo, hi = 1.0, 1.0
-    if value(1.0) < target:
-        while value(hi) < target:
-            hi *= 2.0
-            if hi > 1e9:
-                raise UnreachableTargetError("failed to bracket the constraint target")
-        lo = hi / 2.0
-    else:
-        while value(lo) > target:
-            lo /= 2.0
-            if lo < 1e-12:
-                raise UnreachableTargetError("failed to bracket the constraint target")
-        hi = lo * 2.0
+    lo, hi, t = 0.0, math.inf, 1.0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        v = value(mid)
-        if stop(v):
-            return mid
+        v, slope = value(t)
+        if abs(v - target) <= tol:
+            return t
         if v < target:
-            lo = mid
+            lo = t
         else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
+            hi = t
+        if hi < math.inf and hi - lo <= 1e-15 * hi:
             break
-    return 0.5 * (lo + hi)
+        if v > 0.0 and slope > 0.0:
+            # a step past e^50 leaves [1e-12, 1e9] anyway
+            step = t * math.exp(min(math.log(target / v) * v / (t * slope), 50.0))
+        else:
+            step = math.nan
+        if max(lo, 1e-12) < step < min(hi, 1e9):
+            t = step
+        elif hi == math.inf:
+            t = 2.0 * lo
+            if t > 1e9:
+                raise UnreachableTargetError("failed to bracket the constraint target")
+        elif lo == 0.0:
+            t = 0.5 * hi
+            if t < 1e-12:
+                raise UnreachableTargetError("failed to bracket the constraint target")
+        else:
+            t = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi) if hi < math.inf else lo
 
 
 def _lagrange_residual(areas, u, weights, p: float) -> tuple[float, float]:

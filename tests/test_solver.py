@@ -24,6 +24,8 @@ from horomink import (
     solve_even,
     volume,
 )
+from horomink import solver
+from horomink.polytope import _volume_of_spec
 from horomink.quadrature import build_quadrature
 
 LOG2 = math.log(2.0)
@@ -141,7 +143,7 @@ def test_rescale_volume_mode():
     x = np.array([1.0, 1.0])
     t = rescale_to_constraint(x, None, 0.0, 1.0, mode="volume", spec=spec, rule=rule)
     scaled = build_polytope(spec.with_x(t * x), scan=rule)
-    assert volume(scaled) == pytest.approx(1.0, rel=1e-5)
+    assert volume(scaled) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_rescale_rejects_bad_input():
@@ -155,6 +157,98 @@ def test_rescale_rejects_bad_input():
         rescale_to_constraint(x, w, 0.0, 1.0, mode="bogus")
     with pytest.raises(SpecError):
         rescale_to_constraint(x, w, 0.0, 1.0, mode="volume")
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Count the calls rescale_to_constraint makes to solver.<name>."""
+    calls = []
+    original = getattr(solver, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, wrapper)
+    return calls
+
+
+def random_even_body(rng, n: int) -> PolytopeSpec:
+    """2-6 random direction pairs with scales spread wide enough that most
+    bodies have redundant horoballs."""
+    pairs = int(rng.integers(2, 7))
+    if n == 1:
+        ang = rng.uniform(0.0, math.pi, size=pairs)
+        rows = np.column_stack([np.cos(ang), np.sin(ang)])
+    else:
+        raw = rng.normal(size=(pairs, n + 1))
+        rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    x = rng.uniform(0.1, 2.5, size=pairs)
+    return PolytopeSpec(n=n, directions=np.vstack([rows, -rows]), x=np.concatenate([x, x]), even=True)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rescale_volume_newton_on_random_even_bodies(monkeypatch, n):
+    rng = np.random.Generator(np.random.Philox(4400 + n))
+    rule = build_quadrature(n, 64)
+    calls = counted(monkeypatch, "_exact_boundary")
+    redundant = 0
+    for _ in range(30):
+        spec = random_even_body(rng, n)
+        redundant += int(not np.all(build_polytope(spec).facet_nonempty))
+        for target in (0.05, 1.0, 20.0):
+            calls.clear()
+            t = rescale_to_constraint(spec.x, None, 0.0, target, mode="volume", spec=spec, rule=rule)
+            # one boundary build per evaluation, both volume and slope read off it
+            assert len(calls) <= 10
+            v = volume(build_polytope(spec.with_x(t * spec.x)))
+            assert abs(v - target) <= 1e-9 * target
+    assert redundant >= 10
+
+
+@pytest.mark.parametrize("p", [2.0, -2.0])
+def test_rescale_phi_newton_is_quick(monkeypatch, p):
+    rng = np.random.Generator(np.random.Philox(4500))
+    calls = counted(monkeypatch, "phi_p")
+    for _ in range(30):
+        m = int(rng.integers(2, 7))
+        x = rng.uniform(0.05, 3.0, size=m)
+        w = rng.uniform(0.2, 3.0, size=m)
+        for target in (0.05, 1.0, 20.0):
+            if p < 0.0 and target >= float(np.sum(w)) / abs(p):
+                continue
+            calls.clear()
+            t = rescale_to_constraint(x, w, p, target)
+            assert len(calls) <= 8
+            assert abs(phi_p(t * x, w, p) - target) <= 1e-8
+
+
+def test_rescale_volume_without_slope_for_n3():
+    # n >= 3 areas are Monte-Carlo estimates, so the loop bisects on the rule
+    spec = PolytopeSpec(
+        n=3,
+        directions=np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]),
+        x=np.array([1.0, 1.0]),
+        even=True,
+    )
+    rule = build_quadrature(3, 2000)
+    for target in (0.05, 1.0, 20.0):
+        t = rescale_to_constraint(spec.x, None, 0.0, target, mode="volume", spec=spec, rule=rule)
+        v = _volume_of_spec(spec.with_x(t * spec.x, even=False), rule)
+        assert abs(v - target) <= 1e-9 * target
+
+
+def test_rescale_unbracketable_targets():
+    # Phi_{-1}(t x) = 2 (1 - e^{-t 1e-9}) reaches 1.9 only at t = 3.0e9
+    with pytest.raises(UnreachableTargetError):
+        rescale_to_constraint(np.array([1e-9, 1e-9]), np.ones(2), -1.0, 1.9)
+    # the lens of scale 1e-10 t reaches area 1 only at t ~ 4e9
+    spec = PolytopeSpec(
+        n=1, directions=np.array([[1.0, 0.0], [-1.0, 0.0]]), x=np.array([1.0, 1.0]), even=True
+    )
+    with pytest.raises(UnreachableTargetError):
+        rescale_to_constraint(
+            1e-10 * spec.x, None, 0.0, 1.0, mode="volume", spec=spec, rule=build_quadrature(1)
+        )
 
 
 # ------------------------------------------------------------------- residual
@@ -312,8 +406,7 @@ def test_solve_cube_starts_at_its_optimum():
     assert np.allclose(result.z, 1.0 / 6.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("p", [2.0, -1.0])
-def test_solve_three_pairs_on_the_sphere_at_default_tol(p):
+def three_sphere_pairs() -> tuple[np.ndarray, np.ndarray]:
     rows = np.array(
         [
             [-0.4546916775860576, -0.890614114308254, 0.00787259353079515],
@@ -322,6 +415,12 @@ def test_solve_three_pairs_on_the_sphere_at_default_tol(p):
         ]
     )
     weights = np.array([0.8919566456575361, 1.3387236434529521, 1.3995118001798388])
+    return rows, weights
+
+
+@pytest.mark.parametrize("p", [2.0, -1.0])
+def test_solve_three_pairs_on_the_sphere_at_default_tol(p):
+    rows, weights = three_sphere_pairs()
     mu = DiscreteMeasure.from_even_pairs(rows, weights)
     result = solve_even(mu, SolverConfig(p=p))
     assert result.converged
@@ -336,3 +435,18 @@ def test_solve_three_pairs_on_the_sphere_at_default_tol(p):
     else:
         assert np.all(trace <= 1e-12)
         assert volume(result.polytope) == pytest.approx(1.0, rel=1e-6)
+
+
+def test_volume_mode_solves_are_deterministic():
+    # criterion 10 reruns a p = 2 (phi-mode) solve; these go through the
+    # volume-mode Newton projection
+    planar = lambda: random_even_measure(np.random.Generator(np.random.Philox(77)), 3)  # noqa: E731
+    sphere = lambda: DiscreteMeasure.from_even_pairs(*three_sphere_pairs())  # noqa: E731
+    for make in (planar, sphere):
+        first = solve_even(make(), SolverConfig(p=-1.0))
+        second = solve_even(make(), SolverConfig(p=-1.0))
+        assert first.converged
+        assert np.array_equal(first.z, second.z)
+        assert first.lam == second.lam
+        assert first.residual_max_rel == second.residual_max_rel
+        assert first.objective_trace == second.objective_trace
