@@ -85,7 +85,10 @@ def mc_volume(
     Samples uniformly from the Euclidean ball of radius tanh(R/2) (the
     chart image of the circumscribed ball), weighs each point by the
     hyperbolic density (2 / (1 - |Y|^2))^{n+1}, and keeps samples inside
-    every horoball. Completely independent of the radial quadrature path.
+    every horoball. Only the sampling radius R comes from the library
+    (extremal_radii: read off the boundary arcs for n <= 2, a scan refined
+    by Nelder-Mead for n >= 3); the estimate is independent of the
+    volume formulas and the radial quadrature path.
     """
     if num_samples < 2:
         raise ValueError("need at least two samples")

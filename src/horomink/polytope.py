@@ -11,19 +11,23 @@ horoball cuts out a Euclidean disk (_shadows, one formula for every
 dimension). For n <= 2 a build turns those disks into the body's boundary
 once, and every query reads off it in closed form:
 
-* n = 1: one arc per supporting horoball (_PlanarBoundary). Support
-  numbers are maxima over the vertices, facet lengths are arc lengths, the
-  volume is a sum of per-arc Gauss-Bonnet terms, and the Hausdorff
-  distance is a maximum over finitely many candidate angles.
-* n = 2: the circular arcs that bound each facet (_FacetArcs). Support
-  numbers are maxima over arc ends and one stationary point per arc, facet
-  areas follow from Green's theorem, and the volume is a divergence-theorem
-  sum of one smooth integral per arc.
+* n = 1: one arc per supporting horoball (_PlanarBoundary). Facet lengths
+  are arc lengths, the volume is a sum of per-arc Gauss-Bonnet terms, and
+  the Hausdorff distance is a maximum over finitely many candidate angles.
+* n = 2: the circular arcs that bound each facet (_FacetArcs). Facet areas
+  follow from Green's theorem, and the volume is a divergence-theorem sum
+  of one smooth integral per arc.
 
-No scan enters there, and the one tolerance (_ARC_TOL) only absorbs
-roundoff where a horoball touches a vertex. For n >= 3 the queries maximize
-over a scan quadrature, refine with Nelder-Mead and estimate facet areas by
-Monte-Carlo over the facet's disks.
+Support numbers, the circumradius and nearest boundary points follow one
+rule: for q = (v, 1) with |v| <= 1 (an ideal point v, O at v = 0, or a
+query point up to a positive factor), -<X, q> is a convex quadratic on each
+horosphere's chart (_chart_quadratic), so its extremes over the boundary
+sit at vertices, arc ends, one stationary point per arc or a facet's
+interior minimizer. The inradius is min_i x_i in
+every dimension. No scan enters there, and the one tolerance (_ARC_TOL)
+only absorbs roundoff where a horoball touches a vertex. For n >= 3 the
+queries maximize over a scan quadrature, refine with Nelder-Mead and
+estimate facet areas by Monte-Carlo over the facet's disks.
 """
 
 from __future__ import annotations
@@ -231,13 +235,15 @@ class _PlanarBoundary:
     and grows counterclockwise about O. Horoball k cuts horocycle j in the
     interval |s - c_jk| <= w_jk, and the body's arc on it is [lo_j, hi_j],
     the intersection of those intervals. `starts` holds X_j(lo_j) for every
-    active arc; each vertex of the polygon starts exactly one arc.
+    active arc; each vertex of the polygon starts exactly one arc. `frames`
+    holds the chart frame T_j of every horoball.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     active: np.ndarray
     starts: np.ndarray
+    frames: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,9 +270,9 @@ class _FacetArcs:
 class HConvexPolytope:
     """A built body: spec plus support numbers and the data its queries read.
 
-    n <= 2 bodies carry their boundary arcs; n >= 2 bodies carry a scan
-    quadrature with the radial function on its nodes (for n = 2 only
-    extremal_radii, separate and the Hausdorff refinement read it).
+    n <= 2 bodies carry their boundary arcs and no scan (scan and
+    scan_radii are None); n >= 3 bodies carry a scan quadrature with the
+    radial function on its nodes.
     """
 
     spec: PolytopeSpec
@@ -371,27 +377,51 @@ def _eclipsed(spec: PolytopeSpec, rows: np.ndarray, same: np.ndarray) -> np.ndar
     return out
 
 
+def _chart_points(spec: PolytopeSpec, j: np.ndarray, s: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Hyperboloid coordinates of X_j(s), row by row: s is (k, n) and
+    frames holds T_j for each row (see _shadows)."""
+    x = spec.x[j]
+    lift = (s * s).sum(axis=1) / (2.0 * np.exp(x))
+    out = np.empty((j.size, spec.n + 2))
+    out[:, :-1] = (lift - np.sinh(x))[:, None] * spec.directions[j] + (s[:, None, :] @ frames)[:, 0]
+    out[:, -1] = np.cosh(x) + lift
+    return out
+
+
+def _chart_quadratic(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray, v: np.ndarray):
+    """-<X_i(s), q> = alpha + beta . s + gamma |s|^2 on horosphere i.
+
+    For each i in rows (frames holds their T_i) and q = (v, 1) for each
+    row of v, expanding the chart of _shadows gives
+
+        alpha = sinh(x_i) (e_i . v) + cosh(x_i),
+        beta = -T_i v,
+        gamma = (1 - e_i . v) / (2 E_i),
+
+    and gamma >= 0 since |v| <= 1. For a unit v, q is the ideal point v and
+    -<X, q> is exp of the Busemann function f_v; v = 0 is O, and for
+    |v| < 1, q is a point of H^{n+1} scaled by 1 / cosh of its distance to
+    O, so -<X, q> is cosh of the distance to it, scaled by the same
+    factor. Returns alpha (r, Q), beta (r, Q, n) and gamma (r, Q).
+    """
+    x = spec.x[rows][:, None]
+    cos = spec.directions[rows] @ v.T
+    alpha = np.sinh(x) * cos + np.cosh(x)
+    beta = -np.einsum("aij,qj->aqi", frames, v)
+    gamma = (1.0 - cos) / (2.0 * np.exp(x))
+    return alpha, beta, gamma
+
+
 # ---------------------------------------------------------------------------
 # planar bodies: the boundary arcs and what reads off them
 # ---------------------------------------------------------------------------
-
-def _arc_points(spec: PolytopeSpec, j: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Hyperboloid coordinates of X_j(s), row by row."""
-    e = spec.directions[j]
-    x = spec.x[j]
-    lift = s * s / (2.0 * np.exp(x))
-    out = np.empty((j.size, 3))
-    out[:, 0] = (lift - np.sinh(x)) * e[:, 0] + s * e[:, 1]
-    out[:, 1] = (lift - np.sinh(x)) * e[:, 1] - s * e[:, 0]
-    out[:, 2] = np.cosh(x) + lift
-    return out
-
 
 def _planar_boundary(spec: PolytopeSpec) -> _PlanarBoundary:
     """Arcs of every horocycle that lie in all the other horoballs: the
     intersection of the intervals from _shadows, all pairs at once."""
     rows = np.arange(spec.count)
-    center, width_sq, same = _shadows(spec, rows, _chart_frames(spec.directions))
+    frames = _chart_frames(spec.directions)
+    center, width_sq, same = _shadows(spec, rows, frames)
     center = center[..., 0]
     with np.errstate(invalid="ignore"):
         width = np.sqrt(np.maximum(width_sq, 0.0))
@@ -402,17 +432,18 @@ def _planar_boundary(spec: PolytopeSpec) -> _PlanarBoundary:
         hi - lo > _ARC_TOL * (1.0 + np.abs(lo) + np.abs(hi))
     )
     active.setflags(write=False)
-    starts = _arc_points(spec, np.flatnonzero(active), lo[active])
-    return _PlanarBoundary(lo=lo, hi=hi, active=active, starts=starts)
+    j = np.flatnonzero(active)
+    starts = _chart_points(spec, j, lo[j][:, None], frames[j])
+    return _PlanarBoundary(lo=lo, hi=hi, active=active, starts=starts, frames=frames)
 
 
-def _vertex_support(starts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Planar support numbers for each row of dirs.
+def _vertex_values(starts: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """-<X, (v, 1)> at every vertex X (columns) for each row v.
 
-    Along a horocycle -<X, (e, 1)> is a convex quadratic in s, so the
-    largest Busemann value over an arc sits at one of its endpoints.
+    Along a horocycle that is a convex quadratic in s (_chart_quadratic),
+    so its largest value over an arc sits at one of the arc's ends.
     """
-    return np.log(np.max(starts[None, :, 2] - dirs @ starts[:, :2].T, axis=1))
+    return starts[None, :, 2] - v @ starts[:, :2].T
 
 
 def _arc_antiderivative(spec: PolytopeSpec, j: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -436,22 +467,6 @@ def _volume_closed_plane(spec: PolytopeSpec, arcs: _PlanarBoundary) -> float:
     j = np.flatnonzero(arcs.active)
     ends = _arc_antiderivative(spec, j, arcs.hi[j]) - _arc_antiderivative(spec, j, arcs.lo[j])
     return float(np.sum(ends))
-
-
-def _planar_nearest(poly: HConvexPolytope, q: np.ndarray) -> np.ndarray:
-    """Boundary point of a planar body nearest to the outside point q.
-
-    -<X_j(s), q> = cosh d(X_j(s), q) is a convex quadratic in s, smallest
-    at s = -E_j <T_j, q> / <(e_j, 1), q>; clip that to each arc.
-    """
-    arcs, spec = poly.boundary, poly.spec
-    j = np.flatnonzero(arcs.active)
-    e = spec.directions[j]
-    along = e[:, 1] * q[0] - e[:, 0] * q[1]
-    toward = e @ q[:2] - q[2]
-    s = np.clip(-np.exp(spec.x[j]) * along / toward, arcs.lo[j], arcs.hi[j])
-    points = _arc_points(spec, j, s)
-    return points[int(np.argmin(-minkowski_dot(points, q[None, :])))]
 
 
 def _angles_where(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -617,28 +632,31 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
     )
 
 
-def _arc_support(spec: PolytopeSpec, arcs: _FacetArcs, dirs: np.ndarray) -> np.ndarray:
-    """n = 2 support numbers for each row of dirs.
+def _arc_values(spec: PolytopeSpec, arcs: _FacetArcs, v: np.ndarray, sign: float):
+    """Where -<X, (v, 1)> peaks (sign 1) or bottoms out (sign -1) along
+    each arc, for each row v, and its values there.
 
-    On horosphere i, -<X_i(s), (e, 1)> = alpha + beta . s + gamma |s|^2
-    with alpha = sinh(x_i) (e_i . e) + cosh(x_i), beta = -T_i e and
-    gamma = (1 - e_i . e) / (2 E_i) >= 0. A convex quadratic peaks on the
+    The quadratic of _chart_quadratic is convex, so it peaks on the
     boundary of a facet; along an arc s = c + w u(t) it is affine in u(t),
-    so it peaks at an end of the arc or at u = g / |g|, g = beta + 2 gamma c,
-    when that angle lies on the arc (_arc_turns). The quadratic is evaluated
-    at those points, not expanded about c, which may lie far from the facet.
+    so it peaks at an end of the arc or at u = g / |g|,
+    g = beta + 2 gamma c, and bottoms out at an end or at u = -g / |g|,
+    when that angle lies on the arc (_arc_turns). The quadratic is
+    evaluated at those points, not expanded about c, which may lie far
+    from the facet. Returns the chart points (3, arcs, Q, 2) and the values
+    (3, arcs, Q).
     """
-    x = spec.x[arcs.facet][:, None]
-    cos = spec.directions[arcs.facet] @ dirs.T
-    beta = -np.einsum("aij,qj->aqi", arcs.frames[arcs.facet], dirs)
-    gamma = (1.0 - cos) / (2.0 * np.exp(x))
+    alpha, beta, gamma = _chart_quadratic(spec, arcs.facet, arcs.frames[arcs.facet], v)
     c, w = arcs.center[:, None, :], arcs.width[:, None]
-    ends = _arc_turns(arcs.lo[:, None], arcs.hi[:, None], beta + 2.0 * gamma[..., None] * c)
-    best = np.max(
-        [np.sum((beta + gamma[..., None] * s) * s, axis=2) for s in (_on_circle(c, w, t) for t in ends)],
-        axis=0,
-    )
-    return np.log(np.sinh(x) * cos + np.cosh(x) + best).max(axis=0)
+    turns = _arc_turns(arcs.lo[:, None], arcs.hi[:, None], sign * (beta + 2.0 * gamma[..., None] * c))
+    points = np.stack([_on_circle(c, w, t) for t in np.broadcast_arrays(*turns)])
+    return points, alpha + np.sum((beta + gamma[..., None] * points) * points, axis=-1)
+
+
+def _arc_candidates(spec: PolytopeSpec, arcs: _FacetArcs, v: np.ndarray, sign: float) -> np.ndarray:
+    """Hyperboloid coordinates of the points of _arc_values for one row v."""
+    rows = np.tile(arcs.facet, 3)
+    s = _arc_values(spec, arcs, v, sign)[0].reshape(-1, 2)
+    return _chart_points(spec, rows, s, arcs.frames[rows])
 
 
 def _arc_areas(arcs: _FacetArcs, count: int) -> np.ndarray:
@@ -712,9 +730,37 @@ def _exact_boundary(spec: PolytopeSpec) -> _PlanarBoundary | _FacetArcs | None:
 
 
 def _exact_support(spec: PolytopeSpec, arcs, dirs: np.ndarray) -> np.ndarray:
+    """Support numbers for each row of dirs: the log of the largest
+    -<X, (e, 1)>, over the vertices for n = 1 and per arc for n = 2."""
     if spec.n == 1:
-        return _vertex_support(arcs.starts, dirs)
-    return _arc_support(spec, arcs, dirs)
+        return np.log(np.max(_vertex_values(arcs.starts, dirs), axis=1))
+    return np.log(np.max(_arc_values(spec, arcs, dirs, 1.0)[1], axis=0)).max(axis=0)
+
+
+def _exact_nearest(spec: PolytopeSpec, arcs, q: np.ndarray) -> np.ndarray:
+    """Boundary point nearest to the outside point q (hyperboloid coordinates).
+
+    cosh d(X_i(s), q) = -<X_i(s), q> is q_0 times the convex quadratic of
+    _chart_quadratic for v = q' / q_0 (gamma > 0), smallest at
+    s* = -beta / (2 gamma). For n = 1 s* is clipped to each arc. For n = 2
+    the facet's smallest value is at s* when s* lies in all of the facet's
+    disks, and otherwise on one of its arcs, at an end or at the angle of
+    -g (_arc_values); all these candidates are compared.
+    """
+    rows = np.flatnonzero(arcs.active)
+    frames = arcs.frames[rows]
+    v = q[None, :-1] / q[-1]
+    _, beta, gamma = _chart_quadratic(spec, rows, frames, v)
+    s = -beta[:, 0] / (2.0 * gamma)
+    if spec.n == 1:
+        points = _chart_points(spec, rows, np.clip(s, arcs.lo[rows, None], arcs.hi[rows, None]), frames)
+    else:
+        center, width_sq, same = _shadows(spec, rows, frames)
+        inside = np.all(same | (np.sum((s[:, None, :] - center) ** 2, axis=2) <= width_sq), axis=1)
+        points = np.vstack(
+            [_chart_points(spec, rows[inside], s[inside], frames[inside]), _arc_candidates(spec, arcs, v, -1.0)]
+        )
+    return points[int(np.argmin(-minkowski_dot(points, q[None, :])))]
 
 
 def _exact_volume(spec: PolytopeSpec, arcs) -> float:
@@ -786,10 +832,9 @@ def build_polytope(
     For n <= 2 the body is described exactly by its boundary arcs (one per
     facet for n = 1, the arcs around every facet for n = 2), a horoball
     carries a facet exactly when it keeps an arc, and support numbers are
-    maxima over the arcs. For n = 2 the scan quadrature (by default the
-    16384-node product rule on S^2) is still built, for extremal_radii,
-    separate and the Hausdorff refinement; n = 1 bodies keep no scan. For
-    n >= 3 the scan is the direction set for support and extremal
+    maxima over the arcs; no radial function is evaluated and a passed scan
+    is not used (the body keeps scan=None). For n >= 3 the scan (by default
+    build_quadrature's rule) is the direction set for support and extremal
     maximizations and the volume rule, and a horoball carries a facet when
     its scale is within FACET_TOL of its Nelder-Mead refined support number.
     An even spec containing a zero-scale pair collapses to the single point
@@ -812,22 +857,20 @@ def build_polytope(
         )
     if scan is not None and scan.n != spec.n:
         raise SpecError("scan quadrature dimension does not match the spec")
+    arcs = _exact_boundary(spec)
     radii = None
-    if spec.n == 1:
+    if arcs is not None:
         scan = None
+        top = _exact_support(spec, arcs, spec.directions)
+        # a facet lies on its own horosphere, so that horoball touches the body
+        support_vals = np.where(arcs.active, spec.x, np.minimum(top, spec.x))
+        nonempty = arcs.active
     else:
         if scan is None:
             scan = build_quadrature(spec.n)
         radii = _radial_rows(spec, scan.nodes)
         if not np.all(np.isfinite(radii)):
             raise SpecError("body is unbounded along a scanned direction")
-    arcs = _exact_boundary(spec)
-    if arcs is not None:
-        top = _exact_support(spec, arcs, spec.directions)
-        # a facet lies on its own horosphere, so that horoball touches the body
-        support_vals = np.where(arcs.active, spec.x, np.minimum(top, spec.x))
-        nonempty = arcs.active
-    else:
         # Coarse support values for all listed directions in one pass.
         a, b = np.cosh(radii), np.sinh(radii)
         cos = scan.nodes @ spec.directions.T
@@ -901,30 +944,28 @@ def _support_grid(poly: HConvexPolytope, dirs: np.ndarray, chunk: int = 512) -> 
 def extremal_radii(poly: HConvexPolytope) -> tuple[float, float]:
     """(R, r): the circumscribed and inscribed geodesic ball radii about O.
 
-    For n = 1, cosh of the distance to O is convex along each arc and
-    smallest at s = 0, so R is the largest vertex radius and r the
-    smallest radius at each arc's point nearest s = 0.
+    r = min_i x_i in every dimension: the body's complement is the union
+    of the horoballs' complements, and O lies at distance x_i from
+    horosphere i. For n <= 2, cosh of the distance to O, -<X, O>, is a
+    convex quadratic on each facet, so it peaks at a vertex for n = 1, and
+    at an arc end or an arc's stationary point for n = 2 (_arc_candidates
+    with v = 0); R is asinh of the largest spatial norm |X'| = sinh d(O, X)
+    over those points, which keeps its digits for small bodies where an
+    acosh of cosh d would not. For n >= 3, R is the largest scanned radius
+    refined by Nelder-Mead.
     """
     _require_interior(poly, "extremal_radii")
-    spec = poly.spec
-    if poly.n == 1:
-        arcs = poly.boundary
-        j = np.flatnonzero(arcs.active)
-        nearest = _arc_points(spec, j, np.clip(0.0, arcs.lo[j], arcs.hi[j]))
-        # sinh of the distance to O is the norm of the spatial part
-        big = np.max(np.linalg.norm(arcs.starts[:, :2], axis=1))
-        small = np.min(np.linalg.norm(nearest[:, :2], axis=1))
-        return float(np.arcsinh(big)), float(np.arcsinh(small))
-    spacing = _scan_spacing(poly.scan)
-
-    def rho(theta):
-        return _radial_single(spec, theta)
-
-    hi = _refine_max_sphere(rho, poly.scan.nodes[int(np.argmax(poly.scan_radii))], spacing)
-    lo = -_refine_max_sphere(
-        lambda t: -rho(t), poly.scan.nodes[int(np.argmin(poly.scan_radii))], spacing
-    )
-    return float(hi), float(lo)
+    spec, arcs = poly.spec, poly.boundary
+    small = float(np.min(spec.x))
+    if arcs is None:
+        big = _refine_max_sphere(
+            lambda theta: _radial_single(spec, theta),
+            poly.scan.nodes[int(np.argmax(poly.scan_radii))],
+            _scan_spacing(poly.scan),
+        )
+        return float(big), small
+    points = arcs.starts if spec.n == 1 else _arc_candidates(spec, arcs, np.zeros((1, 3)), 1.0)
+    return float(np.arcsinh(np.max(np.linalg.norm(points[:, :-1], axis=1)))), small
 
 
 def volume(poly: HConvexPolytope, rule: SphereQuadrature | None = None) -> float:
@@ -1117,10 +1158,12 @@ def canonicalize(poly: HConvexPolytope) -> PolytopeSpec:
 def separate(poly: HConvexPolytope, point: HyperboloidPoint) -> Horoball:
     """Closed horoball containing the body but not the (strictly outside) point.
 
-    Finds the boundary point nearest to the query (in closed form for
-    n = 1, by a scan and Nelder-Mead for n >= 2), then returns the
+    Finds the boundary point nearest to the query, then returns the
     horoball tangent there to the geodesic sphere around the query,
-    expressed in the original coordinates.
+    expressed in the original coordinates. For n <= 2 the nearest point is
+    exact: the smallest cosh of the distance over the facets' interior
+    minimizers, arc ends and arc stationary points (_exact_nearest). For
+    n >= 3 it is the nearest scan point refined by Nelder-Mead.
     """
     _require_interior(poly, "separate")
     spec = poly.spec
@@ -1129,8 +1172,8 @@ def separate(poly: HConvexPolytope, point: HyperboloidPoint) -> Horoball:
     gaps = [busemann_value(Direction(spec.directions[i]), point) - float(spec.x[i]) for i in range(spec.count)]
     if max(gaps) <= 0.0:
         raise PointInsideError("the point is not strictly outside the body")
-    if poly.n == 1:
-        nearest = HyperboloidPoint(_planar_nearest(poly, point.coords))
+    if poly.boundary is not None:
+        nearest = HyperboloidPoint(_exact_nearest(spec, poly.boundary, point.coords))
     else:
         nearest = _scan_nearest(poly, point)
     to_origin = boost_to_origin(point)
@@ -1174,7 +1217,7 @@ def outer_parallel_support(
     Each grid direction contributes the horoball with scale u(K, e) + eps;
     the resulting body contains the true parallel body and matches its
     support numbers exactly at the grid directions. The default grid is
-    the body's scan, or build_quadrature's default for n = 1 bodies.
+    the body's scan, or build_quadrature's default for n <= 2 bodies.
     """
     _require_interior(poly, "outer_parallel_support")
     if eps <= 0.0:

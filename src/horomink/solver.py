@@ -104,7 +104,9 @@ def rescale_to_constraint(
 
     Raises UnreachableTargetError when the target cannot be bracketed
     within t in [1e-12, 1e9], e.g. when it exceeds the functional's
-    supremum (possible only for p < 0 in phi mode).
+    supremum (possible only for p < 0 in phi mode), and when the bracket
+    collapses (relative width 1e-15) with no value inside the tolerance,
+    e.g. a volume target below the roundoff of the volume formula.
     """
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0.0):
@@ -172,7 +174,10 @@ def rescale_to_constraint(
                 raise UnreachableTargetError("failed to bracket the constraint target")
         else:
             t = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi) if hi < math.inf else lo
+    raise UnreachableTargetError(
+        f"no multiplier meets the constraint target {target!r}: the bracket "
+        f"[{lo!r}, {hi!r}] closed with the value {v!r} there"
+    )
 
 
 def _lagrange_residual(areas, u, weights, p: float) -> tuple[float, float]:

@@ -40,6 +40,7 @@ from horomink import (
     t_body_volume_lower_bound,
     volume,
 )
+from horomink import polytope
 from horomink.oracle import mc_volume, radial_bisection
 from horomink.polytope import (
     _chart_frames,
@@ -733,7 +734,7 @@ def test_n2_even_bodies_are_symmetric_and_canonical():
         assert abs(_volume_of_spec(canonicalize(poly), None) - v) <= 1e-12 * v
 
 
-def test_n2_results_do_not_depend_on_the_scan():
+def test_n2_results_do_not_depend_on_the_scan(monkeypatch):
     scans = (
         build_quadrature(2, 900, kind="monte-carlo", seed=5),
         None,
@@ -741,10 +742,25 @@ def test_n2_results_do_not_depend_on_the_scan():
     )
     rule = build_quadrature(2, 900, kind="monte-carlo", seed=9)
     probes = np.array([[0.6, 0.0, 0.8], [0.0, -1.0, 0.0], [-0.48, 0.6, 0.64]])
+    calls = []
+    radial_matrix = polytope.radial_matrix
+
+    def counted(*args):
+        calls.append(None)
+        return radial_matrix(*args)
+
     for spec in n2_corpus(3, seed=35):
+        theta = Direction(np.array([0.36, 0.48, -0.8]))
+        q = polar_point(radial(build_polytope(spec), theta) + 0.4, theta)
         results = []
         for scan in scans:
+            monkeypatch.setattr(polytope, "radial_matrix", counted)
             poly = build_polytope(spec, scan=scan)
+            radii, ball = extremal_radii(poly), separate(poly, q)
+            monkeypatch.undo()
+            # an n = 2 body keeps no scan and evaluates no radial function
+            assert poly.scan is None and poly.scan_radii is None
+            assert calls == []
             results.append(
                 (
                     poly.canonical_support,
@@ -753,11 +769,61 @@ def test_n2_results_do_not_depend_on_the_scan():
                     facet_areas(poly, mc_samples=1000, seed=3),
                     np.array([volume(poly), volume(poly, rule=rule)]),
                     np.array([support(poly, Direction(e)) for e in probes]),
+                    np.array(radii),
+                    np.append(ball.center.vector, ball.s),
                 )
             )
         for got in results[1:]:
             for want, value in zip(results[0], got):
                 assert np.array_equal(want, value)
+
+
+def fibonacci_sphere(count: int) -> np.ndarray:
+    golden = math.pi * (3.0 - math.sqrt(5.0)) * np.arange(count)
+    height = 1.0 - (np.arange(count) + 0.5) * 2.0 / count
+    ring = np.sqrt(1.0 - height**2)
+    return np.column_stack([ring * np.cos(golden), ring * np.sin(golden), height])
+
+
+def test_n2_separate_and_extremal_radii_against_dense_boundaries():
+    # the nearest point must be exact: a ball through a point 1e-6 short of
+    # it cuts sampled boundary points by about that much
+    rng = np.random.Generator(np.random.Philox(41))
+    cube = PolytopeSpec(
+        n=2, directions=np.vstack([np.eye(3), -np.eye(3)]), x=np.full(6, 0.5), even=True
+    )
+    # a body of scale 1e-9, where cosh of the circumradius rounds to 1
+    tiny = even_sphere_spec(np.random.Generator(np.random.Philox(43)), 4, x_range=(1e-9, 2e-9))
+    specs = [even_sphere_spec(rng, int(rng.integers(2, 6))) for _ in range(20)] + [tiny, cube]
+    thetas = fibonacci_sphere(40_000)
+    # toward a facet, an edge and a vertex of the cube, then random directions
+    aims = [np.array([0.3, 0.2, 1.0]), np.array([1.0, 1.0, 0.1]), np.ones(3)]
+    redundant = 0
+    for k, spec in enumerate(specs):
+        poly = build_polytope(spec)
+        redundant += int(np.count_nonzero(~poly.facet_nonempty))
+        rho = _radial_rows(spec, thetas)
+        boundary = np.column_stack([np.sinh(rho)[:, None] * thetas, np.cosh(rho)])
+        big_r, small_r = extremal_radii(poly)
+        assert big_r >= float(np.max(rho)) - 1e-12
+        assert small_r == float(np.min(spec.x))
+        for aim in aims if k == len(specs) - 1 else [rng.normal(size=3)]:
+            theta = Direction(aim / np.linalg.norm(aim))
+            q = polar_point(radial(poly, theta) + rng.uniform(0.05, 1.5), theta)
+            ball = separate(poly, q)
+            assert not horoball_contains(ball, q)
+            excess = np.log(exp_busemann(boundary, ball.center.vector[None, :]))[:, 0] - ball.s
+            assert float(np.max(excess)) <= 1e-9
+            dists = np.arccosh(np.maximum(boundary @ np.append(-q.coords[:-1], q.coords[-1]), 1.0))
+            assert busemann_value(ball.center, q) - ball.s <= float(np.min(dists)) + 1e-12
+    assert redundant > 0
+
+
+def test_inradius_is_the_smallest_scale():
+    rng = np.random.Generator(np.random.Philox(42))
+    for spec in [random_spec(rng, 5), even_sphere_spec(rng, 4), lens_spec(0.7, n=3)]:
+        poly = build_polytope(spec, scan=build_quadrature(3, 500) if spec.n == 3 else None)
+        assert extremal_radii(poly)[1] == float(np.min(spec.x))
 
 
 def test_n2_duplicate_and_nearly_coincident_horoballs():

@@ -251,6 +251,19 @@ def test_rescale_unbracketable_targets():
         )
 
 
+def test_rescale_collapsed_bracket_is_unreachable():
+    # the planar volume formula has an absolute error of about 1e-15, so a
+    # lens volume of 1e-40 is never read; the bracket closes around a t
+    # whose value (-4.4e-16) misses the target
+    spec = PolytopeSpec(
+        n=1, directions=np.array([[1.0, 0.0], [-1.0, 0.0]]), x=np.array([1e-12, 1e-12]), even=True
+    )
+    with pytest.raises(UnreachableTargetError):
+        rescale_to_constraint(
+            spec.x, None, 0.0, 1e-40, mode="volume", spec=spec, rule=build_quadrature(1)
+        )
+
+
 # ------------------------------------------------------------------- residual
 
 def test_residual_lens_is_exact():
