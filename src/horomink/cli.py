@@ -121,37 +121,17 @@ def _write_text(path: str, text: str, where: str):
         raise SchemaViolation(where, f"cannot write {path}: {exc}")
 
 
-_SOLVER_KEYS = {
-    "tol": ("tol", True),
-    "max_iters": ("max_iters", False),
-    "step": ("step", True),
-    "backtrack": ("backtrack", True),
-    "gradient_mode": ("gradient_mode", False),
-    "fd_delta": ("fd_delta", True),
-    "quad_nodes": ("quad_count", False),
-    "quad_kind": ("quad_kind", False),
-    "seed": ("seed", False),
-    "grad_check_every": ("grad_check_every", False),
-}
-
-
-# smallest accepted value of each integer `solver` field
-_SOLVER_INT_MINIMUM = {"max_iters": 0, "seed": 0, "grad_check_every": 1, "quad_nodes": 2}
+# smallest accepted value of each integer `solver` field; the others are
+# positive reals
+_SOLVER_INT_MINIMUM = {"max_iters": 0, "grad_check_every": 1}
+_SOLVER_KEYS = {"tol", "step", "backtrack", "fd_delta", *_SOLVER_INT_MINIMUM}
 
 
 def _solver_value(key: str, value, where: str):
     """One validated `solver` field of an instance file."""
-    if key == "gradient_mode":
-        if value not in ("direct", "fd"):
-            raise SchemaViolation(where, "must be 'direct' or 'fd'")
-        return value
-    if key == "quad_kind":
-        if value is not None and value not in _QUAD_KINDS:
-            raise SchemaViolation(where, f"unknown rule kind; expected one of {list(_QUAD_KINDS)}")
-        return value
     if key in _SOLVER_INT_MINIMUM:
         return _as_int(value, where, minimum=_SOLVER_INT_MINIMUM[key])
-    value = _as_real(value, where, positive=_SOLVER_KEYS[key][1])
+    value = _as_real(value, where, positive=True)
     if key == "backtrack" and value >= 1.0:
         raise SchemaViolation(where, "must lie in (0, 1)")
     return value
@@ -175,6 +155,8 @@ def validate_instance(obj: dict) -> dict:
     )
     _check_version(obj, "instance")
     n = _as_int(obj["n"], "instance.n", minimum=1)
+    if n > 2:
+        raise SchemaViolation("instance.n", "the solver accepts n <= 2 only")
     p = _as_real(obj["p"], "instance.p")
     v0 = _as_real(obj.get("V0", 1.0), "instance.V0", positive=True)
     even = _as_bool(obj["even"], "instance.even")
@@ -202,8 +184,7 @@ def validate_instance(obj: dict) -> dict:
     for key, value in solver_raw.items():
         if key not in _SOLVER_KEYS:
             raise SchemaViolation(f"instance.solver.{key}", "unknown field")
-        overrides[_SOLVER_KEYS[key][0]] = _solver_value(key, value, f"instance.solver.{key}")
-    _check_rule_kind(n, overrides.get("quad_kind"), "instance.solver.quad_kind")
+        overrides[key] = _solver_value(key, value, f"instance.solver.{key}")
     return {"n": n, "p": p, "v0": v0, "even": even, "atoms": atoms, "solver": overrides}
 
 
@@ -273,16 +254,9 @@ def validate_solution(obj: dict) -> dict:
     if not isinstance(z, list) or not z:
         raise SchemaViolation("solution.z", "expected a non-empty list")
     z = [_as_real(v, f"solution.z[{k}]", positive=True) for k, v in enumerate(z)]
-    config = obj["config"]
-    if not isinstance(config, dict):
+    # a record of the run, like `created`: nothing reads it back
+    if not isinstance(obj["config"], dict):
         raise SchemaViolation("solution.config", "expected a JSON object")
-    # the quadrature the solve ran on; check and render rebuild the body on it
-    replay = {
-        key: None if config.get(key) is None
-        else _solver_value(key, config[key], f"solution.config.{key}")
-        for key in ("quad_nodes", "quad_kind", "seed")
-    }
-    _check_rule_kind(inst_full["n"], replay["quad_kind"], "solution.config.quad_kind")
     out = {
         "instance": inst_full,
         "z": z,
@@ -295,7 +269,6 @@ def validate_solution(obj: dict) -> dict:
         ],
         "iterations": _as_int(obj["iterations"], "solution.iterations", minimum=0),
         "converged": _as_bool(obj["converged"], "solution.converged"),
-        "config": dict(config, **replay),
     }
     return out
 
@@ -324,7 +297,7 @@ def _poly_from_body(body: dict, scan=None) -> HConvexPolytope:
 
 
 def _poly_from_solution(sol: dict):
-    """(polytope, measure, p) rebuilt from a solution's echo, scales and quadrature."""
+    """(polytope, measure, p) rebuilt from a solution's echo and scales."""
     inst = sol["instance"]
     measure = _measure_from_instance(inst)
     reduced_dirs, _ = measure.reduced_pairs()
@@ -340,11 +313,7 @@ def _poly_from_solution(sol: dict):
         x=np.concatenate([z, z]),
         even=True,
     )
-    cfg = sol["config"]
-    rule = build_quadrature(
-        inst["n"], cfg["quad_nodes"], _QUAD_KINDS.get(cfg["quad_kind"]), cfg["seed"] or 0
-    )
-    return build_polytope(spec, scan=rule), measure, inst["p"]
+    return build_polytope(spec), measure, inst["p"]
 
 
 def _parse_csv_floats(text: str, where: str) -> np.ndarray:
@@ -385,7 +354,6 @@ def _cmd_solve(args) -> int:
     inst = validate_instance(_load_json(args.input, "instance"))
     measure = _measure_from_instance(inst)
     cfg_kwargs = dict(inst["solver"])
-    quad_kind = cfg_kwargs.pop("quad_kind", None)
     for key, value in (
         ("p", _flag(args.p, "--p")),
         ("v0", _flag(args.v0, "--v0", positive=True)),
@@ -395,14 +363,10 @@ def _cmd_solve(args) -> int:
     for key, value in (
         ("tol", _flag(args.tol, "--tol", positive=True)),
         ("max_iters", _flag(args.max_iters, "--max-iters", minimum=0)),
-        ("quad_count", _flag(args.quad_nodes, "--quad-nodes", minimum=2)),
-        ("seed", _flag(args.seed, "--seed", minimum=0)),
     ):
         if value is not None:
             cfg_kwargs[key] = value
-    config = SolverConfig(
-        p=inst["p"], v0=inst["v0"], quad_kind=_QUAD_KINDS.get(quad_kind), **cfg_kwargs
-    )
+    config = SolverConfig(p=inst["p"], v0=inst["v0"], **cfg_kwargs)
     result = solve_even(measure, config)
     areas = [
         facet_area(result.polytope, i)
@@ -432,11 +396,7 @@ def _cmd_solve(args) -> int:
             "max_iters": config.max_iters,
             "step": config.step,
             "backtrack": config.backtrack,
-            "gradient_mode": config.gradient_mode,
             "fd_delta": config.fd_delta,
-            "quad_nodes": config.quad_count,
-            "quad_kind": quad_kind,
-            "seed": config.seed,
         },
     }
     _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n", "--output")
@@ -605,8 +565,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--v0", type=float)
     p_solve.add_argument("--tol", type=float)
     p_solve.add_argument("--max-iters", type=int)
-    p_solve.add_argument("--quad-nodes", type=int)
-    p_solve.add_argument("--seed", type=int)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_check = sub.add_parser("check", help="recompute a solution's residual")
