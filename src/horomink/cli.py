@@ -121,22 +121,6 @@ def _write_text(path: str, text: str, where: str):
         raise SchemaViolation(where, f"cannot write {path}: {exc}")
 
 
-# smallest accepted value of each integer `solver` field; the others are
-# positive reals
-_SOLVER_INT_MINIMUM = {"max_iters": 0, "grad_check_every": 1}
-_SOLVER_KEYS = {"tol", "step", "backtrack", "fd_delta", *_SOLVER_INT_MINIMUM}
-
-
-def _solver_value(key: str, value, where: str):
-    """One validated `solver` field of an instance file."""
-    if key in _SOLVER_INT_MINIMUM:
-        return _as_int(value, where, minimum=_SOLVER_INT_MINIMUM[key])
-    value = _as_real(value, where, positive=True)
-    if key == "backtrack" and value >= 1.0:
-        raise SchemaViolation(where, "must lie in (0, 1)")
-    return value
-
-
 def _check_rule_kind(n: int, kind, where: str):
     """The grid exists only on the circle and the product rule only on S^2."""
     if kind == "grid" and n != 1:
@@ -177,14 +161,13 @@ def validate_instance(obj: dict) -> dict:
                 "weight": _as_real(atom["weight"], f"{where}.weight", positive=True),
             }
         )
-    overrides = {}
     solver_raw = obj.get("solver", {})
-    if not isinstance(solver_raw, dict):
-        raise SchemaViolation("instance.solver", "expected a JSON object")
-    for key, value in solver_raw.items():
-        if key not in _SOLVER_KEYS:
-            raise SchemaViolation(f"instance.solver.{key}", "unknown field")
-        overrides[key] = _solver_value(key, value, f"instance.solver.{key}")
+    _check_keys(solver_raw, {"tol", "max_iters"}, set(), "instance.solver")
+    overrides = {}
+    if "tol" in solver_raw:
+        overrides["tol"] = _as_real(solver_raw["tol"], "instance.solver.tol", positive=True)
+    if "max_iters" in solver_raw:
+        overrides["max_iters"] = _as_int(solver_raw["max_iters"], "instance.solver.max_iters", minimum=0)
     return {"n": n, "p": p, "v0": v0, "even": even, "atoms": atoms, "solver": overrides}
 
 
@@ -394,9 +377,6 @@ def _cmd_solve(args) -> int:
             "v0": config.v0,
             "tol": config.tol,
             "max_iters": config.max_iters,
-            "step": config.step,
-            "backtrack": config.backtrack,
-            "fd_delta": config.fd_delta,
         },
     }
     _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n", "--output")

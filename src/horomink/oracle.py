@@ -122,7 +122,6 @@ def grid_search_even(
     p: float,
     v0: float = 1.0,
     resolution: int = 200,
-    rule=None,
 ) -> np.ndarray:
     """Brute-force optimum of the even problem over the constraint slice.
 
@@ -139,8 +138,8 @@ def grid_search_even(
     if m > 2:
         raise ValueError("grid search handles at most two direction pairs")
     n = measure.n
-    if rule is None:
-        rule = build_quadrature(n)
+    # n <= 2 volumes are exact and read no rule
+    rule = build_quadrature(n) if n > 2 else None
     full_dirs = np.vstack([reduced_dirs, -reduced_dirs])
     template = PolytopeSpec(n=n, directions=full_dirs, x=np.ones(2 * m), even=True)
 

@@ -65,6 +65,9 @@ from .quadrature import SphereQuadrature, build_quadrature, sinh_power_integral,
 # the support number this closely.
 FACET_TOL = 1e-7
 
+# Monte-Carlo points per n >= 3 facet area.
+_MC_SAMPLES = 400_000
+
 # Pairwise direction separation below this counts as "the same direction".
 DIRECTION_TOL = 1e-9
 
@@ -968,25 +971,20 @@ def extremal_radii(poly: HConvexPolytope) -> tuple[float, float]:
     return float(np.arcsinh(np.max(np.linalg.norm(points[:, :-1], axis=1)))), small
 
 
-def volume(poly: HConvexPolytope, rule: SphereQuadrature | None = None) -> float:
+def volume(poly: HConvexPolytope) -> float:
     """Hyperbolic volume.
 
     Exact for n <= 2, read off the boundary arcs: a sum of per-arc
     Gauss-Bonnet terms for n = 1 and of per-arc divergence-theorem
-    integrals for n = 2 (see _cone_kernel), so the rule is not used there.
-    For n >= 3 the radial sinh-power integral over the rule's nodes (the
-    body's scan by default).
+    integrals for n = 2 (see _cone_kernel). For n >= 3 the radial
+    sinh-power integral over the body's scan, the rule
+    build_polytope(spec, scan=...) was given.
     """
     if poly.degenerate:
         return 0.0
-    if rule is not None and rule.n != poly.n:
-        raise SpecError("quadrature dimension mismatch")
     if poly.boundary is not None:
         return _exact_volume(poly.spec, poly.boundary)
-    if rule is None:
-        return poly.scan.integrate(sinh_power_integral(poly.n, poly.scan_radii))
-    radii = _radial_rows(poly.spec, rule.nodes)
-    return rule.integrate(sinh_power_integral(poly.n, radii))
+    return poly.scan.integrate(sinh_power_integral(poly.n, poly.scan_radii))
 
 
 def _volume_of_spec(spec: PolytopeSpec, rule: SphereQuadrature | None) -> float:
@@ -1004,12 +1002,7 @@ def _volume_of_spec(spec: PolytopeSpec, rule: SphereQuadrature | None) -> float:
 # facets
 # ---------------------------------------------------------------------------
 
-def facet_area(
-    poly: HConvexPolytope,
-    i: int,
-    mc_samples: int = 400_000,
-    seed: int | None = None,
-) -> float:
+def facet_area(poly: HConvexPolytope, i: int) -> float:
     """n-dimensional area of the facet carried by horoball i.
 
     Zero when the horoball does not support the body. Exact for n <= 2:
@@ -1017,8 +1010,8 @@ def facet_area(
     theorem over the arcs around the facet for n = 2. For n >= 3 the facet
     is the intersection of the disks the other horoballs cut from
     horosphere i in its flat chart (_shadows), whose area is estimated by
-    seeded Monte-Carlo (mc_samples points, seed) over the smallest disk's
-    bounding box; those arguments are not used for n <= 2.
+    Monte-Carlo over the smallest disk's bounding box: _MC_SAMPLES points
+    from the seed 770001 + i, so every call repeats its estimate.
     """
     _require_interior(poly, "facet_area")
     spec = poly.spec
@@ -1036,40 +1029,34 @@ def facet_area(
     smallest = int(np.argmin(radii))
     box_center = centers[smallest]
     half = float(radii[smallest])
-    rng = np.random.Generator(np.random.Philox(770001 + i if seed is None else seed))
-    pts = rng.uniform(-half, half, size=(mc_samples, spec.n)) + box_center[None, :]
-    inside = np.ones(mc_samples, dtype=bool)
+    rng = np.random.Generator(np.random.Philox(770001 + i))
+    pts = rng.uniform(-half, half, size=(_MC_SAMPLES, spec.n)) + box_center[None, :]
+    inside = np.ones(_MC_SAMPLES, dtype=bool)
     for c, r in zip(centers, radii):
         d = pts - c[None, :]
         inside &= np.einsum("ij,ij->i", d, d) <= r * r
     box_volume = (2.0 * half) ** spec.n
-    return box_volume * float(np.count_nonzero(inside)) / mc_samples
+    return box_volume * float(np.count_nonzero(inside)) / _MC_SAMPLES
 
 
-def facet_areas(poly: HConvexPolytope, **kwargs) -> np.ndarray:
+def facet_areas(poly: HConvexPolytope) -> np.ndarray:
     """facet_area for every listed horoball."""
-    return np.array([facet_area(poly, i, **kwargs) for i in range(poly.spec.count)])
+    return np.array([facet_area(poly, i) for i in range(poly.spec.count)])
 
 
-def facet_area_fd(
-    poly: HConvexPolytope,
-    i: int,
-    delta: float = 1e-4,
-    rule: SphereQuadrature | None = None,
-) -> float:
+def facet_area_fd(poly: HConvexPolytope, i: int, delta: float = 1e-4) -> float:
     """Facet area as the central difference of the volume in the scale x_i.
 
     Independent of the facet-area formulas. For n <= 2 both volumes are
-    exact arc sums, so the difference tracks the true derivative and the
-    rule is not used; for n >= 3 the same quadrature rule is used on both
-    sides so the node error largely cancels.
+    exact arc sums, so the difference tracks the true derivative; for
+    n >= 3 both sides integrate on the body's scan, so the node error
+    largely cancels.
     """
     _require_interior(poly, "facet_area_fd")
     spec = poly.spec
     if not 0 <= i < spec.count:
         raise IndexError("facet index out of range")
-    if rule is None:
-        rule = poly.scan
+    rule = poly.scan
     step = min(delta, float(spec.x[i]) / 2.0)
     up = np.array(spec.x)
     up[i] += step
@@ -1105,19 +1092,14 @@ def surface_measure_p(poly: HConvexPolytope, p: float) -> DiscreteMeasure:
 # comparisons and constructions
 # ---------------------------------------------------------------------------
 
-def hausdorff_distance(
-    k_body: HConvexPolytope,
-    l_body: HConvexPolytope,
-    rule: SphereQuadrature | None = None,
-) -> float:
+def hausdorff_distance(k_body: HConvexPolytope, l_body: HConvexPolytope) -> float:
     """Uniform distance between horospherical support functions.
 
-    Exact for n = 1, where the rule is not used: the largest gap over the
-    finitely many angles where the gap can peak (see _planar_hausdorff).
-    For n >= 2, coarse maximization of |u_K - u_L| over the rule's
-    directions (build_quadrature's 4096-node rule by default), then
-    Nelder-Mead refinement with support evaluations that are exact for
-    n = 2.
+    Exact for n = 1: the largest gap over the finitely many angles where
+    the gap can peak (see _planar_hausdorff). For n >= 2, coarse
+    maximization of |u_K - u_L| over build_quadrature's 4096-node rule,
+    then Nelder-Mead refinement with support evaluations that are exact
+    for n = 2.
     """
     _require_interior(k_body, "hausdorff_distance")
     _require_interior(l_body, "hausdorff_distance")
@@ -1125,8 +1107,7 @@ def hausdorff_distance(
         raise SpecError("bodies live in different dimensions")
     if k_body.n == 1:
         return _planar_hausdorff(k_body, l_body)
-    if rule is None:
-        rule = build_quadrature(k_body.n, 4096)
+    rule = build_quadrature(k_body.n, 4096)
     dirs = rule.nodes
     diff = np.abs(_support_grid(k_body, dirs) - _support_grid(l_body, dirs))
     g = int(np.argmax(diff))

@@ -62,6 +62,16 @@ logger = logging.getLogger(__name__)
 
 _Z_FLOOR = 1e-9
 
+# The line search: first step length, the factor a refused trial shortens it
+# by, and the shortest step tried before the search gives up.
+_STEP = 0.25
+_BACKTRACK = 0.5
+_MIN_STEP = 1e-12
+
+# Accepted iterations between checks of the exact gradient against central
+# differences of the volume (facet_area_fd's default step).
+_GRAD_CHECK_EVERY = 10
+
 
 def phi_p(x, weights, p: float) -> float:
     """Constraint functional: sum of a_i (e^{p x_i} - 1) / p, or its p = 0 limit.
@@ -243,26 +253,19 @@ def residual(poly: HConvexPolytope, measure: DiscreteMeasure, p: float) -> tuple
 
 @dataclass
 class SolverConfig:
-    """Knobs for solve_even; defaults suit small n <= 2 instances.
+    """What solve_even solves and when it stops.
 
-    p, v0 (the volume target for p < 0), the stop test tol on the residual
-    and max_iters, the line search (step, backtrack, min_step), and the
-    periodic check of the exact gradient against central differences of
-    step fd_delta every grad_check_every accepted iterations.
+    p, v0 (the volume target for p < 0), the stop test tol on the
+    residual, and max_iters, the most accepted iterations.
     """
 
     p: float
     v0: float = 1.0
     tol: float = 1e-3
     max_iters: int = 200
-    step: float = 0.25
-    backtrack: float = 0.5
-    min_step: float = 1e-12
-    fd_delta: float = 1e-4
-    grad_check_every: int = 10
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 0 or not (0 < self.backtrack < 1):
+        if self.tol <= 0 or self.max_iters < 0:
             raise ValueError("invalid solver configuration")
         if self.p < 0 and self.v0 <= 0:
             raise ValueError("p < 0 runs need a positive target volume")
@@ -364,7 +367,7 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
     current = evaluate(project(np.ones(m)))
     trace = [objective(current)]
     best = current
-    step = config.step
+    step = _STEP
     iterations = 0
     converged = False
     grad_check_worst = 0.0
@@ -383,20 +386,20 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
             break
         d /= norm
         accepted = None
-        while step >= config.min_step:
+        while step >= _MIN_STEP:
             try:
                 z = project(current.z + step * d)
             except UnreachableTargetError:
                 # no multiplier within rescale_to_constraint's window; a
                 # shorter step keeps the trial further from degenerate
-                step *= config.backtrack
+                step *= _BACKTRACK
                 continue
             trial = evaluate(z)
             gain = objective(trial) - objective(current)
             if (gain > 1e-15) if maximizing else (gain < -1e-15):
                 accepted = trial
                 break
-            step *= config.backtrack
+            step *= _BACKTRACK
         if accepted is None:
             break
         current = accepted
@@ -408,15 +411,11 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
             logger.warning("support-bound safeguard is active on an accepted iterate")
         if current.res < best.res:
             best = current
-        step = min(step / config.backtrack, 4.0 * config.step)
-        if iterations % config.grad_check_every == 0:
+        step = min(step / _BACKTRACK, 4.0 * _STEP)
+        if iterations % _GRAD_CHECK_EVERY == 0:
             direct = 2.0 * current.areas
             fd = np.array(
-                [
-                    facet_area_fd(current.poly, i, delta=config.fd_delta)
-                    + facet_area_fd(current.poly, m + i, delta=config.fd_delta)
-                    for i in range(m)
-                ]
+                [facet_area_fd(current.poly, i) + facet_area_fd(current.poly, m + i) for i in range(m)]
             )
             # norm-wise: V has a kink where a facet closes, so a central
             # difference over a facet that closes within the step (or is

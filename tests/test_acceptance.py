@@ -107,7 +107,6 @@ def _facets_active(spec: PolytopeSpec, margin: float) -> bool:
 def test_criterion_02_facet_area_is_volume_derivative():
     start = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(2024))
-    rule = build_quadrature(1, 4096)
     worst = 0.0
     checked = 0
     bodies = 0
@@ -115,11 +114,11 @@ def test_criterion_02_facet_area_is_volume_derivative():
         spec = random_spec(rng, int(rng.integers(2, 6)), (0.2, 2.0))
         if not _facets_active(spec, margin=1e-2):
             continue
-        poly = build_polytope(spec, scan=rule)
+        poly = build_polytope(spec)
         bodies += 1
         for i in range(spec.count):
             direct = facet_area(poly, i)
-            fd = facet_area_fd(poly, i, delta=1e-4, rule=rule)
+            fd = facet_area_fd(poly, i, delta=1e-4)
             worst = max(worst, abs(direct - fd) / max(direct, 1e-8))
             checked += 1
     assert worst <= 1e-3
@@ -133,11 +132,10 @@ def test_criterion_02_facet_area_is_volume_derivative():
 
 def test_criterion_03_volume_isometry_invariance():
     rng = np.random.Generator(np.random.Philox(3030))
-    rule = build_quadrature(1, 10000)
     worst = 0.0
     for _ in range(20):
         spec = random_spec(rng, int(rng.integers(3, 6)), (1.2, 2.5))
-        poly = build_polytope(spec, scan=rule)
+        poly = build_polytope(spec)
         v0 = volume(poly)
         for _ in range(5):
             ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -151,7 +149,7 @@ def test_criterion_03_volume_isometry_invariance():
                 directions=np.array([b.center.vector for b in moved]),
                 x=np.array([b.s for b in moved]),
             )
-            v1 = volume(build_polytope(moved_spec, scan=rule))
+            v1 = volume(build_polytope(moved_spec))
             worst = max(worst, abs(v1 - v0) / v0)
     assert worst <= 1e-3
     print(f"criterion 3: PASS (100 boosted volumes, worst rel change {worst:.3e})")

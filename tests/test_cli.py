@@ -167,7 +167,7 @@ def test_solve_cli_overrides_take_effect(tmp_path, symmetric_instance, capsys):
     sol = json.loads(out.read_text())
     assert sol["config"]["p"] == 2.0
     assert sol["config"]["tol"] == 5e-3
-    assert not {"quad_nodes", "quad_kind", "seed", "gradient_mode"} & set(sol["config"])
+    assert set(sol["config"]) == {"p", "v0", "tol", "max_iters"}
     assert sol["instance"]["p"] == 2.0
     capsys.readouterr()
 
@@ -203,9 +203,11 @@ def bad_cases(tmp_path):
         "instance.schema_version": bad_version,
         "instance.atoms": unpaired,
     }
-    # keys that picked the solver's quadrature or gradient before solves read neither
+    # keys that picked the solver's quadrature or gradient before solves read
+    # neither, and line search and gradient check settings, now constants
     for key, value in (
         ("quad_nodes", 900), ("quad_kind", "mc"), ("seed", 0), ("gradient_mode", "direct"),
+        ("step", 0.25), ("backtrack", 0.5), ("fd_delta", 1e-4), ("grad_check_every", 10),
     ):
         cases[f"instance.solver.{key}"] = dict(base, solver={key: value})
     return cases

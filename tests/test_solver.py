@@ -379,7 +379,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(p=0.0, tol=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(p=0.0, backtrack=1.0)
+        SolverConfig(p=0.0, max_iters=-1)
     with pytest.raises(ValueError):
         SolverConfig(p=-1.0, v0=0.0)
 
@@ -427,9 +427,10 @@ def test_gradient_check_catches_a_wrong_area(monkeypatch, caplog):
         return areas[i] * (1.01 if i == int(np.argmax(areas)) else 1.0)
 
     monkeypatch.setattr(solver, "facet_area", inflated)
+    monkeypatch.setattr(solver, "_GRAD_CHECK_EVERY", 1)
     mu = random_even_measure(np.random.Generator(np.random.Philox(77)), 3)
     with caplog.at_level(logging.WARNING, logger="horomink.solver"):
-        result = solve_even(mu, SolverConfig(p=2.0, grad_check_every=1))
+        result = solve_even(mu, SolverConfig(p=2.0))
     assert result.iterations >= 1
     assert result.gradient_check_max_rel >= 5e-3
     assert [r for r in caplog.records if "disagree" in r.getMessage()]
