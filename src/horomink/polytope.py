@@ -86,6 +86,11 @@ _ARC_TOL = 1e-12
 _ARC_NODES = np.polynomial.legendre.leggauss(16)
 _KERNEL_NODES = np.polynomial.legendre.leggauss(4)
 
+# z - atan z = z^3 (1/3 - z^2/5 + z^4/7 - ...); 26 terms reach roundoff
+# for z < 1/2.
+_ATAN_POWERS = np.arange(26)
+_ATAN_SERIES = (-1.0) ** _ATAN_POWERS / (2 * _ATAN_POWERS + 3)
+
 # An n = 2 facet's arcs are first swept over this many of its disks; the
 # rest join only where they cut the result.
 _SWEEP_START = 12
@@ -352,21 +357,27 @@ def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
         c_ik = 2 E_i T_i e_k / |e_i - e_k|^2,
         w_ik^2 = 4 E_i E_k / |e_i - e_k|^2 - 1.
 
+    w_ik^2 is formed as (4 expm1(x_i + x_k) + |e_i + e_k|^2) / |e_i - e_k|^2,
+    a sum of nonnegative terms, so a disk keeps its digits when both
+    horoballs barely hold O.
+
     Returns c (r, m, n), w^2 (r, m) and `same` (r, m). `same` marks the
     horoballs about the ideal point of horosphere i (including i itself);
     their entries are not finite, and each holds all of horosphere i or
     none of it (see _eclipsed).
     """
-    dirs = spec.directions
-    scale = np.exp(spec.x)
-    gap = dirs[rows, None, :] - dirs[None, :, :]
-    # |e_i - e_k|^2 = 2 (1 - e_i . e_k), free of cancellation
+    dirs, x = spec.directions, spec.x
+    mine = dirs[rows, None, :]
+    gap, side = mine - dirs, mine + dirs
+    # |e_i - e_k|^2 = 2 (1 - e_i . e_k), free of cancellation, and
+    # |e_i + e_k|^2 = 4 - |e_i - e_k|^2, formed directly for the same reason
     chord_sq = np.einsum("ikc,ikc->ik", gap, gap)
     with np.errstate(divide="ignore", invalid="ignore"):
         # T_i e_k = T_i (e_k - e_i), which keeps its digits as e_k nears e_i
         toward = np.einsum("iac,ikc->ika", frames, -gap)
-        center = 2.0 * scale[rows, None, None] * toward / chord_sq[..., None]
-        width_sq = 4.0 * np.outer(scale[rows], scale) / chord_sq - 1.0
+        center = 2.0 * np.exp(x[rows, None, None]) * toward / chord_sq[..., None]
+        lift = 4.0 * np.expm1(x[rows, None] + x)
+        width_sq = (lift + np.einsum("ikc,ikc->ik", side, side)) / chord_sq
     return center, width_sq, chord_sq <= 1e-24
 
 
@@ -449,27 +460,37 @@ def _vertex_values(starts: np.ndarray, v: np.ndarray) -> np.ndarray:
     return starts[None, :, 2] - v @ starts[:, :2].T
 
 
-def _arc_antiderivative(spec: PolytopeSpec, j: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """G_j(s), with G_j(t) - G_j(s) the area of the sector O, X_j(s), X_j(t).
-
-    Gauss-Bonnet on the sector (a horocycle has geodesic curvature 1) gives
-    the arc length s, minus the angle of X_j(s) about O measured from e_j,
-    plus the angle at X_j(s) between the arc's forward tangent and the
-    geodesic back to O.
-    """
-    x = spec.x[j]
-    scale = np.exp(x)
-    lift = s * s / (2.0 * scale)
-    polar = math.pi + np.arctan2(s, np.sinh(x) - lift)
-    corner = np.arctan2(lift + np.sinh(x), -s / scale)
-    return s - polar + corner
-
-
 def _volume_closed_plane(spec: PolytopeSpec, arcs: _PlanarBoundary) -> float:
-    """Exact area of a planar body: the sum of its arcs' sector areas."""
+    """Exact area of a planar body: the sum of its arcs' sector areas.
+
+    The sector O, X_j(lo), X_j(hi) has area the integral of (cosh r - 1)
+    dphi, which along the horocycle (E = e^x) is the integral over [lo, hi]
+    of the positive (sinh x + s^2 / (2 E)) / (cosh x + 1 + s^2 / (2 E)) ds.
+    Its antiderivative is s - 2 atan(k s) / k with k = 1 / (1 + E), so the
+    sector is
+
+        tanh(x / 2) (hi - lo) + 2 (u - atan2(u, w)),
+        u = k (hi - lo),  w = 1 + k^2 lo hi,
+
+    two nonnegative terms. Where z = u / w < 1/2 (w > 1/2), the second is
+    taken as u - atan z = z (w - 1) + (z - atan z), with w - 1 = k^2 lo hi
+    formed directly and z - atan z summed as a series; elsewhere
+    u - atan2(u, w) has no small difference. So a small body keeps its
+    relative accuracy, where a sum of angles of size pi leaves an absolute
+    error of about 1e-15.
+    """
     j = np.flatnonzero(arcs.active)
-    ends = _arc_antiderivative(spec, j, arcs.hi[j]) - _arc_antiderivative(spec, j, arcs.lo[j])
-    return float(np.sum(ends))
+    x, lo, hi = spec.x[j], arcs.lo[j], arcs.hi[j]
+    k = 1.0 / (1.0 + np.exp(x))
+    a, b = k * lo, k * hi
+    u, w_less = b - a, a * b
+    w = 1.0 + w_less
+    # w <= 1/2 needs a b <= -1/2, hence u >= sqrt 2, so there z >= 1/2 too
+    z = u / np.maximum(w, 0.5)
+    q = z * z
+    small = z * (w_less + q * (np.power.outer(q, _ATAN_POWERS) @ _ATAN_SERIES))
+    rest = np.where(z < 0.5, small, u - np.arctan2(u, w))
+    return float(np.sum(np.tanh(0.5 * x) * (hi - lo) + 2.0 * rest))
 
 
 def _angles_where(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:

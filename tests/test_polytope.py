@@ -296,6 +296,27 @@ def test_lens_volume_golden(lens):
     assert volume(lens) == pytest.approx(4.0 * (math.sqrt(3.0) - math.pi / 3.0), abs=1e-12)
 
 
+def test_small_planar_volumes_keep_their_digits():
+    # the lens of scale s has area 4 (h - atan h), h = sqrt(expm1(2 s)), by
+    # Gauss-Bonnet (its corners have angle 2 atan h); below h = 0.05 the
+    # series h^3 (1/3 - h^2/5 + ...) gives h - atan h without cancellation
+    for s in (1e-3, 1e-4, 1e-6, 1e-9, 1e-12):
+        h = math.sqrt(math.expm1(2.0 * s))
+        want = 4.0 * h**3 * sum((-h * h) ** k / (2 * k + 3) for k in range(8))
+        assert volume(build_polytope(lens_spec(s))) == pytest.approx(want, rel=1e-12, abs=0.0)
+    # no planar volume is negative, down to bodies of scale 1e-9
+    rng = np.random.Generator(np.random.Philox(25))
+    for scale in (1.0, 1e-3, 1e-6, 1e-9):
+        for m in (2, 3, 5, 16):
+            ang = 2.0 * math.pi * np.arange(m) / m
+            regular = PolytopeSpec(
+                n=1, directions=np.column_stack([np.cos(ang), np.sin(ang)]), x=np.full(m, scale)
+            )
+            scattered = scattered_spec(rng, m)
+            for spec in (regular, scattered.with_x(scale * scattered.x)):
+                assert volume(build_polytope(spec)) > 0.0
+
+
 def test_volume_monotone_in_scales():
     rng = np.random.Generator(np.random.Philox(10))
     spec = random_spec(rng, 4, x_range=(0.5, 1.5))

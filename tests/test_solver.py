@@ -255,6 +255,20 @@ def test_rescale_collapsed_bracket_is_unreachable():
         rescale_to_constraint(spec.x, None, 0.0, 1e-40, mode="volume", spec=spec)
 
 
+def test_rescale_reads_tiny_planar_volumes():
+    # the lens of scale 1e-12 has area 3.77e-18; planar volumes keep their
+    # relative accuracy that small, so 1e-30 is met at t = 4.13e-9, and
+    # 1e-40 would need t = 8.9e-16, below the window's 1e-12
+    spec = PolytopeSpec(
+        n=1, directions=np.array([[1.0, 0.0], [-1.0, 0.0]]), x=np.array([1e-12, 1e-12]), even=True
+    )
+    t = rescale_to_constraint(spec.x, None, 0.0, 1e-30, mode="volume", spec=spec)
+    assert t == pytest.approx(4.1274e-9, rel=1e-4)
+    assert volume(build_polytope(spec.with_x(t * spec.x))) == pytest.approx(1e-30, rel=1e-9)
+    with pytest.raises(UnreachableTargetError, match="failed to bracket"):
+        rescale_to_constraint(spec.x, None, 0.0, 1e-40, mode="volume", spec=spec)
+
+
 # ------------------------------------------------------------------- residual
 
 def test_residual_lens_is_exact():
