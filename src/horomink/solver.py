@@ -180,7 +180,9 @@ def rescale_to_constraint(
             hi = t
         if hi < math.inf and hi - lo <= 1e-15 * hi:
             break
-        if v > 0.0 and slope > 0.0:
+        # an overflowed value or slope gives no Newton step; the bracket
+        # steps below then take over
+        if 0.0 < v < math.inf and 0.0 < slope < math.inf:
             # a step past e^50 leaves [1e-12, 1e9] anyway
             step = t * math.exp(min(math.log(target / v) * v / (t * slope), 50.0))
         else:

@@ -245,14 +245,13 @@ def test_rescale_unbracketable_targets():
 
 
 def test_rescale_collapsed_bracket_is_unreachable():
-    # the planar volume formula has an absolute error of about 1e-15, so a
-    # lens volume of 1e-40 is never read; the bracket closes around a t
-    # whose value (-4.4e-16) misses the target
-    spec = PolytopeSpec(
-        n=1, directions=np.array([[1.0, 0.0], [-1.0, 0.0]]), x=np.array([1e-12, 1e-12]), even=True
-    )
-    with pytest.raises(UnreachableTargetError):
-        rescale_to_constraint(spec.x, None, 0.0, 1e-40, mode="volume", spec=spec)
+    # Phi_1(t x) = 2 (e^t - 1) carries a roundoff of about 2e-8 at 1e8,
+    # above the absolute tolerance 1e-8, so the bracket closes first; the
+    # first Newton step from t = 1 overflows Phi on the way there
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(UnreachableTargetError, match="closed with the value"):
+            rescale_to_constraint(np.ones(2), np.ones(2), 1.0, 1e8)
 
 
 def test_rescale_reads_tiny_planar_volumes():
