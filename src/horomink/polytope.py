@@ -196,37 +196,42 @@ class PolytopeSpec:
 
     def __post_init__(self):
         rows = _direction_rows(self.directions, self.n)
-        x = np.array(self.x, dtype=np.float64)
-        if x.shape != (rows.shape[0],):
-            raise SpecError("scales x must align with directions")
         if rows.shape[0] < 2:
             raise SpecError("need at least two horoballs")
-        if np.any(x < 0.0) or not np.all(np.isfinite(x)):
-            raise SpecError("scales x must be nonnegative and finite")
         gram = rows @ rows.T
         np.fill_diagonal(gram, 2.0)
         if np.min(gram) > 1.0 - DIRECTION_TOL:
             # every off-diagonal pair nearly coincides: no two distinct directions
             raise SpecError("need at least two distinct directions")
+        object.__setattr__(self, "directions", rows)
+        self._set_x(self.x)
+
+    def _set_x(self, new_x):
+        """Check and store the scales against the (checked) directions."""
+        x = np.array(new_x, dtype=np.float64)
+        if x.shape != (self.count,):
+            raise SpecError("scales x must align with directions")
+        if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+            raise SpecError("scales x must be nonnegative and finite")
         if np.any(x == 0.0) and not self.even:
             raise SpecError("zero scales are only representable for even specs")
         x.setflags(write=False)
-        object.__setattr__(self, "directions", rows)
         object.__setattr__(self, "x", x)
         if self.even:
-            _even_pairing(rows, x, "spec")
+            _even_pairing(self.directions, x, "spec")
 
     @property
     def count(self) -> int:
         return self.directions.shape[0]
 
     def with_x(self, new_x, even: bool | None = None) -> "PolytopeSpec":
-        return PolytopeSpec(
-            n=self.n,
-            directions=self.directions,
-            x=new_x,
-            even=self.even if even is None else even,
-        )
+        """The same directions with the scales new_x; only those are checked."""
+        spec = object.__new__(PolytopeSpec)
+        object.__setattr__(spec, "n", self.n)
+        object.__setattr__(spec, "directions", self.directions)
+        object.__setattr__(spec, "even", self.even if even is None else even)
+        spec._set_x(new_x)
+        return spec
 
     def horoballs(self) -> list[Horoball]:
         return [

@@ -326,8 +326,7 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
     maximizing = p >= 0.0
 
     def build(z: np.ndarray) -> HConvexPolytope:
-        spec = PolytopeSpec(n=n, directions=full_dirs, x=np.concatenate([z, z]), even=True)
-        return build_polytope(spec)
+        return build_polytope(spec_template.with_x(np.concatenate([z, z])))
 
     def rescaled(z: np.ndarray) -> np.ndarray:
         if maximizing:
