@@ -20,7 +20,7 @@ import traceback
 import numpy as np
 
 from .errors import HoromkError, NotEvenError
-from .geometry import Direction, HyperboloidPoint
+from .geometry import Direction, HyperboloidPoint, convert_model
 from .polytope import (
     DiscreteMeasure,
     HConvexPolytope,
@@ -28,7 +28,6 @@ from .polytope import (
     build_polytope,
     facet_area,
     hausdorff_distance,
-    radial,
     separate,
     support,
     volume,
@@ -488,12 +487,14 @@ def _cmd_oracle_volume(args) -> int:
 
 def _svg_circle(cx: float, cy: float, r: float, klass: str, stroke: str) -> str:
     return (
-        f'  <circle class="{klass}" cx="{cx:.6f}" cy="{-cy:.6f}" r="{r:.6f}" '
+        f'  <circle class="{klass}" cx="{cx:.17g}" cy="{-cy:.17g}" r="{r:.17g}" '
         f'fill="none" stroke="{stroke}" stroke-width="0.008"/>'
     )
 
 
 def _cmd_render(args) -> int:
+    """The body in the Poincare disk: every horocycle, and the boundary as
+    one SVG arc per body arc, each on its horocycle's circle."""
     sol = validate_solution(_load_json(args.solution, "solution"))
     if sol["instance"]["n"] != 1:
         raise HoromkError("rendering supports n = 1 only")
@@ -504,21 +505,24 @@ def _cmd_render(args) -> int:
         'viewBox="-1.15 -1.15 2.3 2.3" width="600" height="600">',
         _svg_circle(0.0, 0.0, 1.0, "unit-circle", "#000000"),
     ]
-    dirs = poly.spec.directions
-    u = poly.canonical_support
-    for i in range(dirs.shape[0]):
-        rho = math.exp(u[i]) / (1.0 + math.exp(u[i]))
-        center = dirs[i] * (1.0 - rho)
-        lines.append(_svg_circle(center[0], center[1], rho, "horocycle", "#777777"))
-    samples = max(16, args.samples)
-    parts = []
-    for k in range(samples):
-        ang = 2.0 * math.pi * k / samples
-        theta = Direction.from_vector(np.array([math.cos(ang), math.sin(ang)]))
-        reach = radial(poly, theta)
-        chart = math.tanh(0.5 * reach)
-        x, y = chart * math.cos(ang), chart * math.sin(ang)
-        parts.append(f"{'M' if k == 0 else 'L'} {x:.6f} {-y:.6f}")
+    # the horocycle of B(e, u) is the circle tangent to the unit circle at
+    # e through the point at distance u from O toward -e
+    rho = 1.0 / (1.0 + np.exp(-poly.canonical_support))
+    centers = poly.spec.directions * (1.0 - rho)[:, None]
+    for (cx, cy), r in zip(centers, rho):
+        lines.append(_svg_circle(cx, cy, r, "horocycle", "#777777"))
+    arcs = poly.boundary
+    starts = np.array([convert_model(HyperboloidPoint(v), "ball").coords for v in arcs.starts])
+    # each arc runs counterclockwise about O from its start to the next one's
+    order = np.argsort(np.arctan2(starts[:, 1], starts[:, 0]))
+    ball, owner = starts[order], np.flatnonzero(arcs.active)[order]
+    parts = [f"M {ball[0, 0]:.17g} {-ball[0, 1]:.17g}"]
+    for k, j in enumerate(owner):
+        a, b = ball[k] - centers[j], ball[(k + 1) % owner.size] - centers[j]
+        turn = (math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])) % (2.0 * math.pi)
+        end = ball[(k + 1) % owner.size]
+        # y is flipped, so a counterclockwise arc has sweep flag 0
+        parts.append(f"A {rho[j]:.17g} {rho[j]:.17g} 0 {int(turn > math.pi)} 0 {end[0]:.17g} {-end[1]:.17g}")
     lines.append(
         f'  <path class="body-boundary" d="{" ".join(parts)} Z" '
         'fill="none" stroke="#aa0000" stroke-width="0.01"/>'
@@ -587,7 +591,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ren = sub.add_parser("render", help="SVG of an n=1 solution in the disk chart")
     p_ren.add_argument("--solution", required=True)
     p_ren.add_argument("--svg", required=True)
-    p_ren.add_argument("--samples", type=int, default=720)
     p_ren.set_defaults(func=_cmd_render)
 
     return parser

@@ -2,9 +2,11 @@
 
 Points live on the upper sheet of the unit hyperboloid in Minkowski space
 R^{n+1,1} with the bilinear form x_1 y_1 + ... + x_{n+1} y_{n+1} - x_{n+2} y_{n+2}.
-The Poincare ball and upper half-space charts are kept alongside because
-horoball bookkeeping and rendering are simplest there; all conversions are
-exact closed forms.
+The Poincare ball and upper half-space charts are kept alongside, with
+exact closed-form conversions: `horomink render` draws in the ball and
+`oracle.mc_volume` samples there, and `horoball.halfspace_form` gives a
+horoball's Euclidean shape in the half-space. Bodies themselves are built
+in each horosphere's flat chart (see polytope._shadows).
 
 Conventions fixed once for the whole package:
 

@@ -4,6 +4,7 @@ trips, rendering, determinism."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -521,6 +522,57 @@ def test_render_structure(tmp_path, symmetric_instance, capsys):
     assert 'viewBox="-1.15 -1.15 2.3 2.3"' in text
     assert " Z" in text
     capsys.readouterr()
+
+
+def svg_arc_center(start, end, r, large, sweep):
+    """Center of the SVG arc command from start to end (SVG spec F.6.5,
+    equal radii, no rotation)."""
+    half = 0.5 * (start - end)
+    lift = math.sqrt(max(r * r / float(half @ half) - 1.0, 0.0))
+    sign = 1.0 if large != sweep else -1.0
+    return 0.5 * (start + end) + sign * lift * np.array([half[1], -half[0]])
+
+
+def test_render_draws_the_exact_boundary(tmp_path, capsys):
+    atoms = []
+    for direction, weight in (([1.0, 0.0], 1.0), ([0.6, 0.8], 2.0), ([0.0, 1.0], 0.05)):
+        atoms += [
+            {"direction": direction, "weight": weight},
+            {"direction": [-v for v in direction], "weight": weight},
+        ]
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"schema_version": "1", "n": 1, "p": 0.0, "even": True, "atoms": atoms},
+    )
+    sol, svg = tmp_path / "sol.json", tmp_path / "body.svg"
+    assert main(["solve", "--input", inst, "--output", str(sol)]) == 0
+    assert main(["render", "--solution", str(sol), "--svg", str(svg)]) == 0
+    capsys.readouterr()
+    text = svg.read_text()
+    circles = np.array(
+        re.findall(r'class="horocycle" cx="(\S+)" cy="(\S+)" r="(\S+)"', text), dtype=float
+    )
+    assert circles.shape == (6, 3)
+    path = re.search(r'class="body-boundary" d="M (\S+) (\S+) (.*) Z"', text)
+    vertex = np.array([float(path.group(1)), float(path.group(2))])
+    commands = path.group(3).split("A ")[1:]
+    assert len(commands) == 6
+    for command in commands:
+        r, _, _, large, sweep, x, y = (float(v) for v in command.split())
+        end = np.array([x, y])
+        # both ends lie on the arc's horocycle, and each vertex on two of them
+        gaps = np.abs(np.hypot(*(vertex[:, None] - circles[:, :2].T)) - circles[:, 2])
+        assert np.count_nonzero(gaps <= 1e-12) >= 2
+        on = np.flatnonzero(
+            (np.abs(np.hypot(*(end[:, None] - circles[:, :2].T)) - circles[:, 2]) <= 1e-12)
+            & (gaps <= 1e-12)
+            & (circles[:, 2] == r)
+        )
+        assert on.size == 1
+        # and the flags draw it around that circle's center, not its mirror
+        center = svg_arc_center(vertex, end, r, large, sweep)
+        assert np.allclose(center, circles[on[0], :2], atol=1e-9)
+        vertex = end
 
 
 def test_render_rejects_higher_dimensions(tmp_path, capsys):
