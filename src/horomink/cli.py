@@ -518,9 +518,9 @@ def _cmd_render(args) -> int:
     ball, owner = starts[order], np.flatnonzero(arcs.active)[order]
     parts = [f"M {ball[0, 0]:.17g} {-ball[0, 1]:.17g}"]
     for k, j in enumerate(owner):
-        a, b = ball[k] - centers[j], ball[(k + 1) % owner.size] - centers[j]
-        turn = (math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])) % (2.0 * math.pi)
         end = ball[(k + 1) % owner.size]
+        a, b = ball[k] - centers[j], end - centers[j]
+        turn = (math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])) % (2.0 * math.pi)
         # y is flipped, so a counterclockwise arc has sweep flag 0
         parts.append(f"A {rho[j]:.17g} {rho[j]:.17g} 0 {int(turn > math.pi)} 0 {end[0]:.17g} {-end[1]:.17g}")
     lines.append(

@@ -12,7 +12,7 @@ dimension). For n <= 2 a build turns those disks into the body's boundary
 once, and every query reads off it in closed form:
 
 * n = 1: one arc per supporting horoball (_PlanarBoundary). Facet lengths
-  are arc lengths, the volume is a sum of per-arc Gauss-Bonnet terms, and
+  are arc lengths, the volume is a sum of per-arc sector areas, and
   the Hausdorff distance is a maximum over finitely many candidate angles.
 * n = 2: the circular arcs that bound each facet (_FacetArcs). Facet areas
   follow from Green's theorem, and the volume is a divergence-theorem sum
@@ -371,18 +371,20 @@ def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
     their entries are not finite, and each holds all of horosphere i or
     none of it (see _eclipsed).
     """
-    dirs, x = spec.directions, spec.x
-    mine = dirs[rows, None, :]
-    gap, side = mine - dirs, mine + dirs
+    x, coords = spec.x, np.ascontiguousarray(spec.directions.T)
+    # e_k - e_i and e_k + e_i, coordinate first: numpy's inner loops then
+    # run over k, not over the n + 1 coordinates
+    mine = coords[:, rows, None]
+    gap, side = coords[:, None, :] - mine, coords[:, None, :] + mine
     # |e_i - e_k|^2 = 2 (1 - e_i . e_k), free of cancellation, and
     # |e_i + e_k|^2 = 4 - |e_i - e_k|^2, formed directly for the same reason
-    chord_sq = np.einsum("ikc,ikc->ik", gap, gap)
+    chord_sq = np.einsum("cik,cik->ik", gap, gap)
     with np.errstate(divide="ignore", invalid="ignore"):
         # T_i e_k = T_i (e_k - e_i), which keeps its digits as e_k nears e_i
-        toward = np.einsum("iac,ikc->ika", frames, -gap)
+        toward = np.einsum("iac,cik->ika", frames, gap)
         center = 2.0 * np.exp(x[rows, None, None]) * toward / chord_sq[..., None]
         lift = 4.0 * np.expm1(x[rows, None] + x)
-        width_sq = (lift + np.einsum("ikc,ikc->ik", side, side)) / chord_sq
+        width_sq = (lift + np.einsum("cik,cik->ik", side, side)) / chord_sq
     return center, width_sq, chord_sq <= 1e-24
 
 
@@ -1000,8 +1002,8 @@ def extremal_radii(poly: HConvexPolytope) -> tuple[float, float]:
 def volume(poly: HConvexPolytope) -> float:
     """Hyperbolic volume.
 
-    Exact for n <= 2, read off the boundary arcs: a sum of per-arc
-    Gauss-Bonnet terms for n = 1 and of per-arc divergence-theorem
+    Exact for n <= 2, read off the boundary arcs: a sum of per-arc sector
+    areas for n = 1 (see _volume_closed_plane) and of per-arc divergence-theorem
     integrals for n = 2 (see _cone_kernel). For n >= 3 the radial
     sinh-power integral over the body's scan, the rule
     build_polytope(spec, scan=...) was given.
@@ -1082,14 +1084,13 @@ def facet_area_fd(poly: HConvexPolytope, i: int, delta: float = 1e-4) -> float:
     spec = poly.spec
     if not 0 <= i < spec.count:
         raise IndexError("facet index out of range")
-    rule = poly.scan
     step = min(delta, float(spec.x[i]) / 2.0)
     up = np.array(spec.x)
     up[i] += step
     down = np.array(spec.x)
     down[i] -= step
-    v_up = _volume_of_spec(spec.with_x(up, even=False), rule)
-    v_down = _volume_of_spec(spec.with_x(down, even=False), rule)
+    v_up = _volume_of_spec(spec.with_x(up, even=False), poly.scan)
+    v_down = _volume_of_spec(spec.with_x(down, even=False), poly.scan)
     return (v_up - v_down) / (2.0 * step)
 
 
