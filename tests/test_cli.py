@@ -204,8 +204,9 @@ def bad_cases(tmp_path):
         "instance.schema_version": bad_version,
         "instance.atoms": unpaired,
     }
-    # keys that picked the solver's quadrature or gradient before solves read
-    # neither, and line search and gradient check settings, now constants
+    # keys that picked the solver's quadrature or gradient mode, which solves
+    # no longer read, and the line search and gradient check settings, now
+    # constants
     for key, value in (
         ("quad_nodes", 900), ("quad_kind", "mc"), ("seed", 0), ("gradient_mode", "direct"),
         ("step", 0.25), ("backtrack", 0.5), ("fd_delta", 1e-4), ("grad_check_every", 10),
