@@ -957,8 +957,10 @@ def support(poly: HConvexPolytope, e: Direction) -> float:
     return max(float(vals[g]), refined)
 
 
-def _support_grid(poly: HConvexPolytope, dirs: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Support numbers for many directions: exact for n <= 2, scan maxima for n >= 3."""
+def _support_grid(poly: HConvexPolytope, dirs: np.ndarray) -> np.ndarray:
+    """Support numbers for many directions: exact for n <= 2, scan maxima for
+    n >= 3, 512 directions at a time to bound the arrays of one pass."""
+    chunk = 512
     out = np.empty(dirs.shape[0])
     for lo in range(0, dirs.shape[0], chunk):
         rows = dirs[lo : lo + chunk]
@@ -1282,8 +1284,8 @@ def t_body_volume_lower_bound(r: float, n: int) -> float:
     return unit_ball_volume(n) * shrink**n * series
 
 
-def boundedness_bound(max_volume: float, n: int, tol: float = 1e-6) -> float:
-    """Smallest r (within tol) with t_body_volume(r, n) > max_volume.
+def boundedness_bound(max_volume: float, n: int) -> float:
+    """Smallest r (within 1e-6) with t_body_volume(r, n) > max_volume.
 
     Any body of volume at most max_volume has every support number below
     this bound: a support number of size r forces the body to contain a
@@ -1297,7 +1299,7 @@ def boundedness_bound(max_volume: float, n: int, tol: float = 1e-6) -> float:
         hi *= 2.0
         if hi > 256.0:
             raise ValueError("max_volume too large to bracket")
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if t_body_volume(mid, n) > max_volume:
             hi = mid
