@@ -33,7 +33,7 @@ estimate facet areas by Monte-Carlo over the facet's disks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -90,6 +90,8 @@ _KERNEL_NODES = np.polynomial.legendre.leggauss(4)
 # for z < 1/2.
 _ATAN_POWERS = np.arange(26)
 _ATAN_SERIES = (-1.0) ** _ATAN_POWERS / (2 * _ATAN_POWERS + 3)
+# the n = 2 tube volume over 2 pi h^5 (see t_body_volume), by the same powers
+_TUBE_SERIES = (2 * _ATAN_POWERS + 2) / (3 * (2 * _ATAN_POWERS + 5))
 
 # An n = 2 facet's arcs are first swept over this many of its disks; the
 # rest join only where they cut the result.
@@ -108,8 +110,9 @@ def _direction_rows(directions, n: int) -> np.ndarray:
     return rows
 
 
-def _even_pairing(directions: np.ndarray, values: np.ndarray, what: str) -> list[tuple[int, int]]:
-    """Match antipodal direction pairs carrying equal values; NotEven otherwise."""
+def _even_pairing(directions: np.ndarray, what: str) -> np.ndarray:
+    """Antipodal partners: rows (i, j) with i < j, in order of i; NotEven
+    when an entry has none."""
     count = directions.shape[0]
     if count % 2 != 0:
         raise NotEvenError(f"{what}: odd number of entries cannot pair up")
@@ -125,10 +128,21 @@ def _even_pairing(directions: np.ndarray, values: np.ndarray, what: str) -> list
                 break
         if found < 0:
             raise NotEvenError(f"{what}: no antipodal partner for entry {i}")
-        if abs(values[i] - values[found]) > 1e-9 * max(1.0, abs(values[i])):
-            raise NotEvenError(f"{what}: entries {i} and {found} pair with unequal values")
         partner[i], partner[found] = found, i
-    return [(i, int(partner[i])) for i in range(count) if i < partner[i]]
+    first = np.flatnonzero(np.arange(count) < partner)
+    pairs = np.column_stack([first, partner[first]])
+    pairs.setflags(write=False)
+    return pairs
+
+
+def _check_even_values(pairs: np.ndarray, values: np.ndarray, what: str):
+    """NotEven naming the first pair (by its lower index i) whose values
+    differ: |v_i - v_j| > 1e-9 max(1, |v_i|)."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    unequal = np.abs(values[i] - values[j]) > 1e-9 * np.maximum(1.0, np.abs(values[i]))
+    if np.any(unequal):
+        k = int(np.argmax(unequal))
+        raise NotEvenError(f"{what}: entries {i[k]} and {j[k]} pair with unequal values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +153,8 @@ class DiscreteMeasure:
     directions: np.ndarray
     weights: np.ndarray
     even: bool = False
+    # antipodal pairs (i, j), i < j, of an even measure (see _even_pairing)
+    _pairs: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         rows = _direction_rows(self.directions, self.n)
@@ -155,7 +171,9 @@ class DiscreteMeasure:
         object.__setattr__(self, "directions", rows)
         object.__setattr__(self, "weights", weights)
         if self.even:
-            _even_pairing(rows, weights, "measure")
+            pairs = _even_pairing(rows, "measure")
+            _check_even_values(pairs, weights, "measure")
+            object.__setattr__(self, "_pairs", pairs)
 
     @property
     def count(self) -> int:
@@ -168,8 +186,7 @@ class DiscreteMeasure:
         """One representative per antipodal pair (first occurrences, input order)."""
         if not self.even:
             raise NotEvenError("measure is not flagged even")
-        pairs = _even_pairing(self.directions, self.weights, "measure")
-        idx = [i for i, _ in pairs]
+        idx = self._pairs[:, 0]
         return self.directions[idx], self.weights[idx]
 
     @classmethod
@@ -193,6 +210,9 @@ class PolytopeSpec:
     directions: np.ndarray
     x: np.ndarray
     even: bool = False
+    # antipodal pairs (i, j), i < j, of an even spec (see _even_pairing);
+    # they depend on the directions only, so with_x passes them on
+    _pairs: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         rows = _direction_rows(self.directions, self.n)
@@ -218,18 +238,26 @@ class PolytopeSpec:
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
         if self.even:
-            _even_pairing(self.directions, x, "spec")
+            if self._pairs is None:
+                object.__setattr__(self, "_pairs", _even_pairing(self.directions, "spec"))
+            _check_even_values(self._pairs, x, "spec")
 
     @property
     def count(self) -> int:
         return self.directions.shape[0]
 
     def with_x(self, new_x, even: bool | None = None) -> "PolytopeSpec":
-        """The same directions with the scales new_x; only those are checked."""
+        """The same directions with the scales new_x; only those are checked.
+
+        An even spec passes its pairs on; a spec made even here pairs its
+        directions first.
+        """
+        even = self.even if even is None else even
         spec = object.__new__(PolytopeSpec)
         object.__setattr__(spec, "n", self.n)
         object.__setattr__(spec, "directions", self.directions)
-        object.__setattr__(spec, "even", self.even if even is None else even)
+        object.__setattr__(spec, "even", even)
+        object.__setattr__(spec, "_pairs", self._pairs if even else None)
         spec._set_x(new_x)
         return spec
 
@@ -889,41 +917,50 @@ def build_polytope(
     if scan is not None and scan.n != spec.n:
         raise SpecError("scan quadrature dimension does not match the spec")
     arcs = _exact_boundary(spec)
-    radii = None
     if arcs is not None:
-        scan = None
-        top = _exact_support(spec, arcs, spec.directions)
-        # a facet lies on its own horosphere, so that horoball touches the body
-        support_vals = np.where(arcs.active, spec.x, np.minimum(top, spec.x))
-        nonempty = arcs.active
-    else:
-        if scan is None:
-            scan = build_quadrature(spec.n)
-        radii = _radial_rows(spec, scan.nodes)
-        if not np.all(np.isfinite(radii)):
-            raise SpecError("body is unbounded along a scanned direction")
-        # Coarse support values for all listed directions in one pass.
-        a, b = np.cosh(radii), np.sinh(radii)
-        cos = scan.nodes @ spec.directions.T
-        coarse = np.log(a[:, None] - b[:, None] * cos)
-        best = np.argmax(coarse, axis=0)
-        spacing = _scan_spacing(scan)
-        support_vals = np.empty(spec.count)
-        for i in range(spec.count):
-            refined = _refine_max_sphere(
-                _support_objective(spec, spec.directions[i]),
-                scan.nodes[best[i]],
-                spacing,
-            )
-            # Support of a listed direction never exceeds its own scale.
-            support_vals[i] = min(refined, float(spec.x[i]))
-        nonempty = (spec.x - support_vals) <= FACET_TOL
+        return _exact_body(spec, arcs)
+    if scan is None:
+        scan = build_quadrature(spec.n)
+    radii = _radial_rows(spec, scan.nodes)
+    if not np.all(np.isfinite(radii)):
+        raise SpecError("body is unbounded along a scanned direction")
+    # Coarse support values for all listed directions in one pass.
+    a, b = np.cosh(radii), np.sinh(radii)
+    cos = scan.nodes @ spec.directions.T
+    coarse = np.log(a[:, None] - b[:, None] * cos)
+    best = np.argmax(coarse, axis=0)
+    spacing = _scan_spacing(scan)
+    support_vals = np.empty(spec.count)
+    for i in range(spec.count):
+        refined = _refine_max_sphere(
+            _support_objective(spec, spec.directions[i]),
+            scan.nodes[best[i]],
+            spacing,
+        )
+        # Support of a listed direction never exceeds its own scale.
+        support_vals[i] = min(refined, float(spec.x[i]))
     return HConvexPolytope(
         spec=spec,
         canonical_support=support_vals,
-        facet_nonempty=nonempty,
+        facet_nonempty=(spec.x - support_vals) <= FACET_TOL,
         scan=scan,
         scan_radii=radii,
+    )
+
+
+def _exact_body(spec: PolytopeSpec, arcs) -> HConvexPolytope:
+    """The n <= 2 body of a spec with positive scales, from its boundary
+    arcs (_exact_boundary(spec)): a horoball carries a facet exactly when
+    it keeps an arc, and support numbers are maxima over the arcs."""
+    top = _exact_support(spec, arcs, spec.directions)
+    # a facet lies on its own horosphere, so that horoball touches the body
+    support_vals = np.where(arcs.active, spec.x, np.minimum(top, spec.x))
+    return HConvexPolytope(
+        spec=spec,
+        canonical_support=support_vals,
+        facet_nonempty=arcs.active,
+        scan=None,
+        scan_radii=None,
         boundary=arcs,
     )
 
@@ -1159,9 +1196,8 @@ def canonicalize(poly: HConvexPolytope) -> PolytopeSpec:
     _require_interior(poly, "canonicalize")
     new_x = np.array(poly.canonical_support)
     if poly.spec.even:
-        for i, j in _even_pairing(poly.spec.directions, poly.spec.x, "spec"):
-            tied = min(new_x[i], new_x[j])
-            new_x[i] = new_x[j] = tied
+        i, j = poly.spec._pairs.T
+        new_x[i] = new_x[j] = np.minimum(new_x[i], new_x[j])
     return poly.spec.with_x(new_x)
 
 
@@ -1250,12 +1286,35 @@ def outer_parallel_support(
 
 def t_body_volume(r: float, n: int) -> float:
     """Volume of the tube body T(r): the smallest h-convex set joining O to
-    the point at distance r, computed by an adaptive 1-D integral in the
-    half-space chart."""
+    the point at distance r.
+
+    In closed form for n <= 2: with sigma = sinh(r / 2) and h = tanh(r / 2),
+
+        n = 1:  4 (sigma - atan sigma),
+        n = 2:  pi ((2/3) sinh(r/2)^3 / cosh(r/2) - r + 2 h)
+              = 2 pi h^5 sum_j h^(2j) (2j + 2) / (3 (2j + 5)).
+
+    Where sigma or h is below 1/2 the sums of positive series are taken
+    (for n = 1 that of _volume_closed_plane), since there the closed forms
+    cancel to r^3 and r^5. For n >= 3, an adaptive 1-D integral in the
+    half-space chart.
+    """
     if r <= 0.0:
         raise ValueError("needs r > 0")
     if n < 1:
         raise ValueError("needs n >= 1")
+    if n == 1:
+        sigma = math.sinh(0.5 * r)
+        if sigma < 0.5:
+            q = sigma * sigma
+            return 4.0 * sigma * q * float(np.power(q, _ATAN_POWERS) @ _ATAN_SERIES)
+        return 4.0 * (sigma - math.atan(sigma))
+    if n == 2:
+        h = math.tanh(0.5 * r)
+        if h < 0.5:
+            q = h * h
+            return 2.0 * math.pi * h * q * q * float(np.power(q, _ATAN_POWERS) @ _TUBE_SERIES)
+        return math.pi * (2.0 / 3.0 * math.sinh(0.5 * r) ** 3 / math.cosh(0.5 * r) - r + 2.0 * h)
     er = math.exp(r)
     a = er + 1.0
     half = math.exp(r / 2.0)

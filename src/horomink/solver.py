@@ -18,6 +18,13 @@ facet areas read off one boundary build. Convergence is certified
 by the relative residual of the optimality system, never by iterate
 distance.
 
+Each piece of work is done once. The measure is paired into antipodal
+pairs once, and every trial spec inherits the pairing of one template.
+In the volume-constrained mode a trial builds one boundary per rescale
+evaluation, and its canonicalizing build reuses the arcs of the last one,
+so the trial adds only the build of the canonical body it is judged on.
+The tube-volume support bound (boundedness_bound) is in closed form.
+
 The solver accepts n <= 2 only, where every area, volume, support number
 and slope it reads is exact and the certificate is exact with them; for
 n >= 3 facet areas are Monte-Carlo estimates whose noise would swamp the
@@ -50,6 +57,7 @@ from .polytope import (
     facet_area_fd,
     volume,
     _exact_areas,
+    _exact_body,
     _exact_boundary,
     _exact_volume,
 )
@@ -132,48 +140,62 @@ def rescale_to_constraint(
         raise SpecError("rescaling needs strictly positive scales")
     if target <= 0.0:
         raise UnreachableTargetError("constraint target must be positive")
-
-    if mode == "phi":
-        w = np.asarray(weights, dtype=np.float64)
-        if p == 0.0:
-            return target / phi_p(x, w, 0.0)
-        if p < 0.0:
-            supremum = float(np.sum(w)) / abs(p)
-            if target >= supremum:
-                raise UnreachableTargetError(
-                    f"target {target} is not below the p<0 supremum {supremum}"
-                )
-
-        def value(t: float) -> tuple[float, float]:
-            return phi_p(t * x, w, p), float(np.sum(w * x * np.exp(p * t * x)))
-
-        tol = 1e-8
-        t_max = 1e9
-    elif mode == "volume":
+    if mode == "volume":
         if spec is None:
             raise SpecError("volume rescaling needs a spec template")
-        if spec.n > 2:
-            raise SpecError(f"volume rescaling needs n <= 2, got n = {spec.n}")
-
-        def value(t: float) -> tuple[float, float]:
-            scaled = spec.with_x(t * x, even=False)
-            arcs = _exact_boundary(scaled)
-            return _exact_volume(scaled, arcs), float(np.dot(x, _exact_areas(scaled, arcs)))
-
-        # tight, so that the solver's objective comparisons are not
-        # polluted by rescaling noise
-        tol = 1e-9 * target
-        # the disks of _shadows hold e^{t x_i} e^{t x_k}, which overflows
-        # past t (x_i + x_k) = log(float max) ~ 709.8
-        t_max = min(1e9, 350.0 / float(np.max(x)))
-    else:
+        return _volume_rescale(x, target, spec)[0]
+    if mode != "phi":
         raise ValueError(f"unknown rescale mode {mode!r}")
 
+    w = np.asarray(weights, dtype=np.float64)
+    if p == 0.0:
+        return target / phi_p(x, w, 0.0)
+    if p < 0.0:
+        supremum = float(np.sum(w)) / abs(p)
+        if target >= supremum:
+            raise UnreachableTargetError(
+                f"target {target} is not below the p<0 supremum {supremum}"
+            )
+
+    def value(t: float) -> tuple[float, float, None]:
+        return phi_p(t * x, w, p), float(np.sum(w * x * np.exp(p * t * x))), None
+
+    return _newton_on_ray(value, target, 1e-8, 1e9)[0]
+
+
+def _volume_rescale(x: np.ndarray, target: float, spec: PolytopeSpec):
+    """(t, boundary arcs of the body at t x) with V(P(t x)) = target.
+
+    rescale_to_constraint's volume mode for positive x and target: every
+    evaluation builds the boundary at t x once and reads volume and slope
+    off it, and the arcs of the last one, where t was accepted, are
+    returned so that the caller need not build them again.
+    """
+    if spec.n > 2:
+        raise SpecError(f"volume rescaling needs n <= 2, got n = {spec.n}")
+
+    def value(t: float):
+        scaled = spec.with_x(t * x, even=False)
+        arcs = _exact_boundary(scaled)
+        return _exact_volume(scaled, arcs), float(np.dot(x, _exact_areas(scaled, arcs))), arcs
+
+    # tight, so that the solver's objective comparisons are not polluted by
+    # rescaling noise; the disks of _shadows hold e^{t x_i} e^{t x_k}, which
+    # overflows past t (x_i + x_k) = log(float max) ~ 709.8
+    return _newton_on_ray(value, target, 1e-9 * target, min(1e9, 350.0 / float(np.max(x))))
+
+
+def _newton_on_ray(value, target: float, tol: float, t_max: float):
+    """The safeguarded Newton loop of rescale_to_constraint.
+
+    value(t) returns (F(t), F'(t), what the evaluation built); the result
+    is (t, that payload at t) for the first t with |F(t) - target| <= tol.
+    """
     lo, hi, t = 0.0, math.inf, 1.0
     for _ in range(200):
-        v, slope = value(t)
+        v, slope, built = value(t)
         if abs(v - target) <= tol:
-            return t
+            return t, built
         if v < target:
             lo = t
         else:
@@ -295,8 +317,7 @@ class _Iterate:
     u: np.ndarray
     lam: float
     res: float
-    vol: float
-    phi: float
+    objective: float
 
 
 def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
@@ -328,36 +349,30 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
     def build(z: np.ndarray) -> HConvexPolytope:
         return build_polytope(spec_template.with_x(np.concatenate([z, z])))
 
-    def rescaled(z: np.ndarray) -> np.ndarray:
-        if maximizing:
-            t = rescale_to_constraint(np.concatenate([z, z]), full_w, p, 1.0, mode="phi")
-        else:
-            t = rescale_to_constraint(
-                np.concatenate([z, z]), full_w, p, config.v0,
-                mode="volume", spec=spec_template,
-            )
-        return z * t
+    def phi_rescaled(z: np.ndarray) -> np.ndarray:
+        return z * rescale_to_constraint(np.concatenate([z, z]), full_w, p, 1.0, mode="phi")
 
-    def canonical(z: np.ndarray) -> np.ndarray:
-        fixed = canonicalize(build(z))
-        return np.array(fixed.x[:m])
+    def canonical(poly: HConvexPolytope) -> np.ndarray:
+        return np.array(canonicalize(poly).x[:m])
 
     def project(z: np.ndarray) -> np.ndarray:
-        z = canonical(rescaled(np.clip(z, _Z_FLOOR, z_cap)))
-        # Canonicalizing keeps the body, hence its volume, but lowers Phi_p.
-        return rescaled(z) if maximizing else z
+        z = np.clip(z, _Z_FLOOR, z_cap)
+        if maximizing:
+            # Canonicalizing keeps the body, hence its volume, but lowers Phi_p.
+            return phi_rescaled(canonical(build(phi_rescaled(z))))
+        # the rescale's last evaluation built the boundary at t (z, z), which
+        # is (z t, z t) bit for bit: canonicalize the body from those arcs
+        t, arcs = _volume_rescale(np.concatenate([z, z]), config.v0, spec_template)
+        z = z * t
+        return canonical(_exact_body(spec_template.with_x(np.concatenate([z, z])), arcs))
 
     def evaluate(z: np.ndarray) -> _Iterate:
         poly = build(z)
         areas = np.array([facet_area(poly, i) for i in range(m)])
         u = np.array(poly.canonical_support[:m])
         lam, res = _lagrange_residual(areas, u, reduced_w, p)
-        vol = volume(poly)
-        phi = phi_p(np.concatenate([z, z]), full_w, p)
-        return _Iterate(z, poly, areas, u, lam, res, vol, phi)
-
-    def objective(it: _Iterate) -> float:
-        return it.vol if maximizing else it.phi
+        value = volume(poly) if maximizing else phi_p(np.concatenate([z, z]), full_w, p)
+        return _Iterate(z, poly, areas, u, lam, res, value)
 
     def gradient(it: _Iterate) -> tuple[np.ndarray, np.ndarray]:
         """(objective gradient, constraint gradient) in the reduced scales."""
@@ -366,7 +381,7 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
         return (vol_grad, phi_grad) if maximizing else (-phi_grad, vol_grad)
 
     current = evaluate(project(np.ones(m)))
-    trace = [objective(current)]
+    trace = [current.objective]
     best = current
     step = _STEP
     iterations = 0
@@ -396,7 +411,7 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
                 step *= _BACKTRACK
                 continue
             trial = evaluate(z)
-            gain = objective(trial) - objective(current)
+            gain = trial.objective - current.objective
             if (gain > 1e-15) if maximizing else (gain < -1e-15):
                 accepted = trial
                 break
@@ -405,7 +420,7 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
             break
         current = accepted
         iterations += 1
-        trace.append(objective(current))
+        trace.append(current.objective)
         if np.any(current.z <= 2.0 * _Z_FLOOR):
             logger.warning("an accepted iterate sits at the zero-scale boundary")
         if math.isfinite(z_cap) and np.any(current.z >= 0.999 * z_cap):

@@ -1001,6 +1001,49 @@ def test_canonicalize_even_ties_pairs():
         assert fixed.x[i] == fixed.x[3 + i]
 
 
+def shuffled_even_spec() -> PolytopeSpec:
+    """Three pairs listed out of order: (0, 2), (1, 5), (3, 4)."""
+    a, b, c = (np.array([math.cos(t), math.sin(t)]) for t in (0.3, 1.4, 2.5))
+    return PolytopeSpec(
+        n=1,
+        directions=np.array([a, b, -a, c, -c, -b]),
+        x=np.array([1.0, 0.8, 1.0, 3.0, 3.0, 0.8]),
+        even=True,
+    )
+
+
+def test_canonicalize_ties_pairs_listed_out_of_order():
+    import dataclasses
+
+    poly = build_polytope(shuffled_even_spec())
+    # support numbers that differ within each pair, as roundoff could leave them
+    skewed = dataclasses.replace(poly, canonical_support=np.array([1.0, 0.8, 0.9, 1.2, 1.1, 0.75]))
+    fixed = canonicalize(skewed)
+    assert fixed.even
+    assert fixed.x.tolist() == [0.9, 0.75, 0.9, 1.1, 1.1, 0.75]
+
+
+def test_with_x_checks_pair_values_with_the_pairs_it_inherits():
+    spec = shuffled_even_spec()
+    # the first unequal pair by its lower index is named, as before pairs
+    # were inherited
+    with pytest.raises(NotEvenError, match=r"^spec: entries 1 and 5 pair with unequal values$"):
+        spec.with_x(np.array([1.0, 0.8, 1.0, 3.0, 3.1, 0.9]))
+    # |x_i - x_j| > 1e-9 max(1, |x_i|), i the lower index
+    with pytest.raises(NotEvenError, match=r"^spec: entries 0 and 2 pair with unequal values$"):
+        spec.with_x(np.array([1.0, 0.8, 1.0 + 2e-9, 3.0, 3.0, 0.8]))
+    assert spec.with_x(np.array([1.0, 0.8, 1.0 + 5e-10, 3.0, 3.0, 0.8])).even
+    assert not spec.with_x(np.array([1.0, 0.8, 1.0, 3.0, 3.1, 0.9]), even=False).even
+    # a spec made even by with_x pairs its directions from scratch
+    odd = PolytopeSpec(n=1, directions=spec.directions, x=spec.x)
+    assert odd.with_x(spec.x, even=True).even
+    with pytest.raises(NotEvenError, match="entries 1 and 5"):
+        odd.with_x(np.array([1.0, 0.8, 1.0, 3.0, 3.0, 0.7]), even=True)
+    lone = PolytopeSpec(n=1, directions=np.array([[1.0, 0.0], [0.0, 1.0]]), x=np.ones(2))
+    with pytest.raises(NotEvenError, match="no antipodal partner for entry 0"):
+        lone.with_x(np.ones(2), even=True)
+
+
 # ---------------------------------------------------------------- separation
 
 def test_separate_contract(lens):
@@ -1104,6 +1147,56 @@ def test_t_body_volume_riemann_oracle():
     vals = np.where(width > 0.0, np.maximum(width, 0.0) ** n / mids ** (n + 1), 0.0)
     riemann = 2.0 * float(np.sum(vals)) * (er - 1.0) / 200000
     assert t_body_volume(r, n) == pytest.approx(riemann, rel=1e-6)
+
+
+def tube_volume_50_digits(r: float, n: int):
+    """The tube body's defining integral in the half-space chart, at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        er, half = mpmath.exp(r), mpmath.exp(r / 2)
+
+        def integrand(y):
+            return (mpmath.sqrt((er + 1) * y - y * y) - half) ** n / y ** (n + 1)
+
+        # the integrand vanishes at both ends, y = 1 and y = e^r
+        value = mpmath.quad(integrand, [1, mpmath.sqrt(er), er])
+        return (2 if n == 1 else mpmath.pi) * value
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_t_body_volume_closed_forms_match_50_digit_quadrature(n):
+    # r = 1.1 and 1.2 sit just above the switch from series to closed form
+    # (sinh(r/2) = 1/2 at r = 0.96, tanh(r/2) = 1/2 at r = 1.10)
+    radii = np.concatenate([np.geomspace(1e-3, 20.0, 13), [0.96, 1.1, 1.2]])
+    worst = max(
+        abs(t_body_volume(float(r), n) / float(tube_volume_50_digits(float(r), n)) - 1.0) for r in radii
+    )
+    assert worst <= 1e-12
+
+
+def test_boundedness_bound_keeps_its_values():
+    # the values of the adaptive-quadrature tube volume (within its 1e-6)
+    before = {
+        1: [0.018171310424804688, 1.464299201965332, 1.8579864501953125, 3.00253963470459, 7.943792343139648],
+        2: [0.1307659149169922, 1.8608646392822266, 2.1525650024414062, 2.8809242248535156, 5.372016906738281],
+    }
+    for n, values in before.items():
+        for target, want in zip((1e-6, 0.5, 1.0, 4.0, 100.0), values):
+            assert abs(boundedness_bound(target, n) - want) <= 1e-6
+
+
+def test_boundedness_bound_runs_no_quadrature_for_planar_and_n2(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called")
+
+    monkeypatch.setattr(polytope, "_adaptive_quad", refuse)
+    for n in (1, 2):
+        assert boundedness_bound(1.0, n) > 0.0
+    # the quadrature read about 0 past r = 14, so for n = 2 and volumes above
+    # t_body_volume(8, 2) = 1.5e3 the bracket search went on until it overflowed
+    assert t_body_volume(boundedness_bound(2000.0, 2), 2) > 2000.0
 
 
 def test_boundedness_bound_contract():

@@ -373,6 +373,38 @@ def test_solve_p_negative_random():
     assert lam == pytest.approx(result.lam, rel=1e-9)
 
 
+def test_solve_does_each_piece_of_work_once(monkeypatch):
+    # one pairing for the measure and one for the spec template, which every
+    # trial spec inherits; one boundary per rescale evaluation (solver side)
+    # plus one per trial, the build it is judged on (polytope side): the
+    # canonicalizing build reuses the rescale's last arcs
+    from horomink import polytope
+
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            key = (owner.__name__, name)
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(polytope, "_even_pairing")
+    count(solver, "_exact_boundary")
+    count(polytope, "_exact_boundary")
+    count(solver, "build_polytope")
+    mu = random_even_measure(np.random.Generator(np.random.Philox(42)), 3)
+    result = solve_even(mu, SolverConfig(p=-1.0, v0=1.0))
+    assert result.converged
+    assert calls[("horomink.polytope", "_even_pairing")] == 2
+    trials = calls[("horomink.solver", "build_polytope")]
+    assert calls[("horomink.polytope", "_exact_boundary")] == trials == 21
+    assert calls[("horomink.solver", "_exact_boundary")] == 55
+
+
 def test_solve_rejections():
     with pytest.raises(NotEvenError):
         solve_even(
