@@ -392,12 +392,18 @@ def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
 
     w_ik^2 is formed as (4 expm1(x_i + x_k) + |e_i + e_k|^2) / |e_i - e_k|^2,
     a sum of nonnegative terms, so a disk keeps its digits when both
-    horoballs barely hold O.
+    horoballs barely hold O. The power of the chart origin s = 0 with
+    respect to the disk, |c_ik|^2 - w_ik^2, is small where c_ik and w_ik
+    are large and nearly equal (a small body), so it is formed without
+    that difference, from |T_i e_k|^2 = |e_i - e_k|^2 |e_i + e_k|^2 / 4:
 
-    Returns c (r, m, n), w^2 (r, m) and `same` (r, m). `same` marks the
-    horoballs about the ideal point of horosphere i (including i itself);
-    their entries are not finite, and each holds all of horosphere i or
-    none of it (see _eclipsed).
+        |c_ik|^2 - w_ik^2 = (|e_i + e_k|^2 expm1(2 x_i)
+                             - 4 expm1(x_i + x_k)) / |e_i - e_k|^2.
+
+    Returns c (r, m, n), w^2 (r, m), the power (r, m) and `same` (r, m).
+    `same` marks the horoballs about the ideal point of horosphere i
+    (including i itself); their entries are not finite, and each holds all
+    of horosphere i or none of it (see _eclipsed).
     """
     x, coords = spec.x, np.ascontiguousarray(spec.directions.T)
     # e_k - e_i and e_k + e_i, coordinate first: numpy's inner loops then
@@ -412,8 +418,10 @@ def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
         toward = np.einsum("iac,cik->ika", frames, gap)
         center = 2.0 * np.exp(x[rows, None, None]) * toward / chord_sq[..., None]
         lift = 4.0 * np.expm1(x[rows, None] + x)
-        width_sq = (lift + np.einsum("cik,cik->ik", side, side)) / chord_sq
-    return center, width_sq, chord_sq <= 1e-24
+        side_sq = np.einsum("cik,cik->ik", side, side)
+        width_sq = (lift + side_sq) / chord_sq
+        power = (side_sq * np.expm1(2.0 * x[rows, None]) - lift) / chord_sq
+    return center, width_sq, power, chord_sq <= 1e-24
 
 
 def _eclipsed(spec: PolytopeSpec, rows: np.ndarray, same: np.ndarray) -> np.ndarray:
@@ -467,15 +475,25 @@ def _chart_quadratic(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray, v
 
 def _planar_boundary(spec: PolytopeSpec) -> _PlanarBoundary:
     """Arcs of every horocycle that lie in all the other horoballs: the
-    intersection of the intervals from _shadows, all pairs at once."""
+    intersection of the intervals from _shadows, all pairs at once.
+
+    Interval k on horocycle j is [c - w, c + w]. On a small body c and w
+    are both of size cot(angle / 2) while the arc is of the body's size.
+    The end farther from 0, c + sign(c) w, adds two terms of one sign; the
+    nearer one is taken as (c^2 - w^2) / (c + sign(c) w), with the power
+    c^2 - w^2 from _shadows, so that both ends keep their relative digits.
+    """
     rows = np.arange(spec.count)
     frames = _chart_frames(spec.directions)
-    center, width_sq, same = _shadows(spec, rows, frames)
+    center, width_sq, power, same = _shadows(spec, rows, frames)
     center = center[..., 0]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         width = np.sqrt(np.maximum(width_sq, 0.0))
-        lo = np.max(np.where(same, -np.inf, center - width), axis=1)
-        hi = np.min(np.where(same, np.inf, center + width), axis=1)
+        below = np.signbit(center)
+        far = center + np.where(below, -width, width)
+        near = power / far
+        lo = np.max(np.where(same, -np.inf, np.where(below, far, near)), axis=1)
+        hi = np.min(np.where(same, np.inf, np.where(below, near, far)), axis=1)
     missed = np.any(~same & (width_sq < 0.0), axis=1)
     active = ~(_eclipsed(spec, rows, same) | missed) & (
         hi - lo > _ARC_TOL * (1.0 + np.abs(lo) + np.abs(hi))
@@ -655,7 +673,7 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
     """
     rows = np.arange(spec.count)
     frames = _chart_frames(spec.directions)
-    center, width_sq, same = _shadows(spec, rows, frames)
+    center, width_sq, _, same = _shadows(spec, rows, frames)
     empty = _eclipsed(spec, rows, same) | np.any(~same & (width_sq <= 0.0), axis=1)
     parts = []
     for i in np.flatnonzero(~empty):
@@ -814,7 +832,7 @@ def _exact_nearest(spec: PolytopeSpec, arcs, q: np.ndarray) -> np.ndarray:
     if spec.n == 1:
         points = _chart_points(spec, rows, np.clip(s, arcs.lo[rows, None], arcs.hi[rows, None]), frames)
     else:
-        center, width_sq, same = _shadows(spec, rows, frames)
+        center, width_sq, _, same = _shadows(spec, rows, frames)
         inside = np.all(same | (np.sum((s[:, None, :] - center) ** 2, axis=2) <= width_sq), axis=1)
         points = np.vstack(
             [_chart_points(spec, rows[inside], s[inside], frames[inside]), _arc_candidates(spec, arcs, v, -1.0)]
@@ -1089,7 +1107,7 @@ def facet_area(poly: HConvexPolytope, i: int) -> float:
     if poly.boundary is not None:
         return float(poly._areas[i])
     row = np.array([i])
-    center, width_sq, same = _shadows(spec, row, _chart_frames(spec.directions[row]))
+    center, width_sq, _, same = _shadows(spec, row, _chart_frames(spec.directions[row]))
     if _eclipsed(spec, row, same)[0] or np.any(~same & (width_sq <= 0.0)):
         return 0.0
     centers, radii = center[0, ~same[0]], np.sqrt(width_sq[0, ~same[0]])
