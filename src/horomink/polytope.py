@@ -675,7 +675,8 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
     frames = _chart_frames(spec.directions)
     center, width_sq, _, same = _shadows(spec, rows, frames)
     empty = _eclipsed(spec, rows, same) | np.any(~same & (width_sq <= 0.0), axis=1)
-    parts = []
+    # (facet, center, width, lo, hi) per facet, after one empty entry
+    parts = [(np.empty(0, dtype=int), np.empty((0, 2)), np.empty(0), np.empty(0), np.empty(0))]
     for i in np.flatnonzero(~empty):
         c, w = center[i, ~same[i]], np.sqrt(width_sq[i, ~same[i]])
         low, high = np.max(c - w[:, None], axis=0), np.min(c + w[:, None], axis=0)
@@ -969,7 +970,14 @@ def build_polytope(
 def _exact_body(spec: PolytopeSpec, arcs) -> HConvexPolytope:
     """The n <= 2 body of a spec with positive scales, from its boundary
     arcs (_exact_boundary(spec)): a horoball carries a facet exactly when
-    it keeps an arc, and support numbers are maxima over the arcs."""
+    it keeps an arc, and support numbers are maxima over the arcs. A body
+    that keeps no arc at all is below the resolution of _ARC_TOL and raises
+    DegenerateBodyError."""
+    if not np.any(arcs.active):
+        raise DegenerateBodyError(
+            f"every boundary arc is shorter than the arc tolerance {_ARC_TOL:g}: "
+            "the body is too small to resolve"
+        )
     top = _exact_support(spec, arcs, spec.directions)
     # a facet lies on its own horosphere, so that horoball touches the body
     support_vals = np.where(arcs.active, spec.x, np.minimum(top, spec.x))

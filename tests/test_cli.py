@@ -330,6 +330,24 @@ def test_volume_command(lens_body, capsys):
     assert got == pytest.approx(4.0 * (math.sqrt(3.0) - math.pi / 3.0), abs=1e-4)
 
 
+def test_volume_of_an_unresolvable_body_exits_4(tmp_path, capsys):
+    # the regular 16-gon at scale 1e-12 keeps no arc longer than the arc
+    # tolerance; it used to escape as exit 5 with a numpy ValueError
+    ang = 2.0 * math.pi * np.arange(16) / 16
+    body = write_json(
+        tmp_path / "tiny.json",
+        {
+            "schema_version": "1",
+            "n": 1,
+            "horoballs": [{"direction": [math.cos(a), math.sin(a)], "x": 1e-12} for a in ang],
+        },
+    )
+    assert main(["volume", "--body", body]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("geometry error:")
+    assert "too small to resolve" in err
+
+
 @pytest.mark.parametrize("kind", ["grid", "mc", "product"])
 def test_volume_quad_kind(tmp_path, kind, capsys):
     n = 2 if kind == "product" else 1

@@ -33,6 +33,7 @@ from horomink import (
     outer_parallel_support,
     polar_point,
     radial,
+    rescale_to_constraint,
     separate,
     support,
     surface_measure_p,
@@ -144,6 +145,21 @@ def test_degenerate_body_paths():
         facet_area(point_body, 0)
     with pytest.raises(DegenerateBodyError):
         canonicalize(point_body)
+
+
+def test_bodies_that_keep_no_arc_are_refused():
+    # every side of the regular 16-gon and every facet of the cube at scale
+    # 1e-12 is shorter than _ARC_TOL; builds used to die in an empty numpy
+    # reduction (ValueError)
+    ang = 2.0 * math.pi * np.arange(16) / 16
+    polygon = PolytopeSpec(n=1, directions=np.column_stack([np.cos(ang), np.sin(ang)]), x=np.full(16, 1e-12))
+    cube = PolytopeSpec(n=2, directions=np.vstack([np.eye(3), -np.eye(3)]), x=np.full(6, 1e-12))
+    for spec in (polygon, cube):
+        with pytest.raises(DegenerateBodyError, match="too small to resolve"):
+            build_polytope(spec)
+    # a volume rescale reads such a body as volume 0 and moves on
+    t = rescale_to_constraint(polygon.x, None, 0.0, 3e-12, mode="volume", spec=polygon)
+    assert volume(build_polytope(polygon.with_x(t * polygon.x))) == pytest.approx(3e-12, rel=1e-9)
 
 
 def test_scan_dimension_mismatch():
@@ -304,9 +320,11 @@ def test_small_planar_volumes_keep_their_digits():
         h = math.sqrt(math.expm1(2.0 * s))
         want = 4.0 * h**3 * sum((-h * h) ** k / (2 * k + 3) for k in range(8))
         assert volume(build_polytope(lens_spec(s))) == pytest.approx(want, rel=1e-12, abs=0.0)
-    # no planar volume is negative, down to bodies of scale 1e-9
+    # no planar volume is negative, down to bodies of scale 1e-12; there the
+    # regular 16-gon's sides, about 4e-13, are all below _ARC_TOL, and the
+    # body is refused as one that cannot be resolved
     rng = np.random.Generator(np.random.Philox(25))
-    for scale in (1.0, 1e-3, 1e-6, 1e-9):
+    for scale in (1.0, 1e-3, 1e-6, 1e-9, 1e-12):
         for m in (2, 3, 5, 16):
             ang = 2.0 * math.pi * np.arange(m) / m
             regular = PolytopeSpec(
@@ -314,7 +332,11 @@ def test_small_planar_volumes_keep_their_digits():
             )
             scattered = scattered_spec(rng, m)
             for spec in (regular, scattered.with_x(scale * scattered.x)):
-                assert volume(build_polytope(spec)) > 0.0
+                if spec is regular and (scale, m) == (1e-12, 16):
+                    with pytest.raises(DegenerateBodyError, match="too small to resolve"):
+                        build_polytope(spec)
+                else:
+                    assert volume(build_polytope(spec)) > 0.0
 
 
 def planar_volume_50_digits(spec: PolytopeSpec):
