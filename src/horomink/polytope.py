@@ -413,14 +413,20 @@ def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
     # |e_i - e_k|^2 = 2 (1 - e_i . e_k), free of cancellation, and
     # |e_i + e_k|^2 = 4 - |e_i - e_k|^2, formed directly for the same reason
     chord_sq = np.einsum("cik,cik->ik", gap, gap)
+    side_sq = np.einsum("cik,cik->ik", side, side)
+    # T_i e_k = T_i (e_k - e_i), which keeps its digits as e_k nears e_i
+    toward = np.einsum("iac,cik->ika", frames, gap)
+    # the pair arrays are the largest here (m x m x (n + 1)); let them go
+    # before the m x m results are formed
+    del gap, side
     with np.errstate(divide="ignore", invalid="ignore"):
-        # T_i e_k = T_i (e_k - e_i), which keeps its digits as e_k nears e_i
-        toward = np.einsum("iac,cik->ika", frames, gap)
         center = 2.0 * np.exp(x[rows, None, None]) * toward / chord_sq[..., None]
         lift = 4.0 * np.expm1(x[rows, None] + x)
-        side_sq = np.einsum("cik,cik->ik", side, side)
-        width_sq = (lift + side_sq) / chord_sq
-        power = (side_sq * np.expm1(2.0 * x[rows, None]) - lift) / chord_sq
+        width_sq = lift + side_sq
+        width_sq /= chord_sq
+        power = side_sq * np.expm1(2.0 * x[rows, None])
+        power -= lift
+        power /= chord_sq
     return center, width_sq, power, chord_sq <= 1e-24
 
 
@@ -490,7 +496,7 @@ def _planar_boundary(spec: PolytopeSpec) -> _PlanarBoundary:
     with np.errstate(divide="ignore", invalid="ignore"):
         width = np.sqrt(np.maximum(width_sq, 0.0))
         below = np.signbit(center)
-        far = center + np.where(below, -width, width)
+        far = center + np.copysign(width, center)
         near = power / far
         lo = np.max(np.where(same, -np.inf, np.where(below, far, near)), axis=1)
         hi = np.min(np.where(same, np.inf, np.where(below, near, far)), axis=1)
