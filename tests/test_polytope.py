@@ -1,6 +1,7 @@
 """Bodies made of horoballs: builds, radial/support, volumes, facets,
 distances, canonicalization, separation, tube bodies."""
 
+import dataclasses
 import math
 from statistics import NormalDist
 
@@ -1078,9 +1079,35 @@ def shuffled_even_spec() -> PolytopeSpec:
     )
 
 
-def test_canonicalize_ties_pairs_listed_out_of_order():
-    import dataclasses
+def test_pair_value_check_matches_the_loop_it_replaced():
+    # the per-pair loop that _even_pairing ran before pairs were stored
+    def loop_message(pairs, values):
+        for i, j in pairs:
+            if abs(values[i] - values[j]) > 1e-9 * max(1.0, abs(values[i])):
+                return f"spec: entries {i} and {j} pair with unequal values"
+        return None
 
+    rng = np.random.Generator(np.random.Philox(27))
+    for _ in range(200):
+        count = 2 * int(rng.integers(1, 6))
+        order = rng.permutation(count)
+        pairs = np.sort(order.reshape(-1, 2), axis=1)
+        pairs = pairs[np.argsort(pairs[:, 0])]
+        values = np.empty(count)
+        values[pairs[:, 0]] = rng.choice([0.5, 1.0, 3.0, 1e3], size=pairs.shape[0])
+        # gaps on both sides of the threshold
+        gaps = rng.choice([0.0, 0.5e-9, 0.999e-9, 1.001e-9, 2e-9, 0.1], size=pairs.shape[0])
+        values[pairs[:, 1]] = values[pairs[:, 0]] * (1.0 + rng.choice([-1.0, 1.0], size=gaps.size) * gaps)
+        want = loop_message(pairs.tolist(), values.tolist())
+        if want is None:
+            polytope._check_even_values(pairs, values, "spec")
+        else:
+            with pytest.raises(NotEvenError) as caught:
+                polytope._check_even_values(pairs, values, "spec")
+            assert str(caught.value) == want
+
+
+def test_canonicalize_ties_pairs_listed_out_of_order():
     poly = build_polytope(shuffled_even_spec())
     # support numbers that differ within each pair, as roundoff could leave them
     skewed = dataclasses.replace(poly, canonical_support=np.array([1.0, 0.8, 0.9, 1.2, 1.1, 0.75]))

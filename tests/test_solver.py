@@ -26,7 +26,7 @@ from horomink import (
     solve_even,
     volume,
 )
-from horomink import solver
+from horomink import polytope, solver
 
 LOG2 = math.log(2.0)
 
@@ -378,8 +378,6 @@ def test_solve_does_each_piece_of_work_once(monkeypatch):
     # trial spec inherits; one boundary per rescale evaluation (solver side)
     # plus one per trial, the build it is judged on (polytope side): the
     # canonicalizing build reuses the rescale's last arcs
-    from horomink import polytope
-
     calls = {}
 
     def count(owner, name):
