@@ -92,8 +92,6 @@ def mc_volume(
     """
     if num_samples < 2:
         raise ValueError("need at least two samples")
-    if poly.degenerate:
-        return 0.0, 0.0
     big_r, _ = extremal_radii(poly)
     chart_radius = math.tanh(0.5 * big_r)
     dim = poly.spec.n + 1

@@ -321,7 +321,6 @@ class HConvexPolytope:
     facet_nonempty: np.ndarray
     scan: SphereQuadrature | None
     scan_radii: np.ndarray | None
-    degenerate: bool = False
     boundary: _PlanarBoundary | _FacetArcs | None = None
 
     @property
@@ -350,11 +349,6 @@ def _radial_rows(spec: PolytopeSpec, thetas: np.ndarray) -> np.ndarray:
 
 def _radial_single(spec: PolytopeSpec, theta: np.ndarray) -> float:
     return float(_radial_rows(spec, theta[None, :])[0])
-
-
-def _require_interior(poly: HConvexPolytope, op: str):
-    if poly.degenerate:
-        raise DegenerateBodyError(f"{op} needs a body with interior, got the point body")
 
 
 # ---------------------------------------------------------------------------
@@ -906,11 +900,7 @@ def _support_objective(spec: PolytopeSpec, e_vec: np.ndarray):
     return value
 
 
-def build_polytope(
-    spec: PolytopeSpec,
-    scan: SphereQuadrature | None = None,
-    allow_degenerate: bool = False,
-) -> HConvexPolytope:
+def build_polytope(spec: PolytopeSpec, scan: SphereQuadrature | None = None) -> HConvexPolytope:
     """Intersect the spec's horoballs and precompute support data.
 
     For n <= 2 the body is described exactly by its boundary arcs (one per
@@ -922,23 +912,10 @@ def build_polytope(
     maximizations and the volume rule, and a horoball carries a facet when
     its scale is within FACET_TOL of its Nelder-Mead refined support number.
     An even spec containing a zero-scale pair collapses to the single point
-    O; that body is only representable with allow_degenerate=True and raises
-    DegenerateBodyError otherwise.
+    O, which has no interior, and raises DegenerateBodyError.
     """
     if np.any(spec.x == 0.0):
-        if not allow_degenerate:
-            raise DegenerateBodyError(
-                "an even pair with scale 0 pins the body to the basepoint"
-            )
-        m = spec.count
-        return HConvexPolytope(
-            spec=spec,
-            canonical_support=np.zeros(m),
-            facet_nonempty=np.zeros(m, dtype=bool),
-            scan=None,
-            scan_radii=None,
-            degenerate=True,
-        )
+        raise DegenerateBodyError("an even pair with scale 0 pins the body to the basepoint")
     if scan is not None and scan.n != spec.n:
         raise SpecError("scan quadrature dimension does not match the spec")
     arcs = _exact_boundary(spec)
@@ -999,7 +976,6 @@ def _exact_body(spec: PolytopeSpec, arcs) -> HConvexPolytope:
 
 def radial(poly: HConvexPolytope, theta: Direction) -> float:
     """Distance from O to the boundary along theta."""
-    _require_interior(poly, "radial")
     if theta.n != poly.n:
         raise SpecError("direction dimension mismatch")
     return _radial_single(poly.spec, theta.vector)
@@ -1012,7 +988,6 @@ def support(poly: HConvexPolytope, e: Direction) -> float:
     over the arc ends and each arc's stationary point for n = 2. For n >= 3
     the best scan node is refined by Nelder-Mead.
     """
-    _require_interior(poly, "support")
     if e.n != poly.n:
         raise SpecError("direction dimension mismatch")
     if poly.boundary is not None:
@@ -1056,7 +1031,6 @@ def extremal_radii(poly: HConvexPolytope) -> tuple[float, float]:
     acosh of cosh d would not. For n >= 3, R is the largest scanned radius
     refined by Nelder-Mead.
     """
-    _require_interior(poly, "extremal_radii")
     spec, arcs = poly.spec, poly.boundary
     small = float(np.min(spec.x))
     if arcs is None:
@@ -1079,8 +1053,6 @@ def volume(poly: HConvexPolytope) -> float:
     sinh-power integral over the body's scan, the rule
     build_polytope(spec, scan=...) was given.
     """
-    if poly.degenerate:
-        return 0.0
     if poly.boundary is not None:
         return _exact_volume(poly.spec, poly.boundary)
     return poly.scan.integrate(sinh_power_integral(poly.n, poly.scan_radii))
@@ -1112,7 +1084,6 @@ def facet_area(poly: HConvexPolytope, i: int) -> float:
     Monte-Carlo over the smallest disk's bounding box: _MC_SAMPLES points
     from the seed 770001 + i, so every call repeats its estimate.
     """
-    _require_interior(poly, "facet_area")
     spec = poly.spec
     if not 0 <= i < spec.count:
         raise IndexError("facet index out of range")
@@ -1151,7 +1122,6 @@ def facet_area_fd(poly: HConvexPolytope, i: int, delta: float = 1e-4) -> float:
     n >= 3 both sides integrate on the body's scan, so the node error
     largely cancels.
     """
-    _require_interior(poly, "facet_area_fd")
     spec = poly.spec
     if not 0 <= i < spec.count:
         raise IndexError("facet index out of range")
@@ -1167,7 +1137,6 @@ def facet_area_fd(poly: HConvexPolytope, i: int, delta: float = 1e-4) -> float:
 
 def surface_measure_p(poly: HConvexPolytope, p: float) -> DiscreteMeasure:
     """The p-weighted surface measure: atom e^{-p u_i} S_i at each facet direction."""
-    _require_interior(poly, "surface_measure_p")
     spec = poly.spec
     dirs, weights = [], []
     for i in range(spec.count):
@@ -1199,8 +1168,6 @@ def hausdorff_distance(k_body: HConvexPolytope, l_body: HConvexPolytope) -> floa
     then Nelder-Mead refinement with support evaluations that are exact
     for n = 2.
     """
-    _require_interior(k_body, "hausdorff_distance")
-    _require_interior(l_body, "hausdorff_distance")
     if k_body.n != l_body.n:
         raise SpecError("bodies live in different dimensions")
     if k_body.n == 1:
@@ -1225,7 +1192,6 @@ def canonicalize(poly: HConvexPolytope) -> PolytopeSpec:
     so rebuilding and canonicalizing again is a fixed point (for n >= 3 up
     to the support refinement tolerance). Even pairing is preserved exactly.
     """
-    _require_interior(poly, "canonicalize")
     new_x = np.array(poly.canonical_support)
     if poly.spec.even:
         i, j = poly.spec._pairs.T
@@ -1243,7 +1209,6 @@ def separate(poly: HConvexPolytope, point: HyperboloidPoint) -> Horoball:
     minimizers, arc ends and arc stationary points (_exact_nearest). For
     n >= 3 it is the nearest scan point refined by Nelder-Mead.
     """
-    _require_interior(poly, "separate")
     spec = poly.spec
     if point.n != poly.n:
         raise SpecError("point dimension mismatch")
@@ -1297,7 +1262,6 @@ def outer_parallel_support(
     support numbers exactly at the grid directions. The default grid is
     the body's scan, or build_quadrature's default for n <= 2 bodies.
     """
-    _require_interior(poly, "outer_parallel_support")
     if eps <= 0.0:
         raise ValueError("needs eps > 0")
     if dirs is None:

@@ -28,7 +28,7 @@ The tube-volume support bound (boundedness_bound) is in closed form.
 The solver accepts n <= 2 only, where every area, volume, support number
 and slope it reads is exact and the certificate is exact with them; for
 n >= 3 facet areas are Monte-Carlo estimates whose noise would swamp the
-residual, so solve_even and volume-mode rescaling refuse such measures.
+residual, so solve_even refuses such measures.
 No quadrature rule is built or read.
 """
 
@@ -96,57 +96,24 @@ def phi_p(x, weights, p: float) -> float:
     return float(np.sum(w * np.expm1(p * x)) / p)
 
 
-def rescale_to_constraint(
-    x,
-    weights,
-    p: float,
-    target: float,
-    mode: str = "phi",
-    spec: PolytopeSpec | None = None,
-) -> float:
-    """Multiplier t > 0 placing t * x on the constraint set.
+def rescale_to_constraint(x, weights, p: float, target: float) -> float:
+    """Multiplier t > 0 with Phi_p(t x) = target, to absolute accuracy 1e-8.
 
-    mode "phi" solves Phi_p(t x) = target to absolute accuracy 1e-8 (in
-    closed form for p = 0, where the functional is linear). mode "volume"
-    solves V(P(t x)) = target to relative accuracy 1e-9, with the body built
-    from spec's directions; it needs n <= 2, where the volume is exact, and
-    raises SpecError otherwise.
-
-    Both functionals F increase in t, and both are solved by safeguarded
-    Newton from t = 1: each value narrows a bracket [lo, hi] by its sign,
-    the Newton step for log F = log target in log t, t exp(log(target / F)
-    F / (t F')), is taken when it lies strictly inside the bracket, and
-    otherwise t doubles while there is no upper end, halves while there is
-    no lower end, and bisects once both are known. Newton in log-log form
-    is exact for a power law c t^k, the shape of V and Phi_p near t = 0;
-    where F grows exponentially, plain Newton on F overshoots by orders of
-    magnitude and then comes back one e-fold of F per step.
-
-    The slopes are exact: d/dt Phi_p(t x) = sum of a_i x_i e^{p t x_i},
-    and for n <= 2 d/dt V(t x) = sum of x_i S_i(t x) by the variational
-    identity S_i = dV/dx_i, with volume and facet areas read off one
-    boundary build.
+    In closed form for p = 0, where the functional is linear. Otherwise by
+    safeguarded Newton from t = 1 (_newton_on_ray), with the exact slope
+    d/dt Phi_p(t x) = sum of a_i x_i e^{p t x_i}. The volume constraint has
+    its own projection, _volume_rescale, which shares that loop.
 
     Raises UnreachableTargetError when the target cannot be bracketed
-    within t in [1e-12, 1e9], e.g. when it exceeds the functional's
-    supremum (possible only for p < 0 in phi mode); in volume mode t is
-    also kept to t max(x) <= 350, below which products of two horoball
-    radii e^{t x_i} stay finite. It is raised as well when the bracket
-    collapses (relative width 1e-15) with no value inside the tolerance,
-    e.g. a volume target below the roundoff of the volume formula.
+    within t in [1e-12, 1e9], e.g. when it reaches the functional's
+    supremum sum(a_i) / |p| (possible only for p < 0), or when the bracket
+    collapses (relative width 1e-15) with no value inside the tolerance.
     """
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0.0):
         raise SpecError("rescaling needs strictly positive scales")
     if target <= 0.0:
         raise UnreachableTargetError("constraint target must be positive")
-    if mode == "volume":
-        if spec is None:
-            raise SpecError("volume rescaling needs a spec template")
-        return _volume_rescale(x, target, spec)[0]
-    if mode != "phi":
-        raise ValueError(f"unknown rescale mode {mode!r}")
-
     w = np.asarray(weights, dtype=np.float64)
     if p == 0.0:
         return target / phi_p(x, w, 0.0)
@@ -166,13 +133,19 @@ def rescale_to_constraint(
 def _volume_rescale(x: np.ndarray, target: float, spec: PolytopeSpec):
     """(t, boundary arcs of the body at t x) with V(P(t x)) = target.
 
-    rescale_to_constraint's volume mode for positive x and target: every
+    Solves to relative accuracy 1e-9 for positive x and target, with the
+    body built from the directions of spec, an n <= 2 spec (solve_even
+    refuses n >= 3 before it gets here). The slope is exact: d/dt V(t x) =
+    sum of x_i S_i(t x) by the variational identity S_i = dV/dx_i, so every
     evaluation builds the boundary at t x once and reads volume and slope
-    off it, and the arcs of the last one, where t was accepted, are
+    off it. The arcs of the last evaluation, where t was accepted, are
     returned so that the caller need not build them again.
+
+    Raises UnreachableTargetError like rescale_to_constraint, and also
+    keeps t max(x) <= 350, below which products of two horoball radii
+    e^{t x_i} stay finite. A collapsed bracket here is typically a target
+    below the roundoff of the volume formula.
     """
-    if spec.n > 2:
-        raise SpecError(f"volume rescaling needs n <= 2, got n = {spec.n}")
 
     def value(t: float):
         scaled = spec.with_x(t * x, even=False)
@@ -186,10 +159,18 @@ def _volume_rescale(x: np.ndarray, target: float, spec: PolytopeSpec):
 
 
 def _newton_on_ray(value, target: float, tol: float, t_max: float):
-    """The safeguarded Newton loop of rescale_to_constraint.
+    """Safeguarded Newton for F(t) = target along a ray, F increasing in t.
 
     value(t) returns (F(t), F'(t), what the evaluation built); the result
     is (t, that payload at t) for the first t with |F(t) - target| <= tol.
+    From t = 1 each value narrows a bracket [lo, hi] by its sign. The
+    Newton step for log F = log target in log t, t exp(log(target / F)
+    F / (t F')), is taken when it lies strictly inside the bracket and
+    [1e-12, t_max]; otherwise t doubles while there is no upper end, halves
+    while there is no lower end, and bisects once both are known. Newton in
+    log-log form is exact for a power law c t^k, the shape of V and Phi_p
+    near t = 0; where F grows exponentially, plain Newton on F overshoots
+    by orders of magnitude and then comes back one e-fold of F per step.
     """
     lo, hi, t = 0.0, math.inf, 1.0
     for _ in range(200):
@@ -350,7 +331,7 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
         return build_polytope(spec_template.with_x(np.concatenate([z, z])))
 
     def phi_rescaled(z: np.ndarray) -> np.ndarray:
-        return z * rescale_to_constraint(np.concatenate([z, z]), full_w, p, 1.0, mode="phi")
+        return z * rescale_to_constraint(np.concatenate([z, z]), full_w, p, 1.0)
 
     def canonical(poly: HConvexPolytope) -> np.ndarray:
         return np.array(canonicalize(poly).x[:m])

@@ -60,17 +60,6 @@ def test_mc_volume_deterministic():
     assert a != c
 
 
-def test_mc_volume_degenerate():
-    spec = PolytopeSpec(
-        n=1,
-        directions=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-        x=np.array([0.0, 0.0]),
-        even=True,
-    )
-    poly = build_polytope(spec, allow_degenerate=True)
-    assert mc_volume(poly) == (0.0, 0.0)
-
-
 def test_mc_volume_random_corpus():
     # quadrature volume and the chart sampler agree within 3 sigma across
     # dimensions; seeds vary per body so a systematic bias cannot hide

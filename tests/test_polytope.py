@@ -34,7 +34,6 @@ from horomink import (
     outer_parallel_support,
     polar_point,
     radial,
-    rescale_to_constraint,
     separate,
     support,
     surface_measure_p,
@@ -53,6 +52,7 @@ from horomink.polytope import (
     _volume_of_spec,
 )
 from horomink.quadrature import sinh_power_integral
+from horomink.solver import _volume_rescale
 
 LOG2 = math.log(2.0)
 ACOSH2 = 1.3169578969248166  # arccosh(2): lens reach orthogonal to the axis
@@ -103,7 +103,6 @@ def lens():
 def test_lens_build(lens):
     assert np.allclose(lens.canonical_support, [LOG2, LOG2], atol=1e-9)
     assert lens.facet_nonempty.all()
-    assert not lens.degenerate
 
 
 def test_spec_validation_errors():
@@ -133,19 +132,10 @@ def test_spec_validation_errors():
 
 
 def test_degenerate_body_paths():
-    spec = lens_spec(s=0.0)
-    with pytest.raises(DegenerateBodyError):
-        build_polytope(spec)
-    point_body = build_polytope(spec, allow_degenerate=True)
-    assert point_body.degenerate
-    assert volume(point_body) == 0.0
-    for op in (radial, support):
-        with pytest.raises(DegenerateBodyError):
-            op(point_body, Direction(np.array([1.0, 0.0])))
-    with pytest.raises(DegenerateBodyError):
-        facet_area(point_body, 0)
-    with pytest.raises(DegenerateBodyError):
-        canonicalize(point_body)
+    # a zero-scale even pair pins the body to the point O, which has no interior
+    for n in (1, 2):
+        with pytest.raises(DegenerateBodyError, match="basepoint"):
+            build_polytope(lens_spec(s=0.0, n=n))
 
 
 def test_bodies_that_keep_no_arc_are_refused():
@@ -159,7 +149,7 @@ def test_bodies_that_keep_no_arc_are_refused():
         with pytest.raises(DegenerateBodyError, match="too small to resolve"):
             build_polytope(spec)
     # a volume rescale reads such a body as volume 0 and moves on
-    t = rescale_to_constraint(polygon.x, None, 0.0, 3e-12, mode="volume", spec=polygon)
+    t = _volume_rescale(polygon.x, 3e-12, polygon)[0]
     assert volume(build_polytope(polygon.with_x(t * polygon.x))) == pytest.approx(3e-12, rel=1e-9)
 
 

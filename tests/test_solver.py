@@ -140,7 +140,7 @@ def test_rescale_volume_mode():
         even=True,
     )
     x = np.array([1.0, 1.0])
-    t = rescale_to_constraint(x, None, 0.0, 1.0, mode="volume", spec=spec)
+    t = solver._volume_rescale(x, 1.0, spec)[0]
     scaled = build_polytope(spec.with_x(t * x))
     assert volume(scaled) == pytest.approx(1.0, rel=1e-9)
 
@@ -152,10 +152,6 @@ def test_rescale_rejects_bad_input():
         rescale_to_constraint(np.array([1.0, 0.0]), w, 0.0, 1.0)
     with pytest.raises(UnreachableTargetError):
         rescale_to_constraint(x, w, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        rescale_to_constraint(x, w, 0.0, 1.0, mode="bogus")
-    with pytest.raises(SpecError):
-        rescale_to_constraint(x, w, 0.0, 1.0, mode="volume")
 
 
 def counted(monkeypatch, name: str) -> list:
@@ -195,7 +191,7 @@ def test_rescale_volume_newton_on_random_even_bodies(monkeypatch, n):
         redundant += int(not np.all(build_polytope(spec).facet_nonempty))
         for target in (0.05, 1.0, 20.0):
             calls.clear()
-            t = rescale_to_constraint(spec.x, None, 0.0, target, mode="volume", spec=spec)
+            t = solver._volume_rescale(spec.x, target, spec)[0]
             # one boundary build per evaluation, both volume and slope read off it
             assert len(calls) <= 10
             v = volume(build_polytope(spec.with_x(t * spec.x)))
@@ -220,18 +216,6 @@ def test_rescale_phi_newton_is_quick(monkeypatch, p):
             assert abs(phi_p(t * x, w, p) - target) <= 1e-8
 
 
-def test_rescale_volume_refuses_n3():
-    # n >= 3 volumes and areas are estimates; the solver takes n <= 2 only
-    spec = PolytopeSpec(
-        n=3,
-        directions=np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]),
-        x=np.array([1.0, 1.0]),
-        even=True,
-    )
-    with pytest.raises(SpecError, match="n = 3"):
-        rescale_to_constraint(spec.x, None, 0.0, 1.0, mode="volume", spec=spec)
-
-
 def test_rescale_unbracketable_targets():
     # Phi_{-1}(t x) = 2 (1 - e^{-t 1e-9}) reaches 1.9 only at t = 3.0e9
     with pytest.raises(UnreachableTargetError):
@@ -241,7 +225,7 @@ def test_rescale_unbracketable_targets():
         n=1, directions=np.array([[1.0, 0.0], [-1.0, 0.0]]), x=np.array([1.0, 1.0]), even=True
     )
     with pytest.raises(UnreachableTargetError):
-        rescale_to_constraint(1e-10 * spec.x, None, 0.0, 1.0, mode="volume", spec=spec)
+        solver._volume_rescale(1e-10 * spec.x, 1.0, spec)[0]
 
 
 def test_rescale_collapsed_bracket_is_unreachable():
@@ -261,11 +245,11 @@ def test_rescale_reads_tiny_planar_volumes():
     spec = PolytopeSpec(
         n=1, directions=np.array([[1.0, 0.0], [-1.0, 0.0]]), x=np.array([1e-12, 1e-12]), even=True
     )
-    t = rescale_to_constraint(spec.x, None, 0.0, 1e-30, mode="volume", spec=spec)
+    t = solver._volume_rescale(spec.x, 1e-30, spec)[0]
     assert t == pytest.approx(4.1274e-9, rel=1e-4)
     assert volume(build_polytope(spec.with_x(t * spec.x))) == pytest.approx(1e-30, rel=1e-9)
     with pytest.raises(UnreachableTargetError, match="failed to bracket"):
-        rescale_to_constraint(spec.x, None, 0.0, 1e-40, mode="volume", spec=spec)
+        solver._volume_rescale(spec.x, 1e-40, spec)[0]
 
 
 # ------------------------------------------------------------------- residual
