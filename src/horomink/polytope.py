@@ -92,6 +92,9 @@ _ATAN_POWERS = np.arange(26)
 _ATAN_SERIES = (-1.0) ** _ATAN_POWERS / (2 * _ATAN_POWERS + 3)
 # the n = 2 tube volume over 2 pi h^5 (see t_body_volume), by the same powers
 _TUBE_SERIES = (2 * _ATAN_POWERS + 2) / (3 * (2 * _ATAN_POWERS + 5))
+# (sinh u - u) / u^3 = sum_k u^(2k) / (2k + 3)!, highest power first (for
+# np.polyval); 12 terms reach roundoff for u < 2
+_SINH_SERIES = np.array([1.0 / math.factorial(2 * k + 3) for k in range(11, -1, -1)])
 
 # An n = 2 facet's arcs are first swept over this many of its disks; the
 # rest join only where they cut the result.
@@ -768,17 +771,35 @@ def _cone_kernel(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     delta = 1e-2 a 4-node Gauss-Legendre mean of F takes over (F is analytic
     in cosh r away from -1, so on so short an interval that is exact to
     roundoff).
+
+    On a small body x and delta are both small and cosh r rounds to 1, so
+    every quantity is formed from cosh r - 1 = 2 sinh(x / 2)^2 + delta
+    instead (_cone_terms), and cosh r - e^{-x} as (cosh r - 1) - expm1(-x).
     """
     a = np.exp(-x)
-    r = np.arccosh(np.cosh(x) + delta)
+    bend = 2.0 * np.sinh(0.5 * x) ** 2
+    r, sh, _ = _cone_terms(bend + delta)
     with np.errstate(divide="ignore", invalid="ignore"):
-        closed = (delta + a * (r * (np.sinh(x) - delta) / np.sinh(r) - x)) / (4.0 * delta)
+        closed = (delta + a * (r * (np.sinh(x) - delta) / sh - x)) / (4.0 * delta)
     nodes, weights = _KERNEL_NODES
-    lift = np.cosh(x)[..., None] + 0.5 * delta[..., None] * (1.0 + nodes)
-    rr = np.arccosh(lift)
-    sh = np.sinh(rr)
-    density = (sh * lift - rr) * (lift - a[..., None]) / (2.0 * sh**3)
+    lift = bend[..., None] + 0.5 * delta[..., None] * (1.0 + nodes)
+    rr, sh, excess = _cone_terms(lift)
+    density = excess * (lift - np.expm1(-x)[..., None]) / (2.0 * sh**3)
     return np.where(delta < 1e-2, 0.25 * np.sum(weights * density, axis=-1), closed)
+
+
+def _cone_terms(lift: np.ndarray):
+    """(r, sinh r, sinh r cosh r - r) from lift = cosh r - 1 >= 0.
+
+    r = 2 asinh(sqrt(lift / 2)) and sinh r = sqrt(lift (lift + 2)) keep
+    their relative digits for small r, where arccosh(1 + lift) would not,
+    and below r = 1 the difference sinh r cosh r - r = (sinh 2r - 2r) / 2
+    is summed as its series 4 r^3 sum_k (4 r^2)^k / (2k + 3)!.
+    """
+    r = 2.0 * np.arcsinh(np.sqrt(0.5 * lift))
+    sh = np.sqrt(lift) * np.sqrt(lift + 2.0)
+    series = 4.0 * r**3 * np.polyval(_SINH_SERIES, 4.0 * r * r)
+    return r, sh, np.where(r < 1.0, series, sh * (1.0 + lift) - r)
 
 
 def _arc_volume(spec: PolytopeSpec, arcs: _FacetArcs) -> float:
@@ -1293,7 +1314,13 @@ def t_body_volume(r: float, n: int) -> float:
     Where sigma or h is below 1/2 the sums of positive series are taken
     (for n = 1 that of _volume_closed_plane), since there the closed forms
     cancel to r^3 and r^5. For n >= 3, an adaptive 1-D integral in the
-    half-space chart.
+    half-space chart: kappa_n times the integral over y in [1, e^r] of
+    width^n / y^(n + 1), width = sqrt(a y - y^2) - e^(r/2), a = e^r + 1.
+    It is taken in u = log y, where dy / y^(n + 1) = du / y^n, with the
+    width in the form (y - 1)(e^r - y) / (sqrt(y (a - y)) + e^(r/2)) and
+    y - 1 = expm1(u), e^r - y = y expm1(r - u), a - y = 1 + y expm1(r - u),
+    so that nothing cancels. (Taken in y, with the width as a difference of
+    two numbers of size e^(r/2), the rule read -238.8 at r = 15 for n = 3.)
     """
     if r <= 0.0:
         raise ValueError("needs r > 0")
@@ -1311,17 +1338,13 @@ def t_body_volume(r: float, n: int) -> float:
             q = h * h
             return 2.0 * math.pi * h * q * q * float(np.power(q, _ATAN_POWERS) @ _TUBE_SERIES)
         return math.pi * (2.0 / 3.0 * math.sinh(0.5 * r) ** 3 / math.cosh(0.5 * r) - r + 2.0 * h)
-    er = math.exp(r)
-    a = er + 1.0
-    half = math.exp(r / 2.0)
+    half = math.exp(0.5 * r)
 
-    def integrand(y: float) -> float:
-        width = math.sqrt(max(a * y - y * y, 0.0)) - half
-        if width <= 0.0:
-            return 0.0
-        return width**n / y ** (n + 1)
+    def integrand(u: float) -> float:
+        y, far = math.exp(u), math.expm1(r - u)
+        return (math.expm1(u) * far / (math.sqrt(y * (1.0 + y * far)) + half)) ** n
 
-    value, _ = _adaptive_quad(integrand, 1.0, er, epsabs=1e-12, epsrel=1e-10, limit=200)
+    value, _ = _adaptive_quad(integrand, 0.0, r, epsabs=0.0, epsrel=1e-13, limit=200)
     return unit_ball_volume(n) * value
 
 

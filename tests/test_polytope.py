@@ -1021,6 +1021,44 @@ def test_cone_kernel_matches_adaptive_quadrature():
             assert value == pytest.approx(0.5 * mean, rel=1e-10)
 
 
+def cube_volume_digits(s: float):
+    """Volume of the cube with horoballs of scale s at +-e_1, +-e_2, +-e_3,
+    integrated in polar coordinates about O at 80 digits.
+
+    The facet of -e_3 is hit first along theta where theta_3 >= |theta_1|,
+    |theta_2| (a horoball bounds the body on the side away from its ideal
+    point), eight congruent triangles 0 <= v <= u <= 1 in the gnomonic
+    coordinates theta ~ (u, v, 1); there cosh r - c sinh r = e^s with
+    c = theta_3 gives the radial function, and the cone over d theta holds
+    the integral of sinh(r)^2 from 0 to it, sinh(2 r) / 4 - r / 2. At s =
+    1e-11 that difference, and log e^r, cost about 33 of the 80 digits."""
+    import mpmath
+
+    with mpmath.workdps(80):
+        big = mpmath.exp(mpmath.mpf(s))
+
+        def cone(u, v):
+            q = 1 + u * u + v * v
+            c = 1 / mpmath.sqrt(q)
+            r = mpmath.log((big + mpmath.sqrt(big * big - 1 + c * c)) / (1 + c))
+            return (mpmath.sinh(2 * r) / 4 - r / 2) / q ** mpmath.mpf(1.5)
+
+        inner = lambda u: mpmath.quad(lambda v: cone(u, v), [0, u], method="gauss-legendre")  # noqa: E731
+        return 48 * mpmath.quad(inner, [0, 1], method="gauss-legendre")
+
+
+def test_small_cubes_keep_their_volume():
+    # the kernel read arccosh(cosh x + delta), which rounds to 0 for small x
+    # and delta: 4.5e-6 relative error at s = 1e-6, 6.7e-4 at 1e-7 and NaN
+    # from 1e-8 on. Measured now: 5.6e-10 and 6.3e-10 at 1e-6 and 1e-7, at
+    # most 1.7e-7 down to 1e-11; what is left comes from rho^2 along the
+    # arcs, |c + w u(t)|^2 with c and w of size 1 and rho of size s
+    cube = PolytopeSpec(n=2, directions=np.vstack([np.eye(3), -np.eye(3)]), x=np.ones(6))
+    for s in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11):
+        got = volume(build_polytope(cube.with_x(np.full(6, s))))
+        assert abs(got / float(cube_volume_digits(s)) - 1.0) <= (1e-9 if s >= 1e-7 else 2e-7)
+
+
 # ------------------------------------------------------------- canonical form
 
 def test_canonicalize_lens_fixed_point(lens):
@@ -1245,7 +1283,7 @@ def tube_volume_50_digits(r: float, n: int):
 
         # the integrand vanishes at both ends, y = 1 and y = e^r
         value = mpmath.quad(integrand, [1, mpmath.sqrt(er), er])
-        return (2 if n == 1 else mpmath.pi) * value
+        return mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1) * value
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -1255,6 +1293,17 @@ def test_t_body_volume_closed_forms_match_50_digit_quadrature(n):
     radii = np.concatenate([np.geomspace(1e-3, 20.0, 13), [0.96, 1.1, 1.2]])
     worst = max(
         abs(t_body_volume(float(r), n) / float(tube_volume_50_digits(float(r), n)) - 1.0) for r in radii
+    )
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_t_body_volume_matches_50_digit_quadrature_past_r14(n):
+    # the adaptive rule in y read t_body_volume(15, 3) = -238.8 (8.25e8
+    # expected); in u = log y it stays within 1e-14 of 50 digits
+    worst = max(
+        abs(t_body_volume(r, n) / float(tube_volume_50_digits(r, n)) - 1.0)
+        for r in (0.01, 1.0, 5.0, 14.0, 15.0, 20.0, 30.0)
     )
     assert worst <= 1e-12
 
