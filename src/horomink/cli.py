@@ -322,10 +322,12 @@ def _emit(payload: dict):
 
 
 def _rule_from_args(n: int, args):
+    """The scan rule the --quad-* flags ask for, validated in every
+    dimension but built only for n >= 3: n <= 2 bodies read no scan."""
     _flag(args.quad_nodes, "--quad-nodes", minimum=2)
     _flag(args.seed, "--seed", minimum=0)
     _check_rule_kind(n, args.quad_kind, "--quad-kind")
-    if args.quad_nodes is None and args.quad_kind is None:
+    if n <= 2 or (args.quad_nodes is None and args.quad_kind is None):
         return None
     return build_quadrature(n, args.quad_nodes, _QUAD_KINDS.get(args.quad_kind), args.seed or 0)
 

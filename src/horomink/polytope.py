@@ -58,7 +58,7 @@ from .geometry import (
     polar_point,
     safe_acosh,
 )
-from .horoball import Horoball, busemann_value, horoball_transform, radial_matrix
+from .horoball import Horoball, horoball_transform, radial_matrix
 from .quadrature import SphereQuadrature, build_quadrature, sinh_power_integral, unit_ball_volume
 
 # For n >= 3, a listed direction supports the body when its scale matches
@@ -508,12 +508,14 @@ def _planar_boundary(spec: PolytopeSpec) -> _PlanarBoundary:
 
 
 def _vertex_values(starts: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """-<X, (v, 1)> at every vertex X (columns) for each row v.
+    """-<X, (v, 1)> at every point X (rows of starts, hyperboloid
+    coordinates; columns of the result) for each row v, in any dimension.
 
-    Along a horocycle that is a convex quadratic in s (_chart_quadratic),
-    so its largest value over an arc sits at one of the arc's ends.
+    For a unit v its log is the Busemann value f_v(X). Along a horocycle
+    it is a convex quadratic in s (_chart_quadratic), so its largest value
+    over a planar arc sits at one of the arc's ends.
     """
-    return starts[None, :, 2] - v @ starts[:, :2].T
+    return starts[None, :, -1] - v @ starts[:, :-1].T
 
 
 def _volume_closed_plane(spec: PolytopeSpec, arcs: _PlanarBoundary) -> float:
@@ -1233,8 +1235,7 @@ def separate(poly: HConvexPolytope, point: HyperboloidPoint) -> Horoball:
     spec = poly.spec
     if point.n != poly.n:
         raise SpecError("point dimension mismatch")
-    gaps = [busemann_value(Direction(spec.directions[i]), point) - float(spec.x[i]) for i in range(spec.count)]
-    if max(gaps) <= 0.0:
+    if np.all(np.log(_vertex_values(point.coords[None, :], spec.directions)[:, 0]) <= spec.x):
         raise PointInsideError("the point is not strictly outside the body")
     if poly.boundary is not None:
         nearest = HyperboloidPoint(_exact_nearest(spec, poly.boundary, point.coords))

@@ -348,6 +348,54 @@ def test_volume_of_an_unresolvable_body_exits_4(tmp_path, capsys):
     assert "too small to resolve" in err
 
 
+@pytest.mark.parametrize("command", ["volume", "oracle-volume"])
+def test_zero_scale_pairs_exit_4(tmp_path, command, capsys):
+    # an even pair of scale 0 pins the body to the point O, which is no body
+    body = write_json(
+        tmp_path / "point.json",
+        {
+            "schema_version": "1",
+            "n": 1,
+            "even": True,
+            "horoballs": [
+                {"direction": [1.0, 0.0], "x": 0.0},
+                {"direction": [-1.0, 0.0], "x": 0.0},
+                {"direction": [0.0, 1.0], "x": 1.0},
+                {"direction": [0.0, -1.0], "x": 1.0},
+            ],
+        },
+    )
+    assert main([command, "--body", body]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("geometry error:")
+    assert "basepoint" in err
+
+
+def test_volume_builds_a_rule_only_for_n3(tmp_path, monkeypatch, capsys):
+    # n <= 2 bodies read no scan, so their --quad-* flags are validated
+    # (see test_invalid_user_input_exits_2) but build nothing
+    calls = []
+    real = horomink.cli.build_quadrature
+    monkeypatch.setattr(horomink.cli, "build_quadrature", lambda *args: calls.append(args) or real(*args))
+    for n, kind in ((1, "grid"), (1, "mc"), (2, "product"), (2, "mc"), (3, "mc")):
+        dirs = np.zeros((2, n + 1))
+        dirs[:, 0] = [1.0, -1.0]
+        body = write_json(
+            tmp_path / f"body{n}.json",
+            {
+                "schema_version": "1",
+                "n": n,
+                "horoballs": [{"direction": d.tolist(), "x": LOG2} for d in dirs],
+            },
+        )
+        calls.clear()
+        assert main(["volume", "--body", body, "--quad-kind", kind, "--quad-nodes", "400"]) == 0
+        assert len(calls) == (n == 3)
+    spec = PolytopeSpec(n=3, directions=dirs, x=np.array([LOG2, LOG2]))
+    rule = build_quadrature(3, 400, "monte-carlo", 0)
+    assert last_json(capsys)["volume"] == volume(build_polytope(spec, scan=rule))
+
+
 @pytest.mark.parametrize("kind", ["grid", "mc", "product"])
 def test_volume_quad_kind(tmp_path, kind, capsys):
     n = 2 if kind == "product" else 1
