@@ -93,8 +93,8 @@ _ATAN_SERIES = (-1.0) ** _ATAN_POWERS / (2 * _ATAN_POWERS + 3)
 # the n = 2 tube volume over 2 pi h^5 (see t_body_volume), by the same powers
 _TUBE_SERIES = (2 * _ATAN_POWERS + 2) / (3 * (2 * _ATAN_POWERS + 5))
 # (sinh u - u) / u^3 = sum_k u^(2k) / (2k + 3)!, highest power first (for
-# np.polyval); 12 terms reach roundoff for u < 2
-_SINH_SERIES = np.array([1.0 / math.factorial(2 * k + 3) for k in range(11, -1, -1)])
+# np.polyval); 9 terms reach roundoff for u < 1
+_SINH_SERIES = np.array([1.0 / math.factorial(2 * k + 3) for k in range(8, -1, -1)])
 
 # An n = 2 facet's arcs are first swept over this many of its disks; the
 # rest join only where they cut the result.
@@ -776,32 +776,29 @@ def _cone_kernel(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
     On a small body x and delta are both small and cosh r rounds to 1, so
     every quantity is formed from cosh r - 1 = 2 sinh(x / 2)^2 + delta
-    instead (_cone_terms), and cosh r - e^{-x} as (cosh r - 1) - expm1(-x).
+    instead (_cone_radius), cosh r - e^{-x} as (cosh r - 1) - expm1(-x),
+    and sinh r cosh r - r below r = 1/2 as a series.
     """
     a = np.exp(-x)
     bend = 2.0 * np.sinh(0.5 * x) ** 2
-    r, sh, _ = _cone_terms(bend + delta)
+    r, sh = _cone_radius(bend + delta)
     with np.errstate(divide="ignore", invalid="ignore"):
         closed = (delta + a * (r * (np.sinh(x) - delta) / sh - x)) / (4.0 * delta)
     nodes, weights = _KERNEL_NODES
     lift = bend[..., None] + 0.5 * delta[..., None] * (1.0 + nodes)
-    rr, sh, excess = _cone_terms(lift)
+    r, sh = _cone_radius(lift)
+    # sinh r cosh r - r = (sinh 2r - 2r) / 2 = 4 r^3 sum_k (4 r^2)^k / (2k + 3)!
+    series = 4.0 * r**3 * np.polyval(_SINH_SERIES, 4.0 * r * r)
+    excess = np.where(r < 0.5, series, sh * (1.0 + lift) - r)
     density = excess * (lift - np.expm1(-x)[..., None]) / (2.0 * sh**3)
     return np.where(delta < 1e-2, 0.25 * np.sum(weights * density, axis=-1), closed)
 
 
-def _cone_terms(lift: np.ndarray):
-    """(r, sinh r, sinh r cosh r - r) from lift = cosh r - 1 >= 0.
-
-    r = 2 asinh(sqrt(lift / 2)) and sinh r = sqrt(lift (lift + 2)) keep
-    their relative digits for small r, where arccosh(1 + lift) would not,
-    and below r = 1 the difference sinh r cosh r - r = (sinh 2r - 2r) / 2
-    is summed as its series 4 r^3 sum_k (4 r^2)^k / (2k + 3)!.
-    """
-    r = 2.0 * np.arcsinh(np.sqrt(0.5 * lift))
-    sh = np.sqrt(lift) * np.sqrt(lift + 2.0)
-    series = 4.0 * r**3 * np.polyval(_SINH_SERIES, 4.0 * r * r)
-    return r, sh, np.where(r < 1.0, series, sh * (1.0 + lift) - r)
+def _cone_radius(lift: np.ndarray):
+    """(r, sinh r) from lift = cosh r - 1 >= 0: r = 2 asinh(sqrt(lift / 2))
+    and sinh r = sqrt(lift (lift + 2)) keep their relative digits for small
+    r, where arccosh(1 + lift) would not."""
+    return 2.0 * np.arcsinh(np.sqrt(0.5 * lift)), np.sqrt(lift) * np.sqrt(lift + 2.0)
 
 
 def _arc_volume(spec: PolytopeSpec, arcs: _FacetArcs) -> float:
@@ -1320,8 +1317,7 @@ def t_body_volume(r: float, n: int) -> float:
     It is taken in u = log y, where dy / y^(n + 1) = du / y^n, with the
     width in the form (y - 1)(e^r - y) / (sqrt(y (a - y)) + e^(r/2)) and
     y - 1 = expm1(u), e^r - y = y expm1(r - u), a - y = 1 + y expm1(r - u),
-    so that nothing cancels. (Taken in y, with the width as a difference of
-    two numbers of size e^(r/2), the rule read -238.8 at r = 15 for n = 3.)
+    so that nothing cancels.
     """
     if r <= 0.0:
         raise ValueError("needs r > 0")
