@@ -155,7 +155,7 @@ def test_rescale_rejects_bad_input():
 
 
 def counted(monkeypatch, name: str) -> list:
-    """Count the calls rescale_to_constraint makes to solver.<name>."""
+    """Count the calls a rescale makes to solver.<name>."""
     calls = []
     original = getattr(solver, name)
 
@@ -225,7 +225,7 @@ def test_rescale_unbracketable_targets():
         n=1, directions=np.array([[1.0, 0.0], [-1.0, 0.0]]), x=np.array([1.0, 1.0]), even=True
     )
     with pytest.raises(UnreachableTargetError):
-        solver._volume_rescale(1e-10 * spec.x, 1.0, spec)[0]
+        solver._volume_rescale(1e-10 * spec.x, 1.0, spec)
 
 
 def test_rescale_collapsed_bracket_is_unreachable():
@@ -249,7 +249,7 @@ def test_rescale_reads_tiny_planar_volumes():
     assert t == pytest.approx(4.1274e-9, rel=1e-4)
     assert volume(build_polytope(spec.with_x(t * spec.x))) == pytest.approx(1e-30, rel=1e-9)
     with pytest.raises(UnreachableTargetError, match="failed to bracket"):
-        solver._volume_rescale(spec.x, 1e-40, spec)[0]
+        solver._volume_rescale(spec.x, 1e-40, spec)
 
 
 # ------------------------------------------------------------------- residual
