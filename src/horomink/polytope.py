@@ -28,6 +28,11 @@ every dimension. No scan enters there, and the one tolerance (_ARC_TOL)
 only absorbs roundoff where a horoball touches a vertex. For n >= 3 the
 queries maximize over a scan quadrature, refine with Nelder-Mead and
 estimate facet areas by Monte-Carlo over the facet's disks.
+
+SciPy is loaded on first use, through _adaptive_quad, _nm_minimize and
+_scalar_minimize: only the n >= 3 paths (Nelder-Mead refinement and
+t_body_volume) and the n = 2 Hausdorff distance load it, so n <= 2 work
+never does.
 """
 
 from __future__ import annotations
@@ -37,10 +42,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad as _adaptive_quad
-from scipy.optimize import minimize as _nm_minimize
-# Unused here; the benchmark's tracer wraps this name to count Brent runs.
-from scipy.optimize import minimize_scalar as _scalar_minimize  # noqa: F401
 
 from .errors import (
     DegenerateBodyError,
@@ -60,6 +61,33 @@ from .geometry import (
 )
 from .horoball import Horoball, horoball_transform, radial_matrix
 from .quadrature import SphereQuadrature, build_quadrature, sinh_power_integral, unit_ball_volume
+
+# The SciPy functions this module calls, imported on first use (see the
+# module docstring). They stay module attributes, so a caller can wrap or
+# replace them by name.
+
+
+def _adaptive_quad(*args, **kwargs):
+    """scipy.integrate.quad."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
+
+
+def _nm_minimize(*args, **kwargs):
+    """scipy.optimize.minimize."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
+
+
+def _scalar_minimize(*args, **kwargs):
+    """scipy.optimize.minimize_scalar; unused here, the benchmark's tracer
+    wraps this name to count Brent runs."""
+    from scipy.optimize import minimize_scalar
+
+    return minimize_scalar(*args, **kwargs)
+
 
 # For n >= 3, a listed direction supports the body when its scale matches
 # the support number this closely.
@@ -634,8 +662,12 @@ def _disk_intersection(c: np.ndarray, w: np.ndarray):
     cuts = dist - np.abs(wa - wb) > slack
     index = np.arange(w.size)
     larger = (wa > wb) | ((wa == wb) & (index[None, :] < index[:, None]))
-    heron = overlap * (dist + wb - wa) * (dist + wa - wb) * (dist + wa + wb)
-    spread = np.arctan2(np.sqrt(np.maximum(heron, 0.0)), wa * wa - wb * wb + dist * dist)
+    # the root of Heron's product (4 times the triangle's area) as a product
+    # of two roots of the size of the radii, so that it stays in the float
+    # range while the radii do
+    offset = np.maximum((dist + wb - wa) * (dist + wa - wb), 0.0)
+    heron = np.sqrt(overlap * (dist + wa + wb)) * np.sqrt(offset)
+    spread = np.arctan2(heron, (wa - wb) * (wa + wb) + dist * dist)
     start = np.mod(np.arctan2(step[..., 1], step[..., 0]) - spread, tau)
     end = start + 2.0 * spread
     wraps = np.count_nonzero(cuts & (end > tau), axis=1)[:, None]
@@ -790,7 +822,8 @@ def _cone_kernel(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     # sinh r cosh r - r = (sinh 2r - 2r) / 2 = 4 r^3 sum_k (4 r^2)^k / (2k + 3)!
     series = 4.0 * r**3 * np.polyval(_SINH_SERIES, 4.0 * r * r)
     excess = np.where(r < 0.5, series, sh * (1.0 + lift) - r)
-    density = excess * (lift - np.expm1(-x)[..., None]) / (2.0 * sh**3)
+    # F / 2, divided by sinh r one factor at a time: sh^3 overflows past x of 236
+    density = (excess / sh) * ((lift - np.expm1(-x)[..., None]) / sh) / (2.0 * sh)
     return np.where(delta < 1e-2, 0.25 * np.sum(weights * density, axis=-1), closed)
 
 
@@ -1306,7 +1339,7 @@ def t_body_volume(r: float, n: int) -> float:
     In closed form for n <= 2: with sigma = sinh(r / 2) and h = tanh(r / 2),
 
         n = 1:  4 (sigma - atan sigma),
-        n = 2:  pi ((2/3) sinh(r/2)^3 / cosh(r/2) - r + 2 h)
+        n = 2:  pi ((2/3) sinh(r/2)^2 h - r + 2 h)
               = 2 pi h^5 sum_j h^(2j) (2j + 2) / (3 (2j + 5)).
 
     Where sigma or h is below 1/2 the sums of positive series are taken
@@ -1317,32 +1350,47 @@ def t_body_volume(r: float, n: int) -> float:
     It is taken in u = log y, where dy / y^(n + 1) = du / y^n, with the
     width in the form (y - 1)(e^r - y) / (sqrt(y (a - y)) + e^(r/2)) and
     y - 1 = expm1(u), e^r - y = y expm1(r - u), a - y = 1 + y expm1(r - u),
-    so that nothing cancels.
+    so that nothing cancels. A volume past the float range raises
+    ValueError.
     """
+    value = _tube_volume(r, n)
+    if math.isinf(value):
+        raise ValueError(f"the volume of T({r:g}) for n = {n} is past the float range")
+    return value
+
+
+def _tube_volume(r: float, n: int) -> float:
+    """t_body_volume, or inf where that is past the float range."""
     if r <= 0.0:
         raise ValueError("needs r > 0")
     if n < 1:
         raise ValueError("needs n >= 1")
-    if n == 1:
-        sigma = math.sinh(0.5 * r)
-        if sigma < 0.5:
-            q = sigma * sigma
-            return 4.0 * sigma * q * float(np.power(q, _ATAN_POWERS) @ _ATAN_SERIES)
-        return 4.0 * (sigma - math.atan(sigma))
-    if n == 2:
-        h = math.tanh(0.5 * r)
-        if h < 0.5:
-            q = h * h
-            return 2.0 * math.pi * h * q * q * float(np.power(q, _ATAN_POWERS) @ _TUBE_SERIES)
-        return math.pi * (2.0 / 3.0 * math.sinh(0.5 * r) ** 3 / math.cosh(0.5 * r) - r + 2.0 * h)
-    half = math.exp(0.5 * r)
+    try:
+        if n == 1:
+            sigma = math.sinh(0.5 * r)
+            if sigma < 0.5:
+                q = sigma * sigma
+                return 4.0 * sigma * q * float(np.power(q, _ATAN_POWERS) @ _ATAN_SERIES)
+            return 4.0 * (sigma - math.atan(sigma))
+        if n == 2:
+            h = math.tanh(0.5 * r)
+            if h < 0.5:
+                q = h * h
+                return 2.0 * math.pi * h * q * q * float(np.power(q, _ATAN_POWERS) @ _TUBE_SERIES)
+            return math.pi * (2.0 / 3.0 * math.sinh(0.5 * r) ** 2 * h - r + 2.0 * h)
+        half = math.exp(0.5 * r)
+        # the integrand peaks near e^(n r / 2); integrating it over 2^shift
+        # keeps the quadrature's sums in range, and scales by a power of 2 exactly
+        shift = int(0.5 * n * r / math.log(2.0))
 
-    def integrand(u: float) -> float:
-        y, far = math.exp(u), math.expm1(r - u)
-        return (math.expm1(u) * far / (math.sqrt(y * (1.0 + y * far)) + half)) ** n
+        def integrand(u: float) -> float:
+            y, far = math.exp(u), math.expm1(r - u)
+            return math.ldexp((math.expm1(u) * far / (math.sqrt(y * (1.0 + y * far)) + half)) ** n, -shift)
 
-    value, _ = _adaptive_quad(integrand, 0.0, r, epsabs=0.0, epsrel=1e-13, limit=200)
-    return unit_ball_volume(n) * value
+        value, _ = _adaptive_quad(integrand, 0.0, r, epsabs=0.0, epsrel=1e-13, limit=200)
+        return math.ldexp(unit_ball_volume(n) * value, shift)
+    except OverflowError:
+        return math.inf
 
 
 def t_body_volume_lower_bound(r: float, n: int) -> float:
@@ -1364,19 +1412,20 @@ def boundedness_bound(max_volume: float, n: int) -> float:
 
     Any body of volume at most max_volume has every support number below
     this bound: a support number of size r forces the body to contain a
-    congruent copy of T(r).
+    congruent copy of T(r). A tube volume past the float range exceeds
+    every max_volume; a bound past r = 256 raises ValueError.
     """
     if max_volume <= 0.0:
         raise ValueError("needs max_volume > 0")
     lo, hi = 0.0, 1.0
-    while t_body_volume(hi, n) <= max_volume:
+    while _tube_volume(hi, n) <= max_volume:
         lo = hi
         hi *= 2.0
         if hi > 256.0:
             raise ValueError("max_volume too large to bracket")
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if t_body_volume(mid, n) > max_volume:
+        if _tube_volume(mid, n) > max_volume:
             hi = mid
         else:
             lo = mid

@@ -1059,6 +1059,20 @@ def test_small_cubes_keep_their_volume():
         assert abs(got / float(cube_volume_digits(s)) - 1.0) <= (1e-9 if s >= 1e-7 else 2e-7)
 
 
+def test_large_cubes_keep_their_volume_and_areas():
+    # V e^{-2s} and S e^{-2s} tend to constants. _disk_intersection's Heron
+    # product overflowed from s of about 177 on, and the kernel's sinh(r)^3
+    # from about 236: V e^{-2s} read 6.8496 instead of 1.8909 from s = 180
+    # on, with RuntimeWarnings (errors under this suite's filter)
+    cube = PolytopeSpec(n=2, directions=np.vstack([np.eye(3), -np.eye(3)]), x=np.ones(6))
+    scaled = []
+    for s in (50.0, 100.0, 180.0, 240.0, 340.0):
+        poly = build_polytope(cube.with_x(np.full(6, s)))
+        scaled.append(np.array([volume(poly), facet_area(poly, 0)]) * math.exp(-2.0 * s))
+    assert scaled[0][0] == pytest.approx(1.8908804617663, rel=1e-12)
+    assert np.max(np.abs(np.array(scaled) / scaled[0] - 1.0)) <= 1e-13
+
+
 # ------------------------------------------------------------- canonical form
 
 def test_canonicalize_lens_fixed_point(lens):
@@ -1329,6 +1343,30 @@ def test_boundedness_bound_runs_no_quadrature_for_planar_and_n2(monkeypatch):
     # the quadrature read about 0 past r = 14, so for n = 2 and volumes above
     # t_body_volume(8, 2) = 1.5e3 the bracket search went on until it overflowed
     assert t_body_volume(boundedness_bound(2000.0, 2), 2) > 2000.0
+
+
+def test_tube_volumes_past_the_float_range():
+    # these raised a bare OverflowError from math (or read inf at r = 1419,
+    # n = 1); at n = 6, r = 239 the quadrature's sums overflowed first
+    for r, n in ((250.0, 6), (239.0, 6), (711.0, 2), (1419.0, 1), (1500.0, 1)):
+        with pytest.raises(ValueError, match="float range"):
+            t_body_volume(r, n)
+    # n = 2 formed sinh(r/2)^3, which overflowed at r = 500 although the
+    # volume is 7.3e216
+    import mpmath
+
+    with mpmath.workdps(30):
+        half = mpmath.mpf(250)
+        cap = 2 * mpmath.sinh(half) ** 3 / (3 * mpmath.cosh(half))
+        want = mpmath.pi * (cap - 500 + 2 * mpmath.tanh(half))
+    assert t_body_volume(500.0, 2) == pytest.approx(float(want), rel=1e-14)
+    # a tube past the float range exceeds every volume, so the bound exists
+    # (it raised OverflowError); where it lies past r = 256 it is refused
+    bound = boundedness_bound(1e300, 6)
+    assert t_body_volume(bound - 1e-6, 6) <= 1e300 < t_body_volume(bound, 6)
+    for n in (1, 2, 3, 4, 5):
+        with pytest.raises(ValueError, match="too large to bracket"):
+            boundedness_bound(1e300, n)
 
 
 def test_boundedness_bound_contract():

@@ -31,3 +31,12 @@ def test_tracer_installs_and_unpatches():
     for owner, names in zip(owners, before):
         for name, value in names.items():
             assert getattr(owner, name) is value, f"{owner.__name__}.{name} not restored"
+
+
+def test_scipy_shims_are_polytope_functions():
+    # the tracer wraps the minimizers by these names, and a test replaces
+    # the quadrature by its name; SciPy itself is imported on first call
+    for name in ("_nm_minimize", "_scalar_minimize", "_adaptive_quad"):
+        shim = getattr(polytope, name)
+        assert callable(shim)
+        assert shim.__module__ == "horomink.polytope", name
