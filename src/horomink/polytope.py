@@ -429,6 +429,13 @@ def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
     `same` marks the horoballs about the ideal point of horosphere i
     (including i itself); their entries are not finite, and each holds all
     of horosphere i or none of it (see _eclipsed).
+
+    Since |c_ik|^2 = power + w_ik^2, bounding |power| and w_ik^2 bounds
+    the squares of centers and radii. An n = 1 build squares them once (the
+    chart points' |s|^2), and for n >= 2 products of two of them stay below
+    16 times the largest square (Heron's product in _disk_intersection,
+    rho^2 in _arc_volume); a body whose disks leave room for neither, as
+    x_i + x_k nears log(float max) = 709.8, raises SpecError.
     """
     x, coords = spec.x, np.ascontiguousarray(spec.directions.T)
     # e_k - e_i and e_k + e_i, coordinate first: numpy's inner loops then
@@ -444,7 +451,7 @@ def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
     # the pair arrays are the largest here (m x m x (n + 1)); let them go
     # before the m x m results are formed
     del gap, side
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         center = 2.0 * np.exp(x[rows, None, None]) * toward / chord_sq[..., None]
         lift = 4.0 * np.expm1(x[rows, None] + x)
         width_sq = lift + side_sq
@@ -452,7 +459,15 @@ def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
         power = side_sq * np.expm1(2.0 * x[rows, None])
         power -= lift
         power /= chord_sq
-    return center, width_sq, power, chord_sq <= 1e-24
+    same = chord_sq <= 1e-24
+    # NaN fails the comparison, so it counts as out of range too
+    size = np.where(same, 0.0, np.maximum(np.abs(width_sq), np.abs(power)))
+    if not np.max(size) <= (2.0**1023 if spec.n == 1 else 2.0**1020):
+        raise SpecError(
+            f"the body is past the float range: its disks in the horospheres' charts "
+            f"hold e^(x_i + x_k) with scales up to {float(np.max(x)):g}"
+        )
+    return center, width_sq, power, same
 
 
 def _eclipsed(spec: PolytopeSpec, rows: np.ndarray, same: np.ndarray) -> np.ndarray:
@@ -633,9 +648,16 @@ def _on_circle(c: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
     return c + w[..., None] * np.stack(np.broadcast_arrays(np.cos(t), np.sin(t)), axis=-1)
 
 
-def _disk_intersection(c: np.ndarray, w: np.ndarray):
-    """Arcs (circle, lo, hi) bounding the common part of the disks
-    |s - c_a| <= w_a, counterclockwise; empty when that is at most a point.
+def _disk_intersection(c: np.ndarray, w: np.ndarray, valid: np.ndarray):
+    """Arcs (row, circle, lo, hi) bounding, for each row r, the common part of
+    the disks |s - c[r, a]| <= w[r, a] with valid[r, a], counterclockwise; a
+    row keeps no arc when that part is at most a point.
+
+    c is (rows, K, 2) and w and valid are (rows, K). The entries where valid
+    is False pad the rows to one length K: they take part in no decision,
+    only need to be finite, and leave the arithmetic of every valid entry
+    as it would be without them, so the arcs of a row do not depend on what
+    other rows it is swept with.
 
     On circle a, every disk b that crosses it keeps the angles within
     atan2(h, d) of the direction of c_b - c_a, where h is half the common
@@ -647,54 +669,55 @@ def _disk_intersection(c: np.ndarray, w: np.ndarray):
     or whose gap between one nested in the other, is below _ARC_TOL of
     their radii count as touching, decided once per pair; pieces shorter
     than _ARC_TOL (relative to 2 pi) are roundoff at a vertex where three
-    or more circles meet.
+    or more circles meet. Arcs come row by row, circle by circle, in the
+    order of their angles.
     """
     tau = 2.0 * math.pi
-    step = c[None, :, :] - c[:, None, :]
+    step = c[:, None, :, :] - c[:, :, None, :]
     dist = np.hypot(step[..., 0], step[..., 1])
-    wa, wb = w[:, None], w[None, :]
+    wa, wb = w[:, :, None], w[:, None, :]
+    pair = valid[:, :, None] & valid[:, None, :]
     slack = _ARC_TOL * (wa + wb)
     overlap = wa + wb - dist
-    if np.any(overlap <= slack):
-        return np.empty(0, dtype=int), np.empty(0), np.empty(0)
+    # two disks apart (or touching) leave their row no arc
+    apart = np.any(pair & (overlap <= slack), axis=(1, 2))
     # a disk that holds another bounds nothing there; the other lies outside
     # it (of two equal disks, the first listed bounds)
-    cuts = dist - np.abs(wa - wb) > slack
-    index = np.arange(w.size)
+    cuts = pair & (dist - np.abs(wa - wb) > slack)
+    index = np.arange(w.shape[1])
     larger = (wa > wb) | ((wa == wb) & (index[None, :] < index[:, None]))
+    bounding = valid & ~np.any(pair & ~cuts & larger, axis=2) & ~apart[:, None]
     # the root of Heron's product (4 times the triangle's area) as a product
     # of two roots of the size of the radii, so that it stays in the float
-    # range while the radii do
+    # range while the radii do; overlap < 0 only on pairs of rows apart
     offset = np.maximum((dist + wb - wa) * (dist + wa - wb), 0.0)
-    heron = np.sqrt(overlap * (dist + wa + wb)) * np.sqrt(offset)
+    heron = np.sqrt(np.maximum(overlap, 0.0) * (dist + wa + wb)) * np.sqrt(offset)
     spread = np.arctan2(heron, (wa - wb) * (wa + wb) + dist * dist)
     start = np.mod(np.arctan2(step[..., 1], step[..., 0]) - spread, tau)
     end = start + 2.0 * spread
-    wraps = np.count_nonzero(cuts & (end > tau), axis=1)[:, None]
-    ends = np.concatenate([start, np.where(end > tau, end - tau, end)], axis=1)
-    ends = np.where(np.concatenate([cuts, cuts], axis=1), ends, tau)
-    order = np.argsort(ends, axis=1, kind="stable")
-    flips = np.take_along_axis(np.concatenate([cuts, -1 * cuts], axis=1), order, axis=1)
-    bounds = np.concatenate(
-        [np.zeros(wraps.shape), np.take_along_axis(ends, order, axis=1), np.full(wraps.shape, tau)],
-        axis=1,
-    )
-    # cover[a, j]: how many of the intervals hold the piece bounds[a, j : j + 2]
-    cover = np.concatenate([wraps, wraps + np.cumsum(flips, axis=1)], axis=1)
-    lo, hi = bounds[:, :-1].copy(), bounds[:, 1:]
+    wraps = np.count_nonzero(cuts & (end > tau), axis=2)[..., None]
+    ends = np.concatenate([start, np.where(end > tau, end - tau, end)], axis=2)
+    ends = np.where(np.concatenate([cuts, cuts], axis=2), ends, tau)
+    order = np.argsort(ends, axis=2, kind="stable")
+    sorted_by = (np.arange(w.shape[0])[:, None, None], index[None, :, None], order)
+    flips = np.concatenate([cuts, -1 * cuts], axis=2)[sorted_by]
+    bounds = np.concatenate([np.zeros(wraps.shape), ends[sorted_by], np.full(wraps.shape, tau)], axis=2)
+    # cover[r, a, j]: how many of the intervals hold the piece bounds[r, a, j : j + 2]
+    cover = np.concatenate([wraps, wraps + np.cumsum(flips, axis=2)], axis=2)
+    lo, hi = bounds[..., :-1].copy(), bounds[..., 1:]
     keep = (
-        (cover == np.count_nonzero(cuts, axis=1)[:, None])
-        & ~np.any(~cuts & larger, axis=1)[:, None]
+        (cover == np.count_nonzero(cuts, axis=2)[..., None])
+        & bounding[..., None]
         & (hi - lo > _ARC_TOL * tau)
     )
     # a piece that ends at 2 pi goes on into the one that starts at 0
-    closing = keep[:, 1:] & (hi[:, 1:] == tau)
-    joined = np.flatnonzero(keep[:, 0] & np.any(closing, axis=1))
-    last = 1 + np.argmax(closing[joined], axis=1)
-    lo[joined, 0] = lo[joined, last] - tau
-    keep[joined, last] = False
-    a, j = np.nonzero(keep)
-    return a, lo[a, j], hi[a, j]
+    closing = keep[..., 1:] & (hi[..., 1:] == tau)
+    r, a = np.nonzero(keep[..., 0] & np.any(closing, axis=2))
+    last = 1 + np.argmax(closing[r, a], axis=1)
+    lo[r, a, 0] = lo[r, a, last] - tau
+    keep[r, a, last] = False
+    r, a, j = np.nonzero(keep)
+    return r, a, lo[r, a, j], hi[r, a, j]
 
 
 def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
@@ -702,49 +725,85 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
 
     Facet i is the common part of the disks that the other horoballs cut
     from horosphere i (_shadows). Most of those disks hold the whole facet,
-    so the arcs come from the _SWEEP_START disks that hold the middle of
-    their bounding boxes' overlap most tightly; every disk that does not
-    hold the common part of those (to within _ARC_TOL, checked on its arcs)
-    joins them, until none is left. A facet is nonempty exactly when it
-    keeps an arc.
+    so each facet is first swept over the _SWEEP_START disks that hold the
+    middle of their bounding boxes' overlap most tightly, every facet in one
+    batched pass (_disk_intersection; its arrays hold facets x _SWEEP_START
+    x 2 _SWEEP_START entries, whatever the count of horoballs). A facet with
+    more disks than that and an arc goes on into the growth loop
+    (_grow_facet). A facet is nonempty exactly when it keeps an arc.
     """
-    rows = np.arange(spec.count)
+    count = spec.count
     frames = _chart_frames(spec.directions)
-    center, width_sq, _, same = _shadows(spec, rows, frames)
-    empty = _eclipsed(spec, rows, same) | np.any(~same & (width_sq <= 0.0), axis=1)
-    # (facet, center, width, lo, hi) per facet, after one empty entry
-    parts = [(np.empty(0, dtype=int), np.empty((0, 2)), np.empty(0), np.empty(0), np.empty(0))]
-    for i in np.flatnonzero(~empty):
-        c, w = center[i, ~same[i]], np.sqrt(width_sq[i, ~same[i]])
-        low, high = np.max(c - w[:, None], axis=0), np.min(c + w[:, None], axis=0)
-        if np.any(low >= high):
-            continue
-        clearance = w - np.hypot(*(0.5 * (low + high) - c).T)
-        chosen = np.sort(np.argsort(clearance, kind="stable")[:_SWEEP_START])
-        while True:
-            a, lo, hi = _disk_intersection(c[chosen], w[chosen])
-            a = chosen[a]
-            if a.size == 0 or chosen.size == w.size:
-                break
-            # |s - c_k|^2 is largest at an end of an arc or at its point
-            # farthest from c_k
-            ends = _arc_turns(lo[:, None], hi[:, None], c[a][:, None, :] - c[None, :, :])
-            reach = np.max(
-                [np.sum((_on_circle(c[a][:, None, :], w[a][:, None], t) - c) ** 2, axis=2) for t in ends],
-                axis=(0, 1),
-            )
-            missing = np.setdiff1d(np.flatnonzero(reach > (w * (1.0 + _ARC_TOL)) ** 2), chosen)
-            if missing.size == 0:
-                break
-            chosen = np.union1d(chosen, missing)
-        parts.append((np.full(a.size, i), c[a], w[a], lo, hi))
-    facet, arc_center, width, lo, hi = (np.concatenate(column) for column in zip(*parts))
-    active = np.zeros(spec.count, dtype=bool)
-    active[facet] = True
+    every = np.arange(count)
+    center, width_sq, _, same = _shadows(spec, every, frames)
+    rows = np.flatnonzero(~(_eclipsed(spec, every, same) | np.any(~same & (width_sq <= 0.0), axis=1)))
+    # mine[r, k]: horoball k cuts a disk from horosphere rows[r]; zeros stand
+    # in for the other entries, which are not finite
+    mine = ~same[rows]
+    c = np.where(mine[..., None], center[rows], 0.0)
+    w = np.sqrt(np.where(mine, width_sq[rows], 0.0))
+    low = np.max(np.where(mine[..., None], c - w[..., None], -np.inf), axis=1)
+    high = np.min(np.where(mine[..., None], c + w[..., None], np.inf), axis=1)
+    boxed = ~np.any(low >= high, axis=1)
+    rows, mine, c, w = rows[boxed], mine[boxed], c[boxed], w[boxed]
+    gap = 0.5 * (low[boxed] + high[boxed])[:, None, :] - c
+    clearance = np.where(mine, w - np.hypot(gap[..., 0], gap[..., 1]), np.inf)
+    disks = np.count_nonzero(mine, axis=1)
+    chosen = np.argsort(clearance, axis=1, kind="stable")[:, :_SWEEP_START]
+    valid = np.arange(chosen.shape[1]) < disks[:, None]
+    # each facet's chosen disks in their listed order, then the padding,
+    # which reads any disk: it only needs to be finite
+    chosen = np.sort(np.where(valid, chosen, count), axis=1)
+    slot = (np.arange(rows.size)[:, None], np.minimum(chosen, count - 1))
+    r, a, lo, hi = _disk_intersection(c[slot], w[slot], valid)
+    k = chosen[r, a]
+    grown = {}
+    for f in np.flatnonzero(disks > chosen.shape[1]):
+        arcs = r == f
+        if np.any(arcs):
+            grown[f] = _grow_facet(c[f], w[f], mine[f], chosen[f], k[arcs], lo[arcs], hi[arcs])
+    if grown:
+        kept = ~np.isin(r, list(grown))
+        parts = [(r[kept], k[kept], lo[kept], hi[kept])]
+        parts += [(np.full(arc[0].size, f), *arc) for f, arc in grown.items()]
+        r, k, lo, hi = (np.concatenate(column) for column in zip(*parts))
+        # facet by facet, each facet's arcs in the order of its last sweep
+        order = np.argsort(r, kind="stable")
+        r, k, lo, hi = r[order], k[order], lo[order], hi[order]
+    active = np.zeros(count, dtype=bool)
+    active[rows[r]] = True
     active.setflags(write=False)
     return _FacetArcs(
-        facet=facet, center=arc_center, width=width, lo=lo, hi=hi, active=active, frames=frames
+        facet=rows[r], center=c[r, k], width=w[r, k], lo=lo, hi=hi, active=active, frames=frames
     )
+
+
+def _grow_facet(c: np.ndarray, w: np.ndarray, mine: np.ndarray, pick: np.ndarray, k, lo, hi):
+    """The arcs (disk, lo, hi) of one facet whose disks k of pick were swept.
+
+    c and w hold the facet's disks where mine is set. Every disk that does
+    not hold the common part of the picked ones (to within _ARC_TOL,
+    checked on its arcs) joins them and the facet is swept again, until
+    none is left, the facet keeps no arc, or every disk is picked.
+    """
+    while True:
+        # |s - c_k|^2 is largest at an end of an arc or at its point
+        # farthest from c_k
+        ends = _arc_turns(lo[:, None], hi[:, None], c[k][:, None, :] - c[None, :, :])
+        reach = np.max(
+            [np.sum((_on_circle(c[k][:, None, :], w[k][:, None], t) - c) ** 2, axis=2) for t in ends],
+            axis=(0, 1),
+        )
+        missing = np.setdiff1d(np.flatnonzero(mine & (reach > (w * (1.0 + _ARC_TOL)) ** 2)), pick)
+        if missing.size == 0:
+            return k, lo, hi
+        pick = np.union1d(pick, missing)
+        _, a, lo, hi = _disk_intersection(
+            c[pick][None], w[pick][None], np.ones((1, pick.size), dtype=bool)
+        )
+        k = pick[a]
+        if k.size == 0 or pick.size == np.count_nonzero(mine):
+            return k, lo, hi
 
 
 def _arc_values(spec: PolytopeSpec, arcs: _FacetArcs, v: np.ndarray, sign: float):

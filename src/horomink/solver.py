@@ -20,9 +20,12 @@ distance.
 
 Each piece of work is done once. The measure is paired into antipodal
 pairs once, and every trial spec inherits the pairing of one template.
-In the volume-constrained mode a trial builds one boundary per rescale
-evaluation, and its canonicalizing build reuses the arcs of the last one,
-so the trial adds only the build of the canonical body it is judged on.
+Each trial is built once: in the Phi_p-constrained mode at its rescaled
+scales, and in the volume-constrained mode from the arcs of the rescale's
+last evaluation (one boundary per evaluation). That body is canonicalized,
+and it is the body the trial is judged on unless canonicalizing lowered a
+scale; only then is the trial built a second time, at the lowered scales
+(rescaled back onto Phi_p = 1 in that mode).
 The tube-volume support bound (boundedness_bound) is in closed form.
 
 The solver accepts n <= 2 only, where every area, volume, support number
@@ -336,19 +339,38 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
     def canonical(poly: HConvexPolytope) -> np.ndarray:
         return np.array(canonicalize(poly).x[:m])
 
-    def project(z: np.ndarray) -> np.ndarray:
+    def project(z: np.ndarray) -> tuple[np.ndarray, HConvexPolytope | None]:
+        """(projected scales, the body built at exactly those scales or None).
+
+        The clipped trial is rescaled onto its constraint, built there once
+        and canonicalized: its scales become the body's support numbers,
+        which keeps the body. When that lowers no scale, the rescaled
+        scales are the projection, already on the constraint, and come with
+        the body just built. Otherwise the lowered scales come without a
+        body, for evaluate to build; in the Phi_p mode they are rescaled
+        once more first, since canonicalizing keeps the volume but lowers
+        Phi_p.
+        """
         z = np.clip(z, _Z_FLOOR, z_cap)
         if maximizing:
-            # Canonicalizing keeps the body, hence its volume, but lowers Phi_p.
-            return phi_rescaled(canonical(build(phi_rescaled(z))))
-        # the rescale's last evaluation built the boundary at t (z, z), which
-        # is (z t, z t) bit for bit: canonicalize the body from those arcs
-        t, arcs = _volume_rescale(np.concatenate([z, z]), config.v0, spec_template)
-        z = z * t
-        return canonical(_exact_body(spec_template.with_x(np.concatenate([z, z])), arcs))
+            z = phi_rescaled(z)
+            poly = build(z)
+        else:
+            # the rescale's last evaluation built the boundary at t (z, z),
+            # which is (z t, z t) bit for bit: the body is made from those arcs
+            t, arcs = _volume_rescale(np.concatenate([z, z]), config.v0, spec_template)
+            z = z * t
+            poly = _exact_body(spec_template.with_x(np.concatenate([z, z])), arcs)
+        lowered = canonical(poly)
+        if np.array_equal(lowered, z):
+            return z, poly
+        return (phi_rescaled(lowered) if maximizing else lowered), None
 
-    def evaluate(z: np.ndarray) -> _Iterate:
-        poly = build(z)
+    def evaluate(z: np.ndarray, poly: HConvexPolytope | None) -> _Iterate:
+        """The iterate at z, judged on poly, the body at z from project;
+        built here when project returned None."""
+        if poly is None:
+            poly = build(z)
         areas = np.array([facet_area(poly, i) for i in range(m)])
         u = np.array(poly.canonical_support[:m])
         lam, res = _lagrange_residual(areas, u, reduced_w, p)
@@ -361,7 +383,7 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
         vol_grad = 2.0 * it.areas
         return (vol_grad, phi_grad) if maximizing else (-phi_grad, vol_grad)
 
-    current = evaluate(project(np.ones(m)))
+    current = evaluate(*project(np.ones(m)))
     trace = [current.objective]
     best = current
     step = _STEP
@@ -385,13 +407,13 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
         accepted = None
         while step >= _MIN_STEP:
             try:
-                z = project(current.z + step * d)
+                z, poly = project(current.z + step * d)
             except UnreachableTargetError:
                 # no multiplier within rescale_to_constraint's window; a
                 # shorter step keeps the trial further from degenerate
                 step *= _BACKTRACK
                 continue
-            trial = evaluate(z)
+            trial = evaluate(z, poly)
             gain = trial.objective - current.objective
             if (gain > 1e-15) if maximizing else (gain < -1e-15):
                 accepted = trial

@@ -348,6 +348,26 @@ def test_volume_of_an_unresolvable_body_exits_4(tmp_path, capsys):
     assert "too small to resolve" in err
 
 
+
+def test_volume_past_the_float_range_exits_4(tmp_path, capsys):
+    # the cube at scale 354 printed {"volume": Infinity}, which is not JSON,
+    # and exited 0
+    rows = np.vstack([np.eye(3), -np.eye(3)])
+    body = write_json(
+        tmp_path / "huge.json",
+        {
+            "schema_version": "1",
+            "n": 2,
+            "horoballs": [{"direction": row.tolist(), "x": 354.0} for row in rows],
+        },
+    )
+    assert main(["volume", "--body", body]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("geometry error:")
+    assert "past the float range" in err
+
+
 @pytest.mark.parametrize("command", ["volume", "oracle-volume"])
 def test_zero_scale_pairs_exit_4(tmp_path, command, capsys):
     # an even pair of scale 0 pins the body to the point O, which is no body

@@ -1073,6 +1073,44 @@ def test_large_cubes_keep_their_volume_and_areas():
     assert np.max(np.abs(np.array(scaled) / scaled[0] - 1.0)) <= 1e-13
 
 
+
+def test_bodies_past_the_float_range_say_so():
+    # the disks of _shadows hold e^(x_i + x_k); past the float range that
+    # overflowed into "too small to resolve" (the square and the cube at
+    # scale 356) or a volume of inf (the cube at 354), with RuntimeWarnings
+    # (errors under this suite's filter)
+    square = PolytopeSpec(n=1, directions=np.vstack([np.eye(2), -np.eye(2)]), x=np.ones(4))
+    cube = PolytopeSpec(n=2, directions=np.vstack([np.eye(3), -np.eye(3)]), x=np.ones(6))
+    # the square at 354 is in range: V = 8 (sqrt 2 - 1) e^s
+    big = volume(build_polytope(square.with_x(np.full(4, 354.0))))
+    assert big * math.exp(-354.0) == pytest.approx(8.0 * (math.sqrt(2.0) - 1.0), rel=1e-14)
+    for spec, s in ((square, 356.0), (cube, 354.0), (cube, 356.0)):
+        with pytest.raises(SpecError, match="past the float range"):
+            build_polytope(spec.with_x(np.full(spec.count, s)))
+
+
+def test_facets_with_many_disks_grow_their_sweep(monkeypatch):
+    # e_3 and a ring of 16 directions at polar angle 0.5 (even, 17 pairs):
+    # facet 0 is cut by all 16 ring disks, more than _SWEEP_START, so its
+    # first sweep misses some and the growth loop adds them
+    ring = 2.0 * math.pi * np.arange(16) / 16
+    tilted = np.column_stack(
+        [math.sin(0.5) * np.cos(ring), math.sin(0.5) * np.sin(ring), np.full(16, math.cos(0.5))]
+    )
+    rows = np.vstack([[0.0, 0.0, 1.0], tilted])
+    spec = PolytopeSpec(n=2, directions=np.vstack([rows, -rows]), x=np.ones(34), even=True)
+    poly = build_polytope(spec)
+    assert np.count_nonzero(poly.boundary.facet == 0) == 16
+    assert facet_area(poly, 0) == pytest.approx(facet_area_fd(poly, 0, delta=1e-5), abs=1e-6)
+    ring_areas = np.array([facet_area(poly, i) for i in range(1, 17)])
+    assert ring_areas == pytest.approx(np.full(16, ring_areas[0]), rel=1e-12)
+    # one sweep over every disk gives the same arcs, bit for bit
+    monkeypatch.setattr(polytope, "_SWEEP_START", 1000)
+    whole = polytope._facet_arcs(spec)
+    for name in ("facet", "center", "width", "lo", "hi", "active"):
+        assert np.array_equal(getattr(poly.boundary, name), getattr(whole, name)), name
+
+
 # ------------------------------------------------------------- canonical form
 
 def test_canonicalize_lens_fixed_point(lens):

@@ -357,34 +357,69 @@ def test_solve_p_negative_random():
     assert lam == pytest.approx(result.lam, rel=1e-9)
 
 
-def test_solve_does_each_piece_of_work_once(monkeypatch):
-    # one pairing for the measure and one for the spec template, which every
-    # trial spec inherits; one boundary per rescale evaluation (solver side)
-    # plus one per trial, the build it is judged on (polytope side): the
-    # canonicalizing build reuses the rescale's last arcs
+def count_calls(monkeypatch, targets) -> dict:
+    """Calls of each (module, name) in targets, counted as they happen."""
     calls = {}
-
-    def count(owner, name):
+    for owner, name in targets:
         original = getattr(owner, name)
 
-        def wrapper(*args, **kwargs):
-            key = (owner.__name__, name)
-            calls[key] = calls.get(key, 0) + 1
-            return original(*args, **kwargs)
+        def wrapper(*args, _key=(owner.__name__, name), _original=original, **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
-    count(polytope, "_even_pairing")
-    count(solver, "_exact_boundary")
-    count(polytope, "_exact_boundary")
-    count(solver, "build_polytope")
+
+def test_solve_does_each_piece_of_work_once(monkeypatch):
+    # one pairing for the measure and one for the spec template, which every
+    # trial spec inherits; one boundary per rescale evaluation. Each trial
+    # (one _lagrange_residual) is judged on the body made from the rescale's
+    # last arcs (_exact_body), and builds again (build_polytope, the
+    # polytope-side boundary) only when canonicalizing lowered a scale
+    calls = count_calls(
+        monkeypatch,
+        [
+            (polytope, "_even_pairing"),
+            (solver, "_exact_boundary"),
+            (polytope, "_exact_boundary"),
+            (solver, "build_polytope"),
+            (solver, "_exact_body"),
+            (solver, "_lagrange_residual"),
+        ],
+    )
     mu = random_even_measure(np.random.Generator(np.random.Philox(42)), 3)
     result = solve_even(mu, SolverConfig(p=-1.0, v0=1.0))
     assert result.converged
     assert calls[("horomink.polytope", "_even_pairing")] == 2
-    trials = calls[("horomink.solver", "build_polytope")]
-    assert calls[("horomink.polytope", "_exact_boundary")] == trials == 21
+    assert calls[("horomink.solver", "_exact_body")] == 21
+    assert calls[("horomink.solver", "_lagrange_residual")] == 21
+    assert calls[("horomink.solver", "build_polytope")] == 1
+    assert calls[("horomink.polytope", "_exact_boundary")] == 1
     assert calls[("horomink.solver", "_exact_boundary")] == 55
+
+
+def test_phi_mode_builds_each_trial_once(monkeypatch):
+    # each trial rescales onto Phi_p = 1, builds, and canonicalizes once; only
+    # a trial whose canonicalizing lowered a scale rescales and builds again
+    # (2 of 27 here), so a second build on every trial would read 54 or more
+    calls = count_calls(
+        monkeypatch,
+        [
+            (solver, "rescale_to_constraint"),
+            (solver, "build_polytope"),
+            (solver, "canonicalize"),
+            (solver, "_lagrange_residual"),
+        ],
+    )
+    mu = random_even_measure(np.random.Generator(np.random.Philox(42)), 3)
+    result = solve_even(mu, SolverConfig(p=2.0))
+    assert result.converged
+    assert result.iterations == 8
+    assert calls[("horomink.solver", "canonicalize")] == 27
+    assert calls[("horomink.solver", "_lagrange_residual")] == 27
+    assert calls[("horomink.solver", "build_polytope")] == 29
+    assert calls[("horomink.solver", "rescale_to_constraint")] == 29
 
 
 def test_solve_rejections():
