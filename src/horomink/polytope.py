@@ -460,9 +460,14 @@ def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
         power -= lift
         power /= chord_sq
     same = chord_sq <= 1e-24
-    # NaN fails the comparison, so it counts as out of range too
-    size = np.where(same, 0.0, np.maximum(np.abs(width_sq), np.abs(power)))
-    if not np.max(size) <= (2.0**1023 if spec.n == 1 else 2.0**1020):
+    # reductions, not temporaries of the size of the results; a NaN fails
+    # the comparisons, so it counts as out of range too
+    limit, other = (2.0**1023 if spec.n == 1 else 2.0**1020), ~same
+    if not (
+        np.max(width_sq, where=other, initial=0.0) <= limit
+        and -limit <= np.min(power, where=other, initial=0.0)
+        and np.max(power, where=other, initial=0.0) <= limit
+    ):
         raise SpecError(
             f"the body is past the float range: its disks in the horospheres' charts "
             f"hold e^(x_i + x_k) with scales up to {float(np.max(x)):g}"
