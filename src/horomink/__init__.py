@@ -19,7 +19,6 @@ from .errors import (
 from .geometry import (
     BallPoint,
     Direction,
-    HalfSpacePoint,
     HyperboloidPoint,
     Isometry,
     boost_to_origin,
@@ -30,10 +29,8 @@ from .geometry import (
     polar_point,
 )
 from .horoball import (
-    HalfSpaceHoroballForm,
     Horoball,
     busemann_value,
-    halfspace_form,
     horoball_contains,
     horoball_radial,
     horoball_transform,
@@ -81,8 +78,6 @@ __all__ = [
     "Direction",
     "DiscreteMeasure",
     "HConvexPolytope",
-    "HalfSpaceHoroballForm",
-    "HalfSpacePoint",
     "Horoball",
     "HoromkError",
     "HyperboloidPoint",
@@ -108,7 +103,6 @@ __all__ = [
     "facet_area_fd",
     "facet_areas",
     "geodesic_distance",
-    "halfspace_form",
     "hausdorff_distance",
     "horoball_contains",
     "horoball_radial",

@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 `check` mismatch, 2 invalid input (the message
 names the offending field or flag), 3 solver did not converge, 4 geometry
 or domain errors, 5 internal errors (a fault in the program; the traceback
 goes to stderr). Query subcommands print a single JSON object to stdout.
-HOROMINK_THREADS caps the thread pools numpy delegates to.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 import traceback
 
@@ -236,6 +234,9 @@ def validate_solution(obj: dict) -> dict:
     if not isinstance(z, list) or not z:
         raise SchemaViolation("solution.z", "expected a non-empty list")
     z = [_as_real(v, f"solution.z[{k}]", positive=True) for k, v in enumerate(z)]
+    areas = obj["facet_areas"]
+    if not isinstance(areas, list) or not areas:
+        raise SchemaViolation("solution.facet_areas", "expected a non-empty list")
     # a record of the run, like `created`: nothing reads it back
     if not isinstance(obj["config"], dict):
         raise SchemaViolation("solution.config", "expected a JSON object")
@@ -246,8 +247,7 @@ def validate_solution(obj: dict) -> dict:
         "residual_max_rel": _as_real(obj["residual_max_rel"], "solution.residual_max_rel"),
         "volume": _as_real(obj["volume"], "solution.volume"),
         "facet_areas": [
-            _as_real(v, f"solution.facet_areas[{k}]")
-            for k, v in enumerate(obj["facet_areas"])
+            _as_real(v, f"solution.facet_areas[{k}]") for k, v in enumerate(areas)
         ],
         "iterations": _as_int(obj["iterations"], "solution.iterations", minimum=0),
         "converged": _as_bool(obj["converged"], "solution.converged"),
@@ -269,12 +269,15 @@ def _measure_from_instance(inst: dict) -> DiscreteMeasure:
 
 
 def _poly_from_body(body: dict, scan=None) -> HConvexPolytope:
-    spec = PolytopeSpec(
-        n=body["n"],
-        directions=np.array([b["direction"] for b in body["horoballs"]]),
-        x=np.array([b["x"] for b in body["horoballs"]]),
-        even=body["even"],
-    )
+    try:
+        spec = PolytopeSpec(
+            n=body["n"],
+            directions=np.array([b["direction"] for b in body["horoballs"]]),
+            x=np.array([b["x"] for b in body["horoballs"]]),
+            even=body["even"],
+        )
+    except NotEvenError as exc:
+        raise SchemaViolation("body.horoballs", str(exc))
     return build_polytope(spec, scan=scan)
 
 
@@ -614,17 +617,7 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    limit = os.environ.get("HOROMINK_THREADS")
-    if limit:
-        try:
-            import threadpoolctl
-
-            with threadpoolctl.threadpool_limits(limits=int(limit)):
-                return _dispatch(args)
-        except (ImportError, ValueError):
-            print("warning: HOROMINK_THREADS ignored", file=sys.stderr)
-    return _dispatch(args)
+    return _dispatch(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

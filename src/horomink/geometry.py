@@ -2,23 +2,17 @@
 
 Points live on the upper sheet of the unit hyperboloid in Minkowski space
 R^{n+1,1} with the bilinear form x_1 y_1 + ... + x_{n+1} y_{n+1} - x_{n+2} y_{n+2}.
-The Poincare ball and upper half-space charts are kept alongside, with
-exact closed-form conversions: `horomink render` draws in the ball and
-`oracle.mc_volume` samples there, and `horoball.halfspace_form` gives a
-horoball's Euclidean shape in the half-space. Bodies themselves are built
-in each horosphere's flat chart (see polytope._shadows).
+The Poincare ball chart is kept alongside, with exact closed-form
+conversions: `horomink render` draws in the ball and `oracle.mc_volume`
+samples there. Bodies themselves are built in each horosphere's flat chart
+(see polytope._shadows).
 
-Conventions fixed once for the whole package:
-
-* the hyperboloid origin is O = (0, ..., 0, 1);
-* the half-space chart sends the distinguished boundary direction
-  e* = (0, ..., 0, 1) of the ball to infinity and O to (0, ..., 0, 1);
-* half-space coordinates are (y_1, ..., y_n, height) with height > 0.
+The hyperboloid origin is O = (0, ..., 0, 1); the ball chart sends it to 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,25 +113,6 @@ class BallPoint:
         return self.coords.size - 1
 
 
-@dataclass(frozen=True, eq=False)
-class HalfSpacePoint:
-    """Point of the upper half-space model: (y_1, ..., y_n, height), height > 0."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_readonly(self.coords)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("half-space point needs at least 2 coordinates")
-        if arr[-1] <= 0.0:
-            raise ValueError("half-space point must have positive height")
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def n(self) -> int:
-        return self.coords.size - 1
-
-
 def origin(n: int) -> HyperboloidPoint:
     """The hyperboloid basepoint O = (0, ..., 0, 1) in H^{n+1}."""
     coords = np.zeros(n + 2)
@@ -183,103 +158,32 @@ def ball_distance(a: BallPoint, b: BallPoint) -> float:
     return float(safe_acosh(1.0 + 2.0 * float(np.dot(diff, diff)) / (da * db)))
 
 
-def halfspace_distance(a: HalfSpacePoint, b: HalfSpacePoint) -> float:
-    """Distance in the upper half-space chart."""
-    diff = a.coords - b.coords
-    return float(
-        safe_acosh(1.0 + float(np.dot(diff, diff)) / (2.0 * a.coords[-1] * b.coords[-1]))
-    )
-
-
 # ---------------------------------------------------------------------------
 # model conversions
 # ---------------------------------------------------------------------------
 
-def _hyperboloid_to_ball(x: np.ndarray) -> np.ndarray:
-    return x[:-1] / (1.0 + x[-1])
-
-
-def _ball_to_hyperboloid(y: np.ndarray) -> np.ndarray:
-    s = 1.0 - float(np.dot(y, y))
-    return np.append(2.0 * y / s, (2.0 - s) / s)
-
-
-def _estar(dim: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[-1] = 1.0
-    return e
-
-
-def _invert_at_estar(y: np.ndarray) -> np.ndarray:
-    # Inversion centered at e* with radius sqrt(2); it swaps the unit ball
-    # and the half-space {last coord < 0} and fixes their common boundary.
-    w = y - _estar(y.size)
-    return _estar(y.size) + 2.0 * w / float(np.dot(w, w))
-
-
-def _ball_to_halfspace(y: np.ndarray) -> np.ndarray:
-    z = _invert_at_estar(y)
-    out = z.copy()
-    out[-1] = -z[-1]
-    return out
-
-
-def _halfspace_to_ball(w: np.ndarray) -> np.ndarray:
-    z = w.copy()
-    z[-1] = -w[-1]
-    return _invert_at_estar(z)
-
-
-def boundary_to_halfspace(e: Direction) -> np.ndarray:
-    """Contact point on the half-space floor R^n for an ideal direction e != e*.
-
-    The chart sends e* to infinity; every other boundary direction lands at
-    e_horizontal / (1 - e_last).
-    """
-    vec = e.vector
-    denom = 1.0 - vec[-1]
-    if denom <= UNIT_TOL:
-        raise ValueError("the distinguished direction e* maps to infinity")
-    return vec[:-1] / denom
-
-
-_MODEL_TYPES = {
-    "hyperboloid": HyperboloidPoint,
-    "ball": BallPoint,
-    "halfspace": HalfSpacePoint,
-}
+_MODEL_TYPES = {"hyperboloid": HyperboloidPoint, "ball": BallPoint}
 
 
 def convert_model(point, target: str):
-    """Convert a point between the hyperboloid, ball, and half-space models.
+    """Convert a point between the hyperboloid and ball models.
 
-    target is one of "hyperboloid", "ball", "halfspace". Conversion is exact
-    up to roundoff; converting to the model the point is already in returns
-    an equal point.
+    target is "hyperboloid" or "ball". The conversions are exact up to
+    roundoff: Y = X_spatial / (1 + X_last), and back X = (2 Y, 2 - s) / s
+    with s = 1 - |Y|^2. Converting to the model the point is already in
+    returns the point.
     """
     if target not in _MODEL_TYPES:
         raise ValueError(f"unknown model {target!r}")
-    if isinstance(point, HyperboloidPoint):
-        if target == "hyperboloid":
-            return point
-        ball = _hyperboloid_to_ball(point.coords)
-        if target == "ball":
-            return BallPoint(ball)
-        return HalfSpacePoint(_ball_to_halfspace(ball))
-    if isinstance(point, BallPoint):
-        if target == "ball":
-            return point
-        if target == "hyperboloid":
-            return HyperboloidPoint(_ball_to_hyperboloid(point.coords))
-        return HalfSpacePoint(_ball_to_halfspace(point.coords))
-    if isinstance(point, HalfSpacePoint):
-        if target == "halfspace":
-            return point
-        ball = _halfspace_to_ball(point.coords)
-        if target == "ball":
-            return BallPoint(ball)
-        return HyperboloidPoint(_ball_to_hyperboloid(ball))
-    raise TypeError(f"not a model point: {type(point).__name__}")
+    if not isinstance(point, (HyperboloidPoint, BallPoint)):
+        raise TypeError(f"not a model point: {type(point).__name__}")
+    if isinstance(point, _MODEL_TYPES[target]):
+        return point
+    coords = point.coords
+    if target == "ball":
+        return BallPoint(coords[:-1] / (1.0 + coords[-1]))
+    s = 1.0 - float(np.dot(coords, coords))
+    return HyperboloidPoint(np.append(2.0 * coords / s, (2.0 - s) / s))
 
 
 # ---------------------------------------------------------------------------

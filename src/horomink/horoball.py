@@ -17,16 +17,12 @@ from .geometry import (
     Direction,
     HyperboloidPoint,
     Isometry,
-    boundary_to_halfspace,
     minkowski_dot,
 )
 
 # Directions this close to a query direction count as the center itself;
 # the radial ray then never leaves the horoball.
 CENTER_ALIGNMENT_TOL = 1e-9
-
-# Directions this close to e* use the plane form in the half-space chart.
-PLANE_FORM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,40 +104,3 @@ def horoball_transform(ball: Horoball, iso: Isometry) -> Horoball:
         raise ValueError("isometry does not preserve the future light cone")
     return Horoball(Direction.from_vector(image[:-1]), -math.log(scale))
 
-
-@dataclass(frozen=True, eq=False)
-class HalfSpaceHoroballForm:
-    """A horoball as seen in the upper half-space chart.
-
-    kind "ball": Euclidean ball tangent to the floor at `contact` with
-    Euclidean radius `radius`. kind "plane": the region above height
-    `height` (center at infinity).
-    """
-
-    kind: str
-    contact: np.ndarray | None = None
-    radius: float | None = None
-    height: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("ball", "plane"):
-            raise ValueError(f"unknown half-space form kind {self.kind!r}")
-        if self.kind == "ball" and (self.contact is None or self.radius is None):
-            raise ValueError("ball form needs contact point and radius")
-        if self.kind == "plane" and self.height is None:
-            raise ValueError("plane form needs a height")
-
-
-def halfspace_form(ball: Horoball) -> HalfSpaceHoroballForm:
-    """Image of the horoball in the half-space chart (e* to infinity).
-
-    A center aligned with e* gives the plane form {height > e^{-s}}; any
-    other center gives the floor-tangent ball at p = boundary image of the
-    center with Euclidean radius e^s (1 + |p|^2) / 2.
-    """
-    e = ball.center.vector
-    if 1.0 - e[-1] <= PLANE_FORM_TOL:
-        return HalfSpaceHoroballForm(kind="plane", height=math.exp(-ball.s))
-    p = boundary_to_halfspace(ball.center)
-    radius = math.exp(ball.s) * (1.0 + float(np.dot(p, p))) / 2.0
-    return HalfSpaceHoroballForm(kind="ball", contact=p, radius=radius)

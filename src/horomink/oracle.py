@@ -190,11 +190,13 @@ def grid_search_even(
 def t_body_wulff_spec(r: float, n: int, count: int = 256, seed: int = 0) -> PolytopeSpec:
     """Horoball family whose envelope approximates the tangent body T(r).
 
-    In the half-space chart T(r) is cut out by horoballs tangent to the
-    boundary at |p| = e^{r/2} with scale 0; this returns those horoballs
-    pushed by the boost that centers the body at the origin (displacement
-    r/2 toward the chart's infinity), so the scales become positive and the
-    radial machinery applies. count is the number of contact points (n = 1
+    In the upper half-space chart that sends the ideal point (0, ..., 0, 1)
+    to infinity and O to height 1 over the floor origin, T(r) is cut out by
+    horoballs tangent to the floor at |p| = e^{r/2} with scale 0, whose
+    centers are the directions (2 p, |p|^2 - 1) / (|p|^2 + 1); this returns
+    those horoballs pushed by the boost that centers the body at the origin
+    (displacement r/2 toward the chart's infinity), so the scales become
+    positive and the radial machinery applies. count is the number of contact points (n = 1
     always uses the two endpoints; n >= 3 draws seeded random ones).
     """
     if r <= 0.0:

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    HoromkError,
     MismatchedDirectionsError,
     NotEvenError,
     SpecError,
@@ -213,12 +214,21 @@ def _newton_on_ray(value, target: float, tol: float, t_max: float):
 
 def _lagrange_residual(areas, u, weights, p: float) -> tuple[float, float]:
     """(lambda, max_i |e^{-p u_i} S_i - lambda a_i| / (lambda a_i)), with
-    lambda = (sum of the areas S_i) / (sum of a_i e^{p u_i})."""
-    lam = float(np.sum(areas)) / float(np.sum(weights * np.exp(p * u)))
-    if lam <= 0.0:
-        return 0.0, math.inf
-    rel = np.abs(np.exp(-p * u) * areas - lam * weights) / (lam * weights)
-    return lam, float(np.max(rel))
+    lambda = (sum of the areas S_i) / (sum of a_i e^{p u_i}).
+
+    Raises HoromkError naming p where e^{p u_i} or e^{-p u_i} leaves the
+    float range, so that the denominator or a defect is 0 or not finite.
+    """
+    with np.errstate(all="ignore"):
+        denominator = float(np.sum(weights * np.exp(p * u)))
+        if 0.0 < denominator < math.inf:
+            lam = float(np.sum(areas)) / denominator
+            if lam <= 0.0:
+                return 0.0, math.inf
+            rel = np.abs(np.exp(-p * u) * areas - lam * weights) / (lam * weights)
+            if np.all(np.isfinite(rel)):
+                return lam, float(np.max(rel))
+    raise HoromkError(f"p = {p!r} is too extreme: e^(p u) leaves the float range")
 
 
 def residual(poly: HConvexPolytope, measure: DiscreteMeasure, p: float) -> tuple[float, float]:
@@ -310,7 +320,9 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
     Returns the best iterate with converged=False when the residual never
     reaches config.tol; callers decide how to treat that (the command line
     front end exits with a dedicated code). Raises SpecError for a measure
-    on S^n with n >= 3.
+    on S^n with n >= 3, UnreachableTargetError for a V0 past the support
+    bound's range, and HoromkError for a p whose e^(p u) leaves the float
+    range.
     """
     if not measure.even:
         raise NotEvenError("solve_even needs an even measure")
@@ -327,7 +339,12 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
     spec_template = PolytopeSpec(
         n=n, directions=full_dirs, x=np.ones(2 * m), even=True
     )
-    z_cap = boundedness_bound(config.v0, n) if p < 0.0 else math.inf
+    try:
+        z_cap = boundedness_bound(config.v0, n) if p < 0.0 else math.inf
+    except ValueError:
+        raise UnreachableTargetError(
+            f"V0 = {config.v0!r} is too large: its support bound passes 256"
+        ) from None
     maximizing = p >= 0.0
 
     def build(z: np.ndarray) -> HConvexPolytope:

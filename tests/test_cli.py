@@ -322,6 +322,93 @@ def test_check_rejects_wrong_z_length(tmp_path, symmetric_instance, capsys):
     assert "solution.z" in err
 
 
+@pytest.mark.parametrize("command", ["check", "render"])
+@pytest.mark.parametrize("areas", [5, None])
+def test_malformed_facet_areas_exit_2(tmp_path, symmetric_instance, command, areas, capsys):
+    # a non-list is a schema error, not a program fault
+    out = tmp_path / "solution.json"
+    main(["solve", "--input", symmetric_instance, "--output", str(out)])
+    sol = json.loads(out.read_text())
+    sol["facet_areas"] = areas
+    bad = write_json(tmp_path / "bad.json", sol)
+    capsys.readouterr()
+    argv = {
+        "check": ["check", "--instance", symmetric_instance, "--solution", bad],
+        "render": ["render", "--solution", bad, "--svg", str(tmp_path / "x.svg")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:")
+    assert "solution.facet_areas" in err
+
+
+@pytest.mark.parametrize(
+    "rows, scales",
+    [
+        # unequal scales on the antipodal pair (1, 0), (-1, 0)
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 2.0, 1.0]),
+        # (0.6, 0.8) has no antipode
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.6, 0.8]], [1.0, 1.0, 1.0, 1.0]),
+    ],
+    ids=["unequal-pair", "no-antipode"],
+)
+def test_bodies_that_do_not_pair_exit_2(tmp_path, rows, scales, capsys):
+    # an even body file that does not pair is a schema error naming the field,
+    # as an even instance file is
+    body = write_json(
+        tmp_path / "odd.json",
+        {
+            "schema_version": "1",
+            "n": 1,
+            "even": True,
+            "horoballs": [{"direction": d, "x": x} for d, x in zip(rows, scales)],
+        },
+    )
+    assert main(["volume", "--body", body]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:")
+    assert "body.horoballs" in err
+
+
+def axes_instance(tmp_path, p: float, v0: float, weights=(1.0, 2.0)) -> str:
+    return write_json(
+        tmp_path / "axes.json",
+        {
+            "schema_version": "1",
+            "n": 1,
+            "p": p,
+            "V0": v0,
+            "even": True,
+            "atoms": [
+                {"direction": d, "weight": w}
+                for d, w in zip(
+                    ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]), weights * 2
+                )
+            ],
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "p, v0, weights, named",
+    [
+        (-1.0, 1e100, (1.0, 2.0), "V0 = 1e+100"),
+        (-2000.0, 1.0, (1.0, 2.0), "p = -2000.0"),
+        (-1e6, 1.0, (1.0, 1.0), "p = -1000000.0"),
+    ],
+    ids=["huge-V0", "p-2000", "p-1e6"],
+)
+def test_unsolvable_extremes_exit_4(tmp_path, p, v0, weights, named, capsys):
+    # user errors naming the value, not program faults; no file is written
+    out = tmp_path / "solution.json"
+    argv = ["solve", "--input", axes_instance(tmp_path, p, v0, weights), "--output", str(out)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("geometry error:")
+    assert named in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ geometry queries
 
 def test_volume_command(lens_body, capsys):
@@ -690,24 +777,13 @@ def test_render_rejects_higher_dimensions(tmp_path, capsys):
 # ------------------------------------------------------------------ process
 
 def test_module_entrypoint_with_thread_cap(tmp_path, lens_body):
-    env = child_env(HOROMINK_THREADS="1")
+    # python -m horomink.cli; thread pools are capped by the standard
+    # OMP_NUM_THREADS / OPENBLAS_NUM_THREADS variables, which need no code here
     proc = subprocess.run(
         [sys.executable, "-m", "horomink.cli", "volume", "--body", lens_body],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(OMP_NUM_THREADS="1"),
     )
     assert proc.returncode == 0
     assert "volume" in json.loads(proc.stdout.strip().splitlines()[-1] or "{}")
-
-
-def test_thread_cap_garbage_is_ignored(tmp_path, lens_body):
-    env = child_env(HOROMINK_THREADS="not-a-number")
-    proc = subprocess.run(
-        [sys.executable, "-m", "horomink.cli", "volume", "--body", lens_body],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert "HOROMINK_THREADS ignored" in proc.stderr

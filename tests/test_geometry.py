@@ -6,14 +6,12 @@ import pytest
 from horomink.geometry import (
     BallPoint,
     Direction,
-    HalfSpacePoint,
     HyperboloidPoint,
     Isometry,
     ball_distance,
     boost_to_origin,
     convert_model,
     geodesic_distance,
-    halfspace_distance,
     origin,
     polar_point,
     radial_decomposition,
@@ -80,8 +78,6 @@ def test_polar_rejects_negative_radius():
 def test_origin_images_in_other_models():
     o = origin(2)
     assert np.allclose(convert_model(o, "ball").coords, np.zeros(3))
-    half = convert_model(o, "halfspace").coords
-    assert np.allclose(half, np.array([0.0, 0.0, 1.0]))
 
 
 def test_convert_round_trips():
@@ -89,9 +85,8 @@ def test_convert_round_trips():
     for _ in range(1000):
         n = int(rng.integers(1, 4))
         x = rand_point(rng, n, rmax=3.0)
-        for target in ("ball", "halfspace"):
-            back = convert_model(convert_model(x, target), "hyperboloid")
-            assert np.max(np.abs(back.coords - x.coords)) < 1e-10
+        back = convert_model(convert_model(x, "ball"), "hyperboloid")
+        assert np.max(np.abs(back.coords - x.coords)) < 1e-10
 
 
 def test_convert_preserves_distances():
@@ -101,9 +96,7 @@ def test_convert_preserves_distances():
         x, y = rand_point(rng, n), rand_point(rng, n)
         d = geodesic_distance(x, y)
         db = ball_distance(convert_model(x, "ball"), convert_model(y, "ball"))
-        dh = halfspace_distance(convert_model(x, "halfspace"), convert_model(y, "halfspace"))
         assert db == pytest.approx(d, abs=1e-9)
-        assert dh == pytest.approx(d, abs=1e-9)
 
 
 def test_convert_is_identity_on_same_model():
@@ -121,8 +114,6 @@ def test_convert_rejects_unknown_model():
 def test_point_validation():
     with pytest.raises(ValueError):
         BallPoint(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        HalfSpacePoint(np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         HyperboloidPoint(np.array([0.0, 0.0, 2.0]))
     with pytest.raises(ValueError):

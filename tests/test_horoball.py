@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from horomink.geometry import Direction, Isometry, convert_model, geodesic_distance, origin, polar_point
+from horomink.geometry import (
+    Direction,
+    HyperboloidPoint,
+    Isometry,
+    geodesic_distance,
+    origin,
+    polar_point,
+)
 from horomink.horoball import (
-    HalfSpaceHoroballForm,
     Horoball,
     busemann_value,
-    halfspace_form,
     horoball_contains,
     horoball_radial,
     horoball_transform,
@@ -186,64 +191,11 @@ def test_transform_preserves_membership():
         assert horoball_contains(ball, point) == horoball_contains(moved, iso.apply(point))
 
 
-def test_halfspace_form_plane_height():
-    form = halfspace_form(Horoball(E_UP, 0.7))
-    assert form.kind == "plane"
-    assert form.height == pytest.approx(math.exp(-0.7), abs=1e-12)
-
-
-def test_halfspace_form_contact_at_floor_origin():
-    # Center antipodal to e* lands at the floor origin with radius e^s / 2.
-    form = halfspace_form(Horoball(Direction(np.array([0.0, -1.0])), 0.7))
-    assert form.kind == "ball"
-    assert np.allclose(form.contact, np.zeros(1))
-    assert form.radius == pytest.approx(math.exp(0.7) / 2.0, abs=1e-12)
-
-
-def test_halfspace_form_tangency_radius_at_scale_zero():
-    # Contact at distance e^{r/2} from the floor origin, scale 0: the ball
-    # reaches exactly height e^r + 1 over the floor.
-    for r in (0.5, 1.3, 2.0):
-        p = np.array([math.exp(r / 2.0)])
-        ssum = float(p @ p)
-        center = Direction(np.append(2.0 * p, ssum - 1.0) / (ssum + 1.0))
-        form = halfspace_form(Horoball(center, 0.0))
-        assert form.kind == "ball"
-        assert form.radius == pytest.approx((math.exp(r) + 1.0) / 2.0, abs=1e-10)
-
-
-def test_halfspace_form_matches_hyperboloid_membership():
-    rng = np.random.default_rng(9)
-    checked = 0
-    while checked < 500:
-        n = int(rng.integers(1, 4))
-        ball = Horoball(rand_direction(rng, n), float(rng.uniform(-0.5, 1.5)))
-        point = polar_point(float(rng.uniform(0, 2.0)), rand_direction(rng, n))
-        if abs(busemann_value(ball.center, point) - ball.s) < 1e-6:
-            continue
-        checked += 1
-        form = halfspace_form(ball)
-        w = convert_model(point, "halfspace").coords
-        if form.kind == "plane":
-            euclidean = w[-1] >= form.height
-        else:
-            center = np.append(form.contact, form.radius)
-            euclidean = float(np.dot(w - center, w - center)) <= form.radius**2
-        assert euclidean == horoball_contains(ball, point)
-
-
-def test_halfspace_form_validation():
-    with pytest.raises(ValueError):
-        HalfSpaceHoroballForm(kind="cube")
-    with pytest.raises(ValueError):
-        HalfSpaceHoroballForm(kind="ball", contact=np.zeros(1))
-    with pytest.raises(ValueError):
-        HalfSpaceHoroballForm(kind="plane")
-
-
 def test_concentric_horosphere_distance_is_scale_gap():
-    # Points on the scale-s horosphere sit at distance eps from the scale
-    # (s + eps) horosphere, realized along the vertical chart geodesic.
+    # Points on the scale-s horosphere about e sit at distance eps from the
+    # scale (s + eps) one: V = X - (e, 1) e^{-s} is a unit tangent at X
+    # (<V, X> = 0, <V, V> = 1) pointing away from e, and the geodesic
+    # cosh(eps) X + sinh(eps) V raises the Busemann value by eps.
     rng = np.random.default_rng(10)
     for _ in range(50):
         n = int(rng.integers(1, 4))
@@ -255,15 +207,8 @@ def test_concentric_horosphere_distance_is_scale_gap():
         if math.isinf(reach):
             continue
         x = polar_point(reach, theta)
-        rot = Isometry.rotation_between(e, Direction(np.append(np.zeros(n), 1.0)))
-        w = convert_model(rot.apply(x), "halfspace").coords
-        assert w[-1] == pytest.approx(math.exp(-s), abs=1e-9)
-        dropped = w.copy()
-        dropped[-1] = math.exp(-(s + eps))
-        from horomink.geometry import HalfSpacePoint
-
-        y = convert_model(HalfSpacePoint(dropped), "hyperboloid")
-        assert geodesic_distance(rot.apply(x), y) == pytest.approx(eps, abs=1e-8)
-        assert busemann_value(Direction(np.append(np.zeros(n), 1.0)), y) == pytest.approx(
-            s + eps, abs=1e-8
-        )
+        assert busemann_value(e, x) == pytest.approx(s, abs=1e-9)
+        v = x.coords - math.exp(-s) * np.append(e.vector, 1.0)
+        y = HyperboloidPoint(math.cosh(eps) * x.coords + math.sinh(eps) * v)
+        assert geodesic_distance(x, y) == pytest.approx(eps, abs=1e-8)
+        assert busemann_value(e, y) == pytest.approx(s + eps, abs=1e-8)

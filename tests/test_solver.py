@@ -3,6 +3,7 @@ projected-gradient solver on small even instances."""
 
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from horomink import (
     DiscreteMeasure,
+    HoromkError,
     MismatchedDirectionsError,
     NotEvenError,
     PolytopeSpec,
@@ -435,6 +437,40 @@ def test_solve_rejections():
     single = DiscreteMeasure.from_even_pairs(np.array([[1.0, 0.0]]), np.array([1.0]))
     with pytest.raises(SpecError):
         solve_even(single, SolverConfig(p=0.0))
+
+
+def axes_measure() -> DiscreteMeasure:
+    """+-(1,0) with weight 1 and +-(0,1) with weight 2."""
+    return DiscreteMeasure.from_even_pairs(np.eye(2), np.array([1.0, 2.0]))
+
+
+def test_solve_past_the_support_bound_is_unreachable():
+    # boundedness_bound's ValueError past r = 256 is a user error here
+    with pytest.raises(UnreachableTargetError, match=r"V0 = 1e\+100"):
+        solve_even(axes_measure(), SolverConfig(p=-1.0, v0=1e100))
+
+
+@pytest.mark.parametrize(
+    "measure, p", [(axes_measure, -2000.0), (cross_measure, -1e6)], ids=["p-2000", "p-1e6"]
+)
+def test_extreme_exponents_say_so(measure, p):
+    # sum of a_i e^{p u_i} underflows to 0, and the multiplier divides by it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(HoromkError, match=re.escape(f"p = {p!r}")):
+            solve_even(measure(), SolverConfig(p=p))
+
+
+def test_lagrange_residual_past_the_float_range():
+    areas, weights = np.ones(2), np.ones(2)
+    # e^{-p u} overflows while the multiplier's denominator stays finite
+    with pytest.raises(HoromkError, match="p = -800.0"):
+        solver._lagrange_residual(areas, np.array([0.1, 1.0]), weights, -800.0)
+    # finite cases keep their arithmetic
+    u = np.array([0.5, 1.0])
+    lam = 2.0 / float(np.sum(np.exp(-3.0 * u)))
+    rel = np.abs(np.exp(3.0 * u) - lam) / lam
+    assert solver._lagrange_residual(areas, u, weights, -3.0) == (lam, float(np.max(rel)))
 
 
 def test_solver_config_validation():
