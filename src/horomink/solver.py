@@ -14,9 +14,11 @@ mode, rescaled back onto the constraint, so the objective trace is
 monotone. A trial point is projected onto its constraint along the ray
 t z by safeguarded Newton, with exact slopes: d/dt Phi_p(t z) in closed
 form, and d/dt V(t z) = sum of z_i S_i(t z) for n <= 2, where volume and
-facet areas read off one boundary build. Convergence is certified
-by the relative residual of the optimality system, never by iterate
-distance.
+facet areas read off one boundary build. The step only shrinks. A trial
+is accepted when it raises log V (p >= 0) or log sum a_i e^{p z_i} (p < 0):
+both keep their digits at V0 where Phi_p has rounded to its supremum.
+Convergence is certified by the relative residual of the optimality
+system, never by iterate distance.
 
 Each piece of work is done once. The measure is paired into antipodal
 pairs once, and every trial spec inherits the pairing of one template.
@@ -103,10 +105,10 @@ def phi_p(x, weights, p: float) -> float:
 def rescale_to_constraint(x, weights, p: float, target: float) -> float:
     """Multiplier t > 0 with Phi_p(t x) = target, to absolute accuracy 1e-8.
 
-    In closed form for p = 0, where the functional is linear. Otherwise by
-    safeguarded Newton from t = 1 (_newton_on_ray), with the exact slope
-    d/dt Phi_p(t x) = sum of a_i x_i e^{p t x_i}. The volume constraint has
-    its own projection, _volume_rescale, which shares that loop.
+    By safeguarded Newton from t = 1 (_newton_on_ray), with the exact slope
+    d/dt Phi_p(t x) = sum of a_i x_i e^{p t x_i}, which is exact in one step
+    for p = 0 and gives no step (and no warning) where it overflows. The
+    volume constraint has its own projection, _volume_rescale.
 
     Raises UnreachableTargetError when the target cannot be bracketed
     within t in [1e-12, 1e9], e.g. when it reaches the functional's
@@ -119,8 +121,6 @@ def rescale_to_constraint(x, weights, p: float, target: float) -> float:
     if target <= 0.0:
         raise UnreachableTargetError("constraint target must be positive")
     w = np.asarray(weights, dtype=np.float64)
-    if p == 0.0:
-        return target / phi_p(x, w, 0.0)
     if p < 0.0:
         supremum = float(np.sum(w)) / abs(p)
         if target >= supremum:
@@ -129,7 +129,8 @@ def rescale_to_constraint(x, weights, p: float, target: float) -> float:
             )
 
     def value(t: float) -> tuple[float, float, None]:
-        return phi_p(t * x, w, p), float(np.sum(w * x * np.exp(p * t * x))), None
+        with np.errstate(over="ignore"):
+            return phi_p(t * x, w, p), float(np.sum(w * x * np.exp(p * t * x))), None
 
     return _newton_on_ray(value, target, 1e-8, 1e9)[0]
 
@@ -312,6 +313,7 @@ class _Iterate:
     lam: float
     res: float
     objective: float
+    score: float
 
 
 def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
@@ -392,27 +394,27 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
         u = np.array(poly.canonical_support[:m])
         lam, res = _lagrange_residual(areas, u, reduced_w, p)
         value = volume(poly) if maximizing else phi_p(np.concatenate([z, z]), full_w, p)
-        return _Iterate(z, poly, areas, u, lam, res, value)
+        score = math.log(value) if maximizing else float(np.logaddexp.reduce(p * z + np.log(reduced_w)))
+        return _Iterate(z, poly, areas, u, lam, res, value, score)
 
     def gradient(it: _Iterate) -> tuple[np.ndarray, np.ndarray]:
-        """(objective gradient, constraint gradient) in the reduced scales."""
-        phi_grad = 2.0 * reduced_w * np.exp(p * it.z)
+        """(objective gradient, constraint gradient) in the reduced scales; for
+        p < 0, -a_i e^{p z_i} / sum_j a_j e^{p z_j}, which cannot underflow."""
         vol_grad = 2.0 * it.areas
-        return (vol_grad, phi_grad) if maximizing else (-phi_grad, vol_grad)
+        if maximizing:
+            return vol_grad, 2.0 * reduced_w * np.exp(p * it.z)
+        return -reduced_w * np.exp(p * it.z - it.score), vol_grad
 
     current = evaluate(*project(np.ones(m)))
     trace = [current.objective]
     best = current
     step = _STEP
     iterations = 0
-    converged = False
     grad_check_worst = 0.0
 
     while True:
-        if current.res <= config.tol:
-            converged = True
-            break
-        if iterations >= config.max_iters:
+        converged = current.res <= config.tol
+        if converged or iterations >= config.max_iters:
             break
         g, h = gradient(current)
         hh = float(np.dot(h, h))
@@ -431,8 +433,7 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
                 step *= _BACKTRACK
                 continue
             trial = evaluate(z, poly)
-            gain = trial.objective - current.objective
-            if (gain > 1e-15) if maximizing else (gain < -1e-15):
+            if trial.score > current.score:
                 accepted = trial
                 break
             step *= _BACKTRACK
@@ -447,7 +448,6 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
             logger.warning("support-bound safeguard is active on an accepted iterate")
         if current.res < best.res:
             best = current
-        step = min(step / _BACKTRACK, 4.0 * _STEP)
         if iterations % _GRAD_CHECK_EVERY == 0:
             direct = 2.0 * current.areas
             fd = np.array(

@@ -409,6 +409,34 @@ def test_unsolvable_extremes_exit_4(tmp_path, p, v0, weights, named, capsys):
     assert not out.exists()
 
 
+def test_negative_flags_in_exponent_notation_take_the_equals_form(tmp_path, capsys):
+    # argparse reads "--p -1e6" as a flag without a value; "--p=-1e6" overrides
+    # the file's p = 2
+    out = tmp_path / "solution.json"
+    argv = ["solve", "--input", axes_instance(tmp_path, 2.0, 1.0, (1.0, 1.0)), "--output", str(out)]
+    assert main(argv + ["--p=-1e6"]) == 4
+    assert "p = -1000000.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("v0", [1e30, 1e50])
+def test_solve_large_volumes(tmp_path, v0, capsys):
+    out = tmp_path / "solution.json"
+    instance = axes_instance(tmp_path, -1.0, v0)
+    assert main(["solve", "--input", instance, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["iterations"] > 0
+    capsys.readouterr()
+    assert main(["check", "--instance", instance, "--solution", str(out)]) == 0
+    assert last_json(capsys)["match"] is True
+
+
+def test_solve_large_positive_p_is_quiet(tmp_path, capsys):
+    out = tmp_path / "solution.json"
+    argv = ["solve", "--input", axes_instance(tmp_path, -1.0, 1.0), "--output", str(out)]
+    assert main(argv + ["--p", "2000"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ------------------------------------------------------------ geometry queries
 
 def test_volume_command(lens_body, capsys):
