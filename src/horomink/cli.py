@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -325,12 +326,12 @@ def _emit(payload: dict):
 
 
 def _rule_from_args(n: int, args):
-    """The scan rule the --quad-* flags ask for, validated in every
+    """The scan rule the --quad-* and --seed flags ask for, validated in every
     dimension but built only for n >= 3: n <= 2 bodies read no scan."""
     _flag(args.quad_nodes, "--quad-nodes", minimum=2)
     _flag(args.seed, "--seed", minimum=0)
     _check_rule_kind(n, args.quad_kind, "--quad-kind")
-    if n <= 2 or (args.quad_nodes is None and args.quad_kind is None):
+    if n <= 2:
         return None
     return build_quadrature(n, args.quad_nodes, _QUAD_KINDS.get(args.quad_kind), args.seed or 0)
 
@@ -540,7 +541,9 @@ def _cmd_render(args) -> int:
 
 # ---------------------------------------------------------------- entrypoint
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="horomink",
         description="Horospherically convex polytopes: solver and geometry queries.",
@@ -564,7 +567,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vol = sub.add_parser("volume", help="volume of a horoball body")
     p_vol.add_argument("--body", required=True)
     p_vol.add_argument("--quad-nodes", type=int)
-    p_vol.add_argument("--quad-kind", choices=tuple(_QUAD_KINDS))
+    p_vol.add_argument(
+        "--quad-kind",
+        choices=tuple(_QUAD_KINDS),
+        help="never changes the rule: grid (n = 1) and product (n = 2) are accepted "
+        "where no rule is built, and for n >= 3 only mc, the default, is",
+    )
     p_vol.add_argument("--seed", type=int)
     p_vol.set_defaults(func=_cmd_volume)
 

@@ -29,10 +29,16 @@ only absorbs roundoff where a horoball touches a vertex. For n >= 3 the
 queries maximize over a scan quadrature, refine with Nelder-Mead and
 estimate facet areas by Monte-Carlo over the facet's disks.
 
-SciPy is loaded on first use, through _adaptive_quad, _nm_minimize and
-_scalar_minimize: only the n >= 3 paths (Nelder-Mead refinement and
-t_body_volume) and the n = 2 Hausdorff distance load it, so n <= 2 work
-never does.
+A build makes the boundary (n <= 2) or the scan radii (n >= 3) and
+nothing more; support numbers and facet flags are computed on first use
+(HConvexPolytope), since a volume reads neither.
+
+SciPy is loaded on first use, through _adaptive_quad and _nm_minimize
+(_scalar_minimize is called nowhere here; the benchmark's tracer wraps
+it). Only the n >= 3 support, facet, separate, extremal and Hausdorff
+queries (Nelder-Mead refinement), t_body_volume for n >= 3 and the n = 2
+Hausdorff distance load it. An n >= 3 volume reads the scan radii only,
+and n <= 2 work never loads SciPy.
 """
 
 from __future__ import annotations
@@ -340,23 +346,41 @@ class _FacetArcs:
 
 @dataclass(frozen=True, eq=False)
 class HConvexPolytope:
-    """A built body: spec plus support numbers and the data its queries read.
+    """A built body: its spec plus the data its queries read.
 
     n <= 2 bodies carry their boundary arcs and no scan (scan and
     scan_radii are None); n >= 3 bodies carry a scan quadrature with the
-    radial function on its nodes.
+    radial function on its nodes. Support numbers and facet flags are
+    computed on first use, since a volume reads neither.
     """
 
     spec: PolytopeSpec
-    canonical_support: np.ndarray
-    facet_nonempty: np.ndarray
-    scan: SphereQuadrature | None
-    scan_radii: np.ndarray | None
+    scan: SphereQuadrature | None = None
+    scan_radii: np.ndarray | None = None
     boundary: _PlanarBoundary | _FacetArcs | None = None
 
     @property
     def n(self) -> int:
         return self.spec.n
+
+    @cached_property
+    def canonical_support(self) -> np.ndarray:
+        """The support number of every listed direction, never above its
+        scale: maxima over the arcs for n <= 2, refined scan maxima for n >= 3."""
+        spec, arcs = self.spec, self.boundary
+        if arcs is None:
+            return np.array([min(_scan_support(self, e), x) for e, x in zip(spec.directions, spec.x.tolist())])
+        # a facet lies on its own horosphere, so that horoball touches the body
+        return np.where(arcs.active, spec.x, np.minimum(_exact_support(spec, arcs, spec.directions), spec.x))
+
+    @cached_property
+    def facet_nonempty(self) -> np.ndarray:
+        """Whether each horoball carries a facet: exactly when it keeps an arc
+        for n <= 2, and when its scale is within FACET_TOL of its support
+        number for n >= 3."""
+        if self.boundary is not None:
+            return self.boundary.active
+        return (self.spec.x - self.canonical_support) <= FACET_TOL
 
     @cached_property
     def _scan_cosh(self) -> np.ndarray:
@@ -1008,28 +1032,34 @@ def _scan_spacing(scan: SphereQuadrature) -> float:
     return (float(np.sum(scan.weights)) / scan.count) ** (1.0 / scan.n)
 
 
-def _support_objective(spec: PolytopeSpec, e_vec: np.ndarray):
+def _scan_support(poly: HConvexPolytope, e_vec: np.ndarray) -> float:
+    """n >= 3 support number along the unit vector e_vec: the best scan
+    node, refined by Nelder-Mead."""
+    spec = poly.spec
+    vals = np.log(poly._scan_cosh - poly._scan_sinh * (poly.scan.nodes @ e_vec))
+    g = int(np.argmax(vals))
+
     def value(theta: np.ndarray) -> float:
         rho = _radial_single(spec, theta)
-        c = float(np.dot(theta, e_vec))
-        return math.log(math.cosh(rho) - math.sinh(rho) * c)
+        return math.log(math.cosh(rho) - math.sinh(rho) * float(np.dot(theta, e_vec)))
 
-    return value
+    return max(float(vals[g]), _refine_max_sphere(value, poly.scan.nodes[g], _scan_spacing(poly.scan)))
 
 
 def build_polytope(spec: PolytopeSpec, scan: SphereQuadrature | None = None) -> HConvexPolytope:
-    """Intersect the spec's horoballs and precompute support data.
+    """Intersect the spec's horoballs.
 
     For n <= 2 the body is described exactly by its boundary arcs (one per
-    facet for n = 1, the arcs around every facet for n = 2), a horoball
-    carries a facet exactly when it keeps an arc, and support numbers are
-    maxima over the arcs; no radial function is evaluated and a passed scan
-    is not used (the body keeps scan=None). For n >= 3 the scan (by default
-    build_quadrature's rule) is the direction set for support and extremal
-    maximizations and the volume rule, and a horoball carries a facet when
-    its scale is within FACET_TOL of its Nelder-Mead refined support number.
-    An even spec containing a zero-scale pair collapses to the single point
-    O, which has no interior, and raises DegenerateBodyError.
+    facet for n = 1, the arcs around every facet for n = 2); no radial
+    function is evaluated and a passed scan is not used (the body keeps
+    scan=None). A body that keeps no arc at all is below the resolution of
+    _ARC_TOL and raises DegenerateBodyError. For n >= 3 the scan (by
+    default build_quadrature's rule) is the direction set for support and
+    extremal maximizations and the volume rule, and the build evaluates the
+    radial function on its nodes. Support numbers and facet flags wait for
+    their first use (HConvexPolytope). An even spec containing a zero-scale
+    pair collapses to the single point O, which has no interior, and raises
+    DegenerateBodyError.
     """
     if np.any(spec.x == 0.0):
         raise DegenerateBodyError("an even pair with scale 0 pins the body to the basepoint")
@@ -1037,58 +1067,18 @@ def build_polytope(spec: PolytopeSpec, scan: SphereQuadrature | None = None) -> 
         raise SpecError("scan quadrature dimension does not match the spec")
     arcs = _exact_boundary(spec)
     if arcs is not None:
-        return _exact_body(spec, arcs)
+        if not np.any(arcs.active):
+            raise DegenerateBodyError(
+                f"every boundary arc is shorter than the arc tolerance {_ARC_TOL:g}: "
+                "the body is too small to resolve"
+            )
+        return HConvexPolytope(spec=spec, boundary=arcs)
     if scan is None:
         scan = build_quadrature(spec.n)
     radii = _radial_rows(spec, scan.nodes)
     if not np.all(np.isfinite(radii)):
         raise SpecError("body is unbounded along a scanned direction")
-    # Coarse support values for all listed directions in one pass.
-    a, b = np.cosh(radii), np.sinh(radii)
-    cos = scan.nodes @ spec.directions.T
-    coarse = np.log(a[:, None] - b[:, None] * cos)
-    best = np.argmax(coarse, axis=0)
-    spacing = _scan_spacing(scan)
-    support_vals = np.empty(spec.count)
-    for i in range(spec.count):
-        refined = _refine_max_sphere(
-            _support_objective(spec, spec.directions[i]),
-            scan.nodes[best[i]],
-            spacing,
-        )
-        # Support of a listed direction never exceeds its own scale.
-        support_vals[i] = min(refined, float(spec.x[i]))
-    return HConvexPolytope(
-        spec=spec,
-        canonical_support=support_vals,
-        facet_nonempty=(spec.x - support_vals) <= FACET_TOL,
-        scan=scan,
-        scan_radii=radii,
-    )
-
-
-def _exact_body(spec: PolytopeSpec, arcs) -> HConvexPolytope:
-    """The n <= 2 body of a spec with positive scales, from its boundary
-    arcs (_exact_boundary(spec)): a horoball carries a facet exactly when
-    it keeps an arc, and support numbers are maxima over the arcs. A body
-    that keeps no arc at all is below the resolution of _ARC_TOL and raises
-    DegenerateBodyError."""
-    if not np.any(arcs.active):
-        raise DegenerateBodyError(
-            f"every boundary arc is shorter than the arc tolerance {_ARC_TOL:g}: "
-            "the body is too small to resolve"
-        )
-    top = _exact_support(spec, arcs, spec.directions)
-    # a facet lies on its own horosphere, so that horoball touches the body
-    support_vals = np.where(arcs.active, spec.x, np.minimum(top, spec.x))
-    return HConvexPolytope(
-        spec=spec,
-        canonical_support=support_vals,
-        facet_nonempty=arcs.active,
-        scan=None,
-        scan_radii=None,
-        boundary=arcs,
-    )
+    return HConvexPolytope(spec=spec, scan=scan, scan_radii=radii)
 
 
 def radial(poly: HConvexPolytope, theta: Direction) -> float:
@@ -1109,13 +1099,7 @@ def support(poly: HConvexPolytope, e: Direction) -> float:
         raise SpecError("direction dimension mismatch")
     if poly.boundary is not None:
         return float(_exact_support(poly.spec, poly.boundary, e.vector[None, :])[0])
-    cos = poly.scan.nodes @ e.vector
-    vals = np.log(poly._scan_cosh - poly._scan_sinh * cos)
-    g = int(np.argmax(vals))
-    refined = _refine_max_sphere(
-        _support_objective(poly.spec, e.vector), poly.scan.nodes[g], _scan_spacing(poly.scan)
-    )
-    return max(float(vals[g]), refined)
+    return _scan_support(poly, e.vector)
 
 
 def _support_grid(poly: HConvexPolytope, dirs: np.ndarray) -> np.ndarray:

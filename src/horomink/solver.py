@@ -23,7 +23,7 @@ system, never by iterate distance.
 Each piece of work is done once. The measure is paired into antipodal
 pairs once, and every trial spec inherits the pairing of one template.
 Each trial is built once: in the Phi_p-constrained mode at its rescaled
-scales, and in the volume-constrained mode from the arcs of the rescale's
+scales, and in the volume-constrained mode as the body of the rescale's
 last evaluation (one boundary per evaluation). That body is canonicalized,
 and it is the body the trial is judged on unless canonicalizing lowered a
 scale; only then is the trial built a second time, at the lowered scales
@@ -62,10 +62,7 @@ from .polytope import (
     facet_area,
     facet_area_fd,
     volume,
-    _exact_areas,
-    _exact_body,
     _exact_boundary,
-    _exact_volume,
 )
 # Unused here; the benchmark's tracer wraps these names to count volume
 # evaluations and quadrature rules built.
@@ -136,15 +133,15 @@ def rescale_to_constraint(x, weights, p: float, target: float) -> float:
 
 
 def _volume_rescale(x: np.ndarray, target: float, spec: PolytopeSpec):
-    """(t, boundary arcs of the body at t x) with V(P(t x)) = target.
+    """(t, the body at t x) with V(P(t x)) = target.
 
     Solves to relative accuracy 1e-9 for positive x and target, with the
     body built from the directions of spec, an n <= 2 spec (solve_even
     refuses n >= 3 before it gets here). The slope is exact: d/dt V(t x) =
     sum of x_i S_i(t x) by the variational identity S_i = dV/dx_i, so every
     evaluation builds the boundary at t x once and reads volume and slope
-    off it. The arcs of the last evaluation, where t was accepted, are
-    returned so that the caller need not build them again.
+    off the body it makes. The body of the last evaluation, where t was
+    accepted, is returned so that the caller need not build it again.
 
     Raises UnreachableTargetError like rescale_to_constraint, and also
     keeps t max(x) <= 350, below which products of two horoball radii
@@ -153,9 +150,9 @@ def _volume_rescale(x: np.ndarray, target: float, spec: PolytopeSpec):
     """
 
     def value(t: float):
-        scaled = spec.with_x(t * x, even=False)
-        arcs = _exact_boundary(scaled)
-        return _exact_volume(scaled, arcs), float(np.dot(x, _exact_areas(scaled, arcs))), arcs
+        scaled = spec.with_x(t * x)
+        body = HConvexPolytope(spec=scaled, boundary=_exact_boundary(scaled))
+        return volume(body), float(np.dot(x, body._areas)), body
 
     # tight, so that the solver's objective comparisons are not polluted by
     # rescaling noise; the disks of _shadows hold e^{t x_i} e^{t x_k}, which
@@ -375,11 +372,12 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
             z = phi_rescaled(z)
             poly = build(z)
         else:
-            # the rescale's last evaluation built the boundary at t (z, z),
-            # which is (z t, z t) bit for bit: the body is made from those arcs
-            t, arcs = _volume_rescale(np.concatenate([z, z]), config.v0, spec_template)
+            # the rescale's last evaluation built the body at t (z, z), which
+            # is (z t, z t) bit for bit. It skips build_polytope's check for a
+            # body with no arc and needs none: its volume is within 1e-9 of
+            # V0 > 0
+            t, poly = _volume_rescale(np.concatenate([z, z]), config.v0, spec_template)
             z = z * t
-            poly = _exact_body(spec_template.with_x(np.concatenate([z, z])), arcs)
         lowered = canonical(poly)
         if np.array_equal(lowered, z):
             return z, poly

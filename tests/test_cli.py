@@ -531,6 +531,22 @@ def test_volume_builds_a_rule_only_for_n3(tmp_path, monkeypatch, capsys):
     assert last_json(capsys)["volume"] == volume(build_polytope(spec, scan=rule))
 
 
+def test_n3_volume_seed_alone_sets_the_rule(tmp_path, capsys):
+    # --seed alone chooses the seed of the n >= 3 rule
+    dirs = np.zeros((2, 4))
+    dirs[:, 0] = [1.0, -1.0]
+    body = write_json(
+        tmp_path / "body.json",
+        {"schema_version": "1", "n": 3, "horoballs": [{"direction": d.tolist(), "x": LOG2} for d in dirs]},
+    )
+    spec = PolytopeSpec(n=3, directions=dirs, x=np.array([LOG2, LOG2]))
+    for seed in (0, 5):
+        assert main(["volume", "--body", body, "--seed", str(seed)]) == 0
+        rule = build_quadrature(3, seed=seed)
+        assert last_json(capsys)["volume"] == volume(build_polytope(spec, scan=rule))
+    assert volume(build_polytope(spec, scan=rule)) != volume(build_polytope(spec))
+
+
 @pytest.mark.parametrize("kind", ["grid", "mc", "product"])
 def test_volume_quad_kind(tmp_path, kind, capsys):
     n = 2 if kind == "product" else 1

@@ -87,12 +87,16 @@ def test_n_ge_3_work_loads_scipy(tmp_path):
 
         import numpy as np
 
-        from horomink import PolytopeSpec, build_polytope, build_quadrature, t_body_volume, volume
+        from horomink import PolytopeSpec, build_polytope, build_quadrature, facet_areas, t_body_volume, volume
 
         dirs = np.vstack([np.eye(4), -np.eye(4)])
         spec = PolytopeSpec(n=3, directions=dirs, x=np.ones(8), even=True)
-        assert volume(build_polytope(spec, scan=build_quadrature(3, 500))) > 0.0
-        assert "scipy.optimize" in sys.modules
+        poly = build_polytope(spec, scan=build_quadrature(3, 500))
+        # a volume reads the scan radii only; facet flags refine support numbers
+        assert volume(poly) > 0.0
+        assert "scipy" not in sys.modules
+        assert np.all(facet_areas(poly) > 0.0)
+        assert "scipy.optimize" in sys.modules and "scipy.integrate" not in sys.modules
         assert t_body_volume(1.0, 3) > 0.0
         assert "scipy.integrate" in sys.modules
         """,

@@ -380,8 +380,8 @@ def count_calls(monkeypatch, targets) -> dict:
 def test_solve_does_each_piece_of_work_once(monkeypatch):
     # one pairing for the measure and one for the spec template, which every
     # trial spec inherits; one boundary per rescale evaluation. Each trial
-    # (one _lagrange_residual) is judged on the body made from the rescale's
-    # last arcs (_exact_body), and builds again (build_polytope, the
+    # (one _lagrange_residual) is judged on the body of its rescale's last
+    # evaluation (_volume_rescale), and builds again (build_polytope, the
     # polytope-side boundary) only when canonicalizing lowered a scale
     calls = count_calls(
         monkeypatch,
@@ -390,7 +390,7 @@ def test_solve_does_each_piece_of_work_once(monkeypatch):
             (solver, "_exact_boundary"),
             (polytope, "_exact_boundary"),
             (solver, "build_polytope"),
-            (solver, "_exact_body"),
+            (solver, "_volume_rescale"),
             (solver, "_lagrange_residual"),
         ],
     )
@@ -399,7 +399,7 @@ def test_solve_does_each_piece_of_work_once(monkeypatch):
     assert result.converged
     assert result.iterations == 6
     assert calls[("horomink.polytope", "_even_pairing")] == 2
-    assert calls[("horomink.solver", "_exact_body")] == 16
+    assert calls[("horomink.solver", "_volume_rescale")] == 16
     assert calls[("horomink.solver", "_lagrange_residual")] == 16
     assert calls[("horomink.solver", "build_polytope")] == 1
     assert calls[("horomink.polytope", "_exact_boundary")] == 1
