@@ -235,6 +235,47 @@ def test_schema_rejects_missing_and_malformed_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+# (case, the faulty record made from a good one and its value key, the field
+# after the record's index, the message); an instance's value key is
+# "weight", a body's is "x"
+RECORD_FAULTS = [
+    ("not-an-object", lambda rec, key: [rec["direction"], rec[key]], "", "expected a JSON object"),
+    ("unknown-key", lambda rec, key: dict(rec, label="x"), ".label", "unknown field"),
+    ("missing-key", lambda rec, key: {"direction": rec["direction"]}, ".{key}", "missing required field"),
+    ("direction-not-a-list", lambda rec, key: dict(rec, direction=1.0), ".direction", "expected a list of 2 numbers"),
+    ("direction-too-long", lambda rec, key: dict(rec, direction=[1.0, 0.0, 0.0]), ".direction", "expected a list of 2 numbers"),
+    ("true-component", lambda rec, key: dict(rec, direction=[1.0, True]), ".direction[1]", "expected a number"),
+    ("string-component", lambda rec, key: dict(rec, direction=["1", 0.0]), ".direction[0]", "expected a number"),
+    ("nan-component", lambda rec, key: dict(rec, direction=[1.0, math.nan]), ".direction[1]", "must be finite"),
+    ("infinite-component", lambda rec, key: dict(rec, direction=[math.inf, 0.0]), ".direction[0]", "must be finite"),
+    ("zero-direction", lambda rec, key: dict(rec, direction=[0.0, 0.0]), ".direction", "must be nonzero"),
+    ("value-not-a-number", lambda rec, key: dict(rec, **{key: "1"}), ".{key}", "expected a number"),
+    ("value-out-of-range", lambda rec, key: dict(rec, **{key: {"weight": 0.0, "x": -1.0}[key]}), ".{key}", None),
+]
+
+
+@pytest.mark.parametrize("case, fault, suffix, text", RECORD_FAULTS, ids=[c[0] for c in RECORD_FAULTS])
+@pytest.mark.parametrize("container", ["atoms", "horoballs"])
+def test_each_record_fault_names_its_record(tmp_path, container, case, fault, suffix, text, capsys):
+    # the one faulty record sits at index 2 of a square's four
+    key, top = {"atoms": ("weight", "instance"), "horoballs": ("x", "body")}[container]
+    records = [
+        {"direction": d, key: 1.0}
+        for d in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0])
+    ]
+    records[2] = fault(records[2], key)
+    payload = {"schema_version": "1", "n": 1, "even": True, container: records}
+    if container == "atoms":
+        path = write_json(tmp_path / "inst.json", dict(payload, p=0.0))
+        argv = ["solve", "--input", path, "--output", str(tmp_path / "unused.json")]
+    else:
+        argv = ["volume", "--body", write_json(tmp_path / "body.json", payload)]
+    text = text or {"weight": "must be positive", "x": "must be >= 0"}[key]
+    assert main(argv) == 2
+    field = f"{top}.{container}[2]{suffix.format(key=key)}"
+    assert capsys.readouterr().err == f"schema error: {field}: {text}\n"
+
+
 def cube_body(tmp_path) -> str:
     rows = np.vstack([np.eye(3), -np.eye(3)])
     return write_json(
