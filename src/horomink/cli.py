@@ -18,7 +18,7 @@ import traceback
 
 import numpy as np
 
-from .errors import HoromkError, NotEvenError
+from .errors import HoromkError, NotEvenError, SpecError
 from .geometry import Direction, HyperboloidPoint, convert_model
 from .polytope import (
     DiscreteMeasure,
@@ -35,6 +35,9 @@ from .quadrature import build_quadrature
 from .solver import SolverConfig, residual, solve_even
 
 SCHEMA_VERSION = "1"
+
+# The types of a JSON number; JSON's true and false are bools, not ints.
+_NUMBERS = (int, float)
 
 # Quadrature kinds as files and flags name them, and as build_quadrature does.
 _QUAD_KINDS = {"grid": "uniform-grid", "product": "product-rule", "mc": "monte-carlo"}
@@ -63,9 +66,7 @@ def _check_keys(obj: dict, allowed: set, required: set, where: str):
 
 def _check_version(obj: dict, where: str):
     if obj.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaViolation(
-            f"{where}.schema_version", f"expected {SCHEMA_VERSION!r}"
-        )
+        raise SchemaViolation(f"{where}.schema_version", f"expected {SCHEMA_VERSION!r}")
 
 
 def _as_int(value, where: str, minimum=None) -> int:
@@ -76,10 +77,19 @@ def _as_int(value, where: str, minimum=None) -> int:
     return value
 
 
-def _as_real(value, where: str, positive=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _number(value, where: str) -> float:
+    """A JSON number as a float; an integer past the float range reads as
+    infinite, so the finiteness check names it."""
+    if type(value) not in _NUMBERS:
         raise SchemaViolation(where, "expected a number")
-    value = float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _as_real(value, where: str, positive=False) -> float:
+    value = _number(value, where)
     if not math.isfinite(value):
         raise SchemaViolation(where, "must be finite")
     if positive and value <= 0.0:
@@ -91,12 +101,6 @@ def _as_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise SchemaViolation(where, "expected a boolean")
     return value
-
-
-def _as_vector(value, length: int, where: str) -> list:
-    if not isinstance(value, list) or len(value) != length:
-        raise SchemaViolation(where, f"expected a list of {length} numbers")
-    return [_as_real(v, f"{where}[{k}]") for k, v in enumerate(value)]
 
 
 def _load_json(path: str, where: str) -> dict:
@@ -127,38 +131,69 @@ def _check_rule_kind(n: int, kind, where: str):
         raise SchemaViolation(where, "the product rule exists only for n = 2")
 
 
-def validate_instance(obj: dict) -> dict:
-    """Validated InstanceFile contents as plain Python values."""
-    _check_keys(
-        obj,
-        {"schema_version", "n", "p", "V0", "atoms", "even", "solver"},
-        {"schema_version", "n", "p", "atoms", "even"},
-        "instance",
-    )
-    _check_version(obj, "instance")
-    n = _as_int(obj["n"], "instance.n", minimum=1)
+def _read_records(raw, n: int, key: str, where: str, positive: bool):
+    """(directions, values) of a non-empty list of {"direction": [n + 1
+    numbers], key: number} records, as the file gives them.
+
+    Every record's keys are checked first, then the types and lengths, then
+    over all records at once: finite components, nonzero directions, and
+    values > 0 (positive) or >= 0. A fault names the first record and
+    component that has it.
+    """
+    if not isinstance(raw, list) or not raw:
+        raise SchemaViolation(where, "expected a non-empty list")
+    keys = {"direction", key}
+    for k, record in enumerate(raw):
+        _check_keys(record, keys, keys, f"{where}[{k}]")
+    for k, record in enumerate(raw):
+        row = record["direction"]
+        if not isinstance(row, list) or len(row) != n + 1:
+            raise SchemaViolation(f"{where}[{k}].direction", f"expected a list of {n + 1} numbers")
+        for c, v in enumerate(row):
+            if type(v) not in _NUMBERS:
+                raise SchemaViolation(f"{where}[{k}].direction[{c}]", "expected a number")
+        _number(record[key], f"{where}[{k}].{key}")
+    table = [record["direction"] + [record[key]] for record in raw]
+    try:
+        table = np.array(table, dtype=np.float64)
+    except OverflowError:  # an integer past the float range
+        table = np.array([[_number(v, where) for v in row] for row in table])
+    directions, values = table[:, :-1], table[:, -1]
+    finite = np.isfinite(directions)
+    zero = ~np.any(directions, axis=1)
+    out_of_range = ~np.isfinite(values) | (values <= 0.0 if positive else values < 0.0)
+    bad = ~np.all(finite, axis=1) | zero | out_of_range
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if not np.all(finite[k]):
+            raise SchemaViolation(f"{where}[{k}].direction[{np.argmin(finite[k])}]", "must be finite")
+        if zero[k]:
+            raise SchemaViolation(f"{where}[{k}].direction", "must be nonzero")
+        if not np.isfinite(values[k]):
+            raise SchemaViolation(f"{where}[{k}].{key}", "must be finite")
+        raise SchemaViolation(f"{where}[{k}].{key}", "must be positive" if positive else "must be >= 0")
+    return directions, values
+
+
+def validate_instance(obj: dict, where: str = "instance") -> dict:
+    """Validated InstanceFile contents as plain Python values and arrays.
+
+    With where = "solution.instance" it validates a solution's echo of an
+    instance, which has no `schema_version` or `solver`.
+    """
+    echo = where != "instance"
+    required = {"n", "p", "atoms", "even"} | (set() if echo else {"schema_version"})
+    _check_keys(obj, required | {"V0"} | (set() if echo else {"solver"}), required, where)
+    if not echo:
+        _check_version(obj, where)
+    n = _as_int(obj["n"], f"{where}.n", minimum=1)
     if n > 2:
-        raise SchemaViolation("instance.n", "the solver accepts n <= 2 only")
-    p = _as_real(obj["p"], "instance.p")
-    v0 = _as_real(obj.get("V0", 1.0), "instance.V0", positive=True)
-    even = _as_bool(obj["even"], "instance.even")
-    atoms_raw = obj["atoms"]
-    if not isinstance(atoms_raw, list) or not atoms_raw:
-        raise SchemaViolation("instance.atoms", "expected a non-empty list")
-    atoms = []
-    for k, atom in enumerate(atoms_raw):
-        where = f"instance.atoms[{k}]"
-        _check_keys(atom, {"direction", "weight"}, {"direction", "weight"}, where)
-        vec = np.array(_as_vector(atom["direction"], n + 1, f"{where}.direction"))
-        norm = float(np.linalg.norm(vec))
-        if norm <= 0.0:
-            raise SchemaViolation(f"{where}.direction", "must be nonzero")
-        atoms.append(
-            {
-                "direction": (vec / norm).tolist(),
-                "weight": _as_real(atom["weight"], f"{where}.weight", positive=True),
-            }
-        )
+        raise SchemaViolation(f"{where}.n", "the solver accepts n <= 2 only")
+    p = _as_real(obj["p"], f"{where}.p")
+    v0 = _as_real(obj.get("V0", 1.0), f"{where}.V0", positive=True)
+    if not _as_bool(obj["even"], f"{where}.even"):
+        raise SchemaViolation(f"{where}.even", "the solver accepts even measures only")
+    directions, weights = _read_records(obj["atoms"], n, "weight", f"{where}.atoms", positive=True)
     solver_raw = obj.get("solver", {})
     _check_keys(solver_raw, {"tol", "max_iters"}, set(), "instance.solver")
     overrides = {}
@@ -166,71 +201,29 @@ def validate_instance(obj: dict) -> dict:
         overrides["tol"] = _as_real(solver_raw["tol"], "instance.solver.tol", positive=True)
     if "max_iters" in solver_raw:
         overrides["max_iters"] = _as_int(solver_raw["max_iters"], "instance.solver.max_iters", minimum=0)
-    return {"n": n, "p": p, "v0": v0, "even": even, "atoms": atoms, "solver": overrides}
+    return {"n": n, "p": p, "v0": v0, "directions": directions, "weights": weights, "solver": overrides}
 
 
 def validate_body(obj: dict) -> dict:
     """Validated BodyFile contents (a bare horoball family)."""
-    _check_keys(
-        obj,
-        {"schema_version", "n", "horoballs", "even"},
-        {"schema_version", "n", "horoballs"},
-        "body",
-    )
+    required = {"schema_version", "n", "horoballs"}
+    _check_keys(obj, required | {"even"}, required, "body")
     _check_version(obj, "body")
     n = _as_int(obj["n"], "body.n", minimum=1)
     even = _as_bool(obj.get("even", False), "body.even")
-    balls_raw = obj["horoballs"]
-    if not isinstance(balls_raw, list) or not balls_raw:
-        raise SchemaViolation("body.horoballs", "expected a non-empty list")
-    balls = []
-    for k, ball in enumerate(balls_raw):
-        where = f"body.horoballs[{k}]"
-        _check_keys(ball, {"direction", "x"}, {"direction", "x"}, where)
-        vec = np.array(_as_vector(ball["direction"], n + 1, f"{where}.direction"))
-        norm = float(np.linalg.norm(vec))
-        if norm <= 0.0:
-            raise SchemaViolation(f"{where}.direction", "must be nonzero")
-        x = _as_real(ball["x"], f"{where}.x")
-        if x < 0.0:
-            raise SchemaViolation(f"{where}.x", "must be >= 0")
-        balls.append({"direction": (vec / norm).tolist(), "x": x})
-    return {"n": n, "even": even, "horoballs": balls}
+    directions, x = _read_records(obj["horoballs"], n, "x", "body.horoballs", positive=False)
+    return {"n": n, "even": even, "directions": directions, "x": x}
 
 
 def validate_solution(obj: dict) -> dict:
     """Validated SolutionFile contents."""
-    _check_keys(
-        obj,
-        {
-            "schema_version", "created", "instance", "z", "lambda",
-            "residual_max_rel", "volume", "facet_areas", "iterations",
-            "converged", "config",
-        },
-        {
-            "schema_version", "instance", "z", "lambda", "residual_max_rel",
-            "volume", "facet_areas", "iterations", "converged", "config",
-        },
-        "solution",
-    )
+    required = {
+        "schema_version", "instance", "z", "lambda", "residual_max_rel",
+        "volume", "facet_areas", "iterations", "converged", "config",
+    }
+    _check_keys(obj, required | {"created"}, required, "solution")
     _check_version(obj, "solution")
-    inst = obj["instance"]
-    _check_keys(
-        inst,
-        {"n", "p", "V0", "atoms", "even"},
-        {"n", "p", "atoms", "even"},
-        "solution.instance",
-    )
-    inst_full = validate_instance(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "n": inst["n"],
-            "p": inst["p"],
-            "V0": inst.get("V0", 1.0),
-            "atoms": inst["atoms"],
-            "even": inst["even"],
-        }
-    )
+    inst = validate_instance(obj["instance"], "solution.instance")
     z = obj["z"]
     if not isinstance(z, list) or not z:
         raise SchemaViolation("solution.z", "expected a non-empty list")
@@ -241,8 +234,8 @@ def validate_solution(obj: dict) -> dict:
     # a record of the run, like `created`: nothing reads it back
     if not isinstance(obj["config"], dict):
         raise SchemaViolation("solution.config", "expected a JSON object")
-    out = {
-        "instance": inst_full,
+    return {
+        "instance": inst,
         "z": z,
         "lambda": _as_real(obj["lambda"], "solution.lambda"),
         "residual_max_rel": _as_real(obj["residual_max_rel"], "solution.residual_max_rel"),
@@ -253,45 +246,36 @@ def validate_solution(obj: dict) -> dict:
         "iterations": _as_int(obj["iterations"], "solution.iterations", minimum=0),
         "converged": _as_bool(obj["converged"], "solution.converged"),
     }
-    return out
 
 
 # ------------------------------------------------------------------ builders
 
-def _measure_from_instance(inst: dict) -> DiscreteMeasure:
-    directions = np.array([a["direction"] for a in inst["atoms"]])
-    weights = np.array([a["weight"] for a in inst["atoms"]])
+def _measure_from_instance(inst: dict, where: str) -> DiscreteMeasure:
+    """The even measure of a validated instance; atoms that do not pair, or
+    two atoms on one direction, are a fault of the file at `where`."""
     try:
         return DiscreteMeasure(
-            n=inst["n"], directions=directions, weights=weights, even=inst["even"]
+            n=inst["n"], directions=inst["directions"], weights=inst["weights"], even=True
         )
-    except NotEvenError as exc:
-        raise SchemaViolation("instance.atoms", str(exc))
+    except (NotEvenError, SpecError) as exc:
+        raise SchemaViolation(f"{where}.atoms", str(exc))
 
 
 def _poly_from_body(body: dict, scan=None) -> HConvexPolytope:
     try:
-        spec = PolytopeSpec(
-            n=body["n"],
-            directions=np.array([b["direction"] for b in body["horoballs"]]),
-            x=np.array([b["x"] for b in body["horoballs"]]),
-            even=body["even"],
-        )
+        spec = PolytopeSpec(n=body["n"], directions=body["directions"], x=body["x"], even=body["even"])
     except NotEvenError as exc:
         raise SchemaViolation("body.horoballs", str(exc))
     return build_polytope(spec, scan=scan)
 
 
-def _poly_from_solution(sol: dict):
-    """(polytope, measure, p) rebuilt from a solution's echo and scales."""
+def _poly_from_solution(sol: dict) -> HConvexPolytope:
+    """The body rebuilt from a solution's echo and scales."""
     inst = sol["instance"]
-    measure = _measure_from_instance(inst)
-    reduced_dirs, _ = measure.reduced_pairs()
+    reduced_dirs, _ = _measure_from_instance(inst, "solution.instance").reduced_pairs()
     m = reduced_dirs.shape[0]
     if len(sol["z"]) != m:
-        raise SchemaViolation(
-            "solution.z", f"expected {m} entries for {m} direction pairs"
-        )
+        raise SchemaViolation("solution.z", f"expected {m} entries for {m} direction pairs")
     z = np.array(sol["z"])
     spec = PolytopeSpec(
         n=inst["n"],
@@ -299,7 +283,7 @@ def _poly_from_solution(sol: dict):
         x=np.concatenate([z, z]),
         even=True,
     )
-    return build_polytope(spec), measure, inst["p"]
+    return build_polytope(spec)
 
 
 def _parse_csv_floats(text: str, where: str) -> np.ndarray:
@@ -340,7 +324,7 @@ def _rule_from_args(n: int, args):
 
 def _cmd_solve(args) -> int:
     inst = validate_instance(_load_json(args.input, "instance"))
-    measure = _measure_from_instance(inst)
+    measure = _measure_from_instance(inst, "instance")
     cfg_kwargs = dict(inst["solver"])
     for key, value in (
         ("p", _flag(args.p, "--p")),
@@ -367,8 +351,11 @@ def _cmd_solve(args) -> int:
             "n": inst["n"],
             "p": inst["p"],
             "V0": inst["v0"],
-            "atoms": inst["atoms"],
-            "even": inst["even"],
+            "atoms": [
+                {"direction": d, "weight": w}
+                for d, w in zip(inst["directions"].tolist(), inst["weights"].tolist())
+            ],
+            "even": True,
         },
         "z": [float(v) for v in result.z],
         "lambda": float(result.lam),
@@ -395,8 +382,8 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     inst = validate_instance(_load_json(args.instance, "instance"))
     sol = validate_solution(_load_json(args.solution, "solution"))
-    measure = _measure_from_instance(inst)
-    poly, _, _ = _poly_from_solution(sol)
+    measure = _measure_from_instance(inst, "instance")
+    poly = _poly_from_solution(sol)
     lam, max_rel = residual(poly, measure, inst["p"])
     stored = sol["residual_max_rel"]
     match = abs(max_rel - stored) <= 1e-9
@@ -504,7 +491,7 @@ def _cmd_render(args) -> int:
     sol = validate_solution(_load_json(args.solution, "solution"))
     if sol["instance"]["n"] != 1:
         raise HoromkError("rendering supports n = 1 only")
-    poly, _, _ = _poly_from_solution(sol)
+    poly = _poly_from_solution(sol)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

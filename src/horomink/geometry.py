@@ -27,6 +27,14 @@ def _as_readonly(vec) -> np.ndarray:
     return arr
 
 
+def pow2_scaled(vectors: np.ndarray) -> np.ndarray:
+    """Each vector (last axis) times the power of two that puts its largest
+    |entry| in [1/2, 1). That is exact, so its norm cannot overflow or
+    underflow, and one whose squares stay normal normalizes to the same bits."""
+    _, exponent = np.frexp(np.max(np.abs(vectors), axis=-1, keepdims=True, initial=0.0))
+    return np.ldexp(vectors, -exponent)
+
+
 def minkowski_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Lorentz inner product along the last axis (signature +...+-)."""
     x = np.asarray(x, dtype=np.float64)
@@ -59,7 +67,7 @@ class Direction:
     @classmethod
     def from_vector(cls, vec) -> "Direction":
         """Normalize an arbitrary nonzero vector into a Direction."""
-        arr = np.asarray(vec, dtype=np.float64)
+        arr = pow2_scaled(np.asarray(vec, dtype=np.float64))
         norm = float(np.linalg.norm(arr))
         if not np.isfinite(norm) or norm == 0.0:
             raise ValueError("cannot normalize a zero or non-finite vector")

@@ -63,6 +63,7 @@ from .geometry import (
     boost_to_origin,
     minkowski_dot,
     polar_point,
+    pow2_scaled,
     safe_acosh,
 )
 from .horoball import Horoball, horoball_transform, radial_matrix
@@ -139,6 +140,7 @@ def _direction_rows(directions, n: int) -> np.ndarray:
     rows = np.array(directions, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != n + 1 or rows.shape[0] == 0:
         raise SpecError(f"directions must form a nonempty (m, {n + 1}) array")
+    rows = pow2_scaled(rows)
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0) or not np.all(np.isfinite(rows)):
         raise SpecError("directions must be finite and nonzero")

@@ -203,6 +203,12 @@ def bad_cases(tmp_path):
         "instance.solver.bogus": bad_solver,
         "instance.schema_version": bad_version,
         "instance.atoms": unpaired,
+        # both exited 4 as geometry errors naming no field
+        "instance.even": dict(base, even=False),
+        "instance.atoms: measure atoms must have pairwise distinct directions": dict(
+            base,
+            atoms=[{"direction": [1, 0], "weight": 1.0}, {"direction": [2, 0], "weight": 1.0}],
+        ),
     }
     # keys that picked the solver's quadrature or gradient mode, which solves
     # no longer read, and the line search and gradient check settings, now
@@ -274,6 +280,75 @@ def test_each_record_fault_names_its_record(tmp_path, container, case, fault, su
     assert main(argv) == 2
     field = f"{top}.{container}[2]{suffix.format(key=key)}"
     assert capsys.readouterr().err == f"schema error: {field}: {text}\n"
+
+
+def solved(tmp_path, instance: str) -> dict:
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--input", instance, "--output", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("case", ["body-x", "weight", "direction", "z"])
+def test_integers_past_the_float_range_exit_2(tmp_path, symmetric_instance, lens_body, case, capsys):
+    # float(10 ** 400) raised OverflowError, which exited 5
+    huge = 10**400
+    payload = json.loads(open(lens_body if case == "body-x" else symmetric_instance).read())
+    if case == "body-x":
+        payload["horoballs"][1]["x"] = huge
+        argv, field = ["volume", "--body"], "body.horoballs[1].x"
+    elif case == "weight":
+        payload["atoms"][1]["weight"] = huge
+        argv, field = ["solve", "--output", str(tmp_path / "unused.json"), "--input"], "instance.atoms[1].weight"
+    elif case == "direction":
+        payload["atoms"][1]["direction"] = [0, -huge]
+        argv, field = ["solve", "--output", str(tmp_path / "unused.json"), "--input"], "instance.atoms[1].direction[1]"
+    else:
+        payload = dict(solved(tmp_path, symmetric_instance), z=[0.25, huge])
+        argv, field = ["check", "--instance", symmetric_instance, "--solution"], "solution.z[1]"
+    capsys.readouterr()
+    assert main(argv + [write_json(tmp_path / "huge.json", payload)]) == 2
+    assert capsys.readouterr().err == f"schema error: {field}: must be finite\n"
+
+
+@pytest.mark.parametrize("command", ["check", "render"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (("weight", -1.0), "solution.instance.atoms[1].weight: must be positive"),
+        (("direction", [0.6, 0.8]), "solution.instance.atoms: measure: no antipodal partner for entry 1"),
+    ],
+    ids=["negative-weight", "no-antipode"],
+)
+def test_faults_in_a_solutions_echo_name_the_solution(tmp_path, symmetric_instance, command, fault, message, capsys):
+    # they named instance.atoms, which points at the --instance file
+    sol = solved(tmp_path, symmetric_instance)
+    key, value = fault
+    sol["instance"]["atoms"][1][key] = value
+    bad = write_json(tmp_path / "bad.json", sol)
+    capsys.readouterr()
+    argv = {
+        "check": ["check", "--instance", symmetric_instance, "--solution", bad],
+        "render": ["render", "--solution", bad, "--svg", str(tmp_path / "x.svg")],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"schema error: {message}\n"
+
+
+def test_check_rebuilds_the_solved_body_from_raw_directions(tmp_path, capsys):
+    # the echo holds the atoms as the file gives them, so check normalizes
+    # the same rows solve did and reproduces the residual exactly
+    atoms = [
+        {"direction": d, "weight": w}
+        for d, w in (([3, 4], 1.0), ([-3, -4], 1.0), ([2, 0], 2.0), ([-2, 0], 2.0), ([0.5, -1.5], 0.7), ([-0.5, 1.5], 0.7))
+    ]
+    inst = write_json(tmp_path / "inst.json", {"schema_version": "1", "n": 1, "p": 0.0, "even": True, "atoms": atoms})
+    sol = solved(tmp_path, inst)
+    assert sol["iterations"] > 0
+    assert sol["instance"]["atoms"] == atoms
+    assert all(isinstance(v, float) for atom in sol["instance"]["atoms"] for v in atom["direction"])
+    capsys.readouterr()
+    assert main(["check", "--instance", inst, "--solution", str(tmp_path / "solution.json")]) == 0
+    assert last_json(capsys)["residual_max_rel"] == sol["residual_max_rel"]
 
 
 def cube_body(tmp_path) -> str:
@@ -698,14 +773,15 @@ def test_n3_instances_exit_2(tmp_path, capsys):
             "facet_areas": [1.0] * 8, "iterations": 0, "converged": True, "config": {},
         },
     )
-    for argv in (
-        ["solve", "--input", inst, "--output", str(tmp_path / "unused.json")],
-        ["check", "--instance", inst, "--solution", sol],
-        ["render", "--solution", sol, "--svg", str(tmp_path / "unused.svg")],
+    # render reads the solution alone, so its fault is in the solution's echo
+    for argv, field in (
+        (["solve", "--input", inst, "--output", str(tmp_path / "unused.json")], "instance.n"),
+        (["check", "--instance", inst, "--solution", sol], "instance.n"),
+        (["render", "--solution", sol, "--svg", str(tmp_path / "unused.svg")], "solution.instance.n"),
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("schema error: instance.n:")
+        assert err.startswith(f"schema error: {field}:")
     assert not (tmp_path / "unused.json").exists()
 
 
@@ -721,6 +797,24 @@ def test_support_command(lens_body, capsys):
     assert main(["support", "--body", lens_body, "--direction", "1,0"]) == 0
     assert last_json(capsys)["support"] == pytest.approx(LOG2, abs=1e-9)
     assert main(["support", "--body", lens_body, "--direction", "0,nope"]) == 2
+
+
+@pytest.mark.parametrize("row, like", [([1e200, 1e200], [1.0, 1.0]), ([1e-320, 0], [1.0, 0.0])], ids=["huge", "subnormal"])
+def test_directions_whose_squares_leave_the_float_range(tmp_path, lens_body, row, like, capsys):
+    # the norm of [1e200, 1e200] overflowed, and [1e-320, 0] was refused as
+    # "must be nonzero"; support exited 5 on both directions
+    rows = [row, [-1.0, 1.0], [0.0, -1.0]]
+    body = write_json(
+        tmp_path / "far.json",
+        {"schema_version": "1", "n": 1, "horoballs": [{"direction": d, "x": 1.0} for d in rows]},
+    )
+    assert main(["volume", "--body", body]) == 0
+    spec = PolytopeSpec(n=1, directions=[like] + rows[1:], x=np.ones(3))
+    assert last_json(capsys)["volume"] == pytest.approx(volume(build_polytope(spec)), rel=1e-12)
+    assert main(["support", "--body", lens_body, "--direction", ",".join(map(str, row))]) == 0
+    got = last_json(capsys)["support"]
+    assert main(["support", "--body", lens_body, "--direction", ",".join(map(str, like))]) == 0
+    assert got == pytest.approx(last_json(capsys)["support"], rel=1e-12)
 
 
 def test_hausdorff_command(tmp_path, capsys):

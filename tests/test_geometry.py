@@ -124,6 +124,14 @@ def test_point_validation():
         Direction.from_vector(np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "vec, unit", [([1e200, 1e200], [math.sqrt(0.5)] * 2), ([1e-320, 0.0], [1.0, 0.0])], ids=["huge", "subnormal"]
+)
+def test_from_vector_past_the_float_range_of_its_squares(vec, unit):
+    # both raised ValueError: the norm overflowed to inf or underflowed to 0
+    np.testing.assert_allclose(Direction.from_vector(vec).vector, unit, rtol=1e-15, atol=0.0)
+
+
 def test_isometries_satisfy_lorentz_identity():
     rng = np.random.default_rng(7)
     for _ in range(50):

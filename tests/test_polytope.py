@@ -130,6 +130,27 @@ def test_spec_validation_errors():
         PolytopeSpec(n=1, directions=e, x=np.array([1.0, 1.5]), even=True)
 
 
+# rows whose squared norm leaves the float range, and their unit vectors
+FAR_ROWS = [([1e200, 1e200], [math.sqrt(0.5)] * 2), ([1e-320, 0.0], [1.0, 0.0])]
+
+
+@pytest.mark.parametrize("row, unit", FAR_ROWS, ids=["huge", "subnormal"])
+def test_directions_whose_squares_leave_the_float_range(row, unit):
+    # [1e200, 1e200] became [0, 0] with an overflow warning
+    spec = PolytopeSpec(n=1, directions=[row, [-1.0, 0.0], [0.0, -1.0]], x=[1.0, 1.0, 1.0])
+    measure = DiscreteMeasure(n=1, directions=[row, [-1.0, 0.0]], weights=[1.0, 1.0])
+    for rows in (spec.directions, measure.directions):
+        np.testing.assert_allclose(rows[0], unit, rtol=1e-15, atol=0.0)
+
+
+def test_directions_in_the_normal_range_keep_their_bits():
+    # scaling a row by a power of two before its norm is exact
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-100.0, 100.0, size=(200, 1))
+    spec = PolytopeSpec(n=2, directions=rows, x=np.ones(200))
+    assert np.array_equal(spec.directions, rows / np.linalg.norm(rows, axis=1)[:, None])
+
+
 def test_degenerate_body_paths():
     # a zero-scale even pair pins the body to the point O, which has no interior
     for n in (1, 2):

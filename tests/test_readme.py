@@ -1,13 +1,13 @@
 """The README documents the command line as the parser and the instance
-validator implement it."""
+and solution validators implement it."""
 
 import argparse
 import dataclasses
 import re
 from pathlib import Path
 
-from horomink.cli import SchemaViolation, _build_parser, validate_instance
-from horomink.solver import SolverConfig
+from horomink.cli import SchemaViolation, _build_parser, validate_instance, validate_solution
+from horomink.solver import SolverConfig, SolverResult
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -67,3 +67,23 @@ def test_readme_solver_keys_match_the_validator():
         else:
             accepted.add(key)
     assert accepted == documented == {"tol", "max_iters"}
+
+
+def test_readme_solution_fields_match_the_validator():
+    sentence = re.search(r"Fields:([^.]*)\.", README).group(1)
+    documented = set(re.findall(r"`([a-z_0-9]+)`", sentence))
+    # every SolverResult field, the instance's keys, and the documented ones
+    candidates = {field.name for field in dataclasses.fields(SolverResult)} | documented | {
+        "schema_version", "n", "p", "V0", "atoms", "even", "solver", "lam", "measure",
+    }
+    accepted = set()
+    for key in candidates:
+        # unknown keys are reported before missing ones
+        try:
+            validate_solution({key: None})
+        except SchemaViolation as exc:
+            if str(exc) != f"solution.{key}: unknown field":
+                accepted.add(key)
+    # every file carries schema_version, which the README names once for all
+    assert accepted - {"schema_version"} == documented
+    assert "schema_version" in accepted
