@@ -265,8 +265,9 @@ class PolytopeSpec:
         object.__setattr__(self, "directions", rows)
         self._set_x(self.x)
 
-    def _set_x(self, new_x):
-        """Check and store the scales against the (checked) directions."""
+    def _set_x(self, new_x, check_pairs: bool = True):
+        """Check and store the scales against the (checked) directions; the
+        values of an even spec's pairs only when check_pairs."""
         x = np.array(new_x, dtype=np.float64)
         if x.shape != (self.count,):
             raise SpecError("scales x must align with directions")
@@ -279,7 +280,8 @@ class PolytopeSpec:
         if self.even:
             if self._pairs is None:
                 object.__setattr__(self, "_pairs", _even_pairing(self.directions, "spec"))
-            _check_even_values(self._pairs, x, "spec")
+            if check_pairs:
+                _check_even_values(self._pairs, x, "spec")
 
     @property
     def count(self) -> int:
@@ -298,6 +300,15 @@ class PolytopeSpec:
         object.__setattr__(spec, "even", even)
         object.__setattr__(spec, "_pairs", self._pairs if even else None)
         spec._set_x(new_x)
+        return spec
+
+    def _scaled(self, t: float) -> "PolytopeSpec":
+        """The same spec with the scales t x. Scaling keeps pair values that
+        are equal bit for bit equal, as in the solver's (z, z), so they are
+        not checked again; every other check of with_x runs."""
+        spec = object.__new__(PolytopeSpec)
+        spec.__dict__.update(self.__dict__)
+        spec._set_x(t * self.x, check_pairs=False)
         return spec
 
     def horoballs(self) -> list[Horoball]:

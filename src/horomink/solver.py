@@ -14,11 +14,16 @@ mode, rescaled back onto the constraint, so the objective trace is
 monotone. A trial point is projected onto its constraint along the ray
 t z by safeguarded Newton, with exact slopes: d/dt Phi_p(t z) in closed
 form, and d/dt V(t z) = sum of z_i S_i(t z) for n <= 2, where volume and
-facet areas read off one boundary build. The step only shrinks. A trial
-is accepted when it raises log V (p >= 0) or log sum a_i e^{p z_i} (p < 0):
-both keep their digits at V0 where Phi_p has rounded to its supremum.
-Convergence is certified by the relative residual of the optimality
-system, never by iterate distance.
+facet areas read off one boundary build. Each iteration's first trial
+takes the two-point step of Barzilai and Borwein (IMA J. Numer. Anal.
+1988) in its second form: with s the last accepted move in z and y the
+change of the projected gradient d over it, it moves z by
+(-s.y / |y|^2) d, a length clamped to [_MIN_STEP, _STEP]; where s.y >= 0
+the previous length is kept. It costs no evaluation, and a refused trial
+halves the length. A trial is accepted when it raises log V (p >= 0) or
+log sum a_i e^{p z_i} (p < 0): both keep their digits at V0 where Phi_p
+has rounded to its supremum. Convergence is certified by the relative
+residual of the optimality system, never by iterate distance.
 
 Each piece of work is done once. The measure is paired into antipodal
 pairs once, and every trial spec inherits the pairing of one template.
@@ -73,8 +78,9 @@ logger = logging.getLogger(__name__)
 
 _Z_FLOOR = 1e-9
 
-# The line search: first step length, the factor a refused trial shortens it
-# by, and the shortest step tried before the search gives up.
+# The line search: the longest (and the first iteration's) step length, the
+# factor a refused trial shortens it by, and the shortest step tried before
+# the search gives up.
 _STEP = 0.25
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-12
@@ -149,8 +155,12 @@ def _volume_rescale(x: np.ndarray, target: float, spec: PolytopeSpec):
     below the roundoff of the volume formula.
     """
 
+    # the solver's x = (z, z) pairs bit for bit, and so does t x: its pair
+    # values are checked once, here
+    paired = spec.with_x(x)
+
     def value(t: float):
-        scaled = spec.with_x(t * x)
+        scaled = paired._scaled(t)
         body = HConvexPolytope(spec=scaled, boundary=_exact_boundary(scaled))
         return volume(body), float(np.dot(x, body._areas)), body
 
@@ -289,14 +299,23 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
+    """What solve_even returns. stop_reason says why the loop ended:
+    "converged" (the residual reached tol), "max_iters", "line_search" (no
+    step down to _MIN_STEP raised the score) or "zero_direction" (the
+    projected gradient vanished)."""
+
     polytope: HConvexPolytope
     z: np.ndarray
     lam: float
     residual_max_rel: float
     objective_trace: list[float] = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
     gradient_check_max_rel: float = 0.0
+    stop_reason: str = "max_iters"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 @dataclass(slots=True)
@@ -409,18 +428,31 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
     step = _STEP
     iterations = 0
     grad_check_worst = 0.0
+    last = None  # (z, unnormalized d) at the previous accepted iterate
 
     while True:
-        converged = current.res <= config.tol
-        if converged or iterations >= config.max_iters:
+        if current.res <= config.tol:
+            stop_reason = "converged"
+            break
+        if iterations >= config.max_iters:
+            stop_reason = "max_iters"
             break
         g, h = gradient(current)
         hh = float(np.dot(h, h))
         d = g - (float(np.dot(g, h)) / hh) * h if hh > 0 else g
         norm = float(np.linalg.norm(d))
         if norm < 1e-15:
+            stop_reason = "zero_direction"
             break
-        d /= norm
+        if last is not None:
+            # Barzilai-Borwein: -s.y / |y|^2 estimates the inverse curvature
+            # along the last move; times |d|, it is the step on the unit d
+            s, y = current.z - last[0], d - last[1]
+            sy = float(np.dot(s, y))
+            if sy < 0.0:
+                step = min(max(-sy / float(np.dot(y, y)) * norm, _MIN_STEP), _STEP)
+        last = (current.z, d)
+        d = d / norm
         accepted = None
         while step >= _MIN_STEP:
             try:
@@ -436,6 +468,7 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
                 break
             step *= _BACKTRACK
         if accepted is None:
+            stop_reason = "line_search"
             break
         current = accepted
         iterations += 1
@@ -459,7 +492,7 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
             if worst > 1e-3:
                 logger.warning("direct and finite-difference gradients disagree: %.3g", worst)
 
-    final = current if converged else best
+    final = current if stop_reason == "converged" else best
     return SolverResult(
         polytope=final.poly,
         z=final.z,
@@ -467,6 +500,6 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
         residual_max_rel=final.res,
         objective_trace=trace,
         iterations=iterations,
-        converged=converged,
         gradient_check_max_rel=grad_check_worst,
+        stop_reason=stop_reason,
     )
