@@ -32,7 +32,7 @@ from .polytope import (
     volume,
 )
 from .quadrature import build_quadrature
-from .solver import SolverConfig, residual, solve_even
+from .solver import STOP_REASONS, SolverConfig, residual, solve_even
 
 SCHEMA_VERSION = "1"
 
@@ -142,18 +142,17 @@ def _read_records(raw, n: int, key: str, where: str, positive: bool):
     """
     if not isinstance(raw, list) or not raw:
         raise SchemaViolation(where, "expected a non-empty list")
+    # a record's location is spelled out only for the record that has a fault
     keys = {"direction", key}
     for k, record in enumerate(raw):
-        _check_keys(record, keys, keys, f"{where}[{k}]")
+        if not isinstance(record, dict) or record.keys() != keys:
+            _check_keys(record, keys, keys, f"{where}[{k}]")
+    table = []
     for k, record in enumerate(raw):
-        row = record["direction"]
-        if not isinstance(row, list) or len(row) != n + 1:
-            raise SchemaViolation(f"{where}[{k}].direction", f"expected a list of {n + 1} numbers")
-        for c, v in enumerate(row):
-            if type(v) not in _NUMBERS:
-                raise SchemaViolation(f"{where}[{k}].direction[{c}]", "expected a number")
-        _number(record[key], f"{where}[{k}].{key}")
-    table = [record["direction"] + [record[key]] for record in raw]
+        row = record["direction"] + [record[key]] if isinstance(record["direction"], list) else None
+        if row is None or len(row) != n + 2 or not all(type(v) in _NUMBERS for v in row):
+            _record_fault(record, n, key, f"{where}[{k}]")
+        table.append(row)
     try:
         table = np.array(table, dtype=np.float64)
     except OverflowError:  # an integer past the float range
@@ -173,6 +172,17 @@ def _read_records(raw, n: int, key: str, where: str, positive: bool):
             raise SchemaViolation(f"{where}[{k}].{key}", "must be finite")
         raise SchemaViolation(f"{where}[{k}].{key}", "must be positive" if positive else "must be >= 0")
     return directions, values
+
+
+def _record_fault(record: dict, n: int, key: str, where: str):
+    """Raise the type or length fault of one record (at `where`) that has one."""
+    row = record["direction"]
+    if not isinstance(row, list) or len(row) != n + 1:
+        raise SchemaViolation(f"{where}.direction", f"expected a list of {n + 1} numbers")
+    for c, v in enumerate(row):
+        if type(v) not in _NUMBERS:
+            raise SchemaViolation(f"{where}.direction[{c}]", "expected a number")
+    _number(record[key], f"{where}.{key}")
 
 
 def validate_instance(obj: dict, where: str = "instance") -> dict:
@@ -221,7 +231,7 @@ def validate_solution(obj: dict) -> dict:
         "schema_version", "instance", "z", "lambda", "residual_max_rel",
         "volume", "facet_areas", "iterations", "converged", "config",
     }
-    _check_keys(obj, required | {"created"}, required, "solution")
+    _check_keys(obj, required | {"created", "stop_reason", "gradient_check_max_rel"}, required, "solution")
     _check_version(obj, "solution")
     inst = validate_instance(obj["instance"], "solution.instance")
     z = obj["z"]
@@ -234,7 +244,7 @@ def validate_solution(obj: dict) -> dict:
     # a record of the run, like `created`: nothing reads it back
     if not isinstance(obj["config"], dict):
         raise SchemaViolation("solution.config", "expected a JSON object")
-    return {
+    solution = {
         "instance": inst,
         "z": z,
         "lambda": _as_real(obj["lambda"], "solution.lambda"),
@@ -246,6 +256,18 @@ def validate_solution(obj: dict) -> dict:
         "iterations": _as_int(obj["iterations"], "solution.iterations", minimum=0),
         "converged": _as_bool(obj["converged"], "solution.converged"),
     }
+    # optional records of the run, which nothing reads back: files written
+    # before solve recorded them validate and check as before
+    if "stop_reason" in obj:
+        reason = obj["stop_reason"]
+        if reason not in STOP_REASONS:
+            raise SchemaViolation("solution.stop_reason", f"expected one of {', '.join(STOP_REASONS)}")
+        if (reason == "converged") != solution["converged"]:
+            raise SchemaViolation("solution.stop_reason", f"{reason} contradicts converged")
+    if "gradient_check_max_rel" in obj:
+        if _as_real(obj["gradient_check_max_rel"], "solution.gradient_check_max_rel") < 0.0:
+            raise SchemaViolation("solution.gradient_check_max_rel", "must be >= 0")
+    return solution
 
 
 # ------------------------------------------------------------------ builders
@@ -364,6 +386,8 @@ def _cmd_solve(args) -> int:
         "facet_areas": [float(a) for a in areas],
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
+        "gradient_check_max_rel": float(result.gradient_check_max_rel),
         "config": {
             "p": config.p,
             "v0": config.v0,
@@ -374,7 +398,7 @@ def _cmd_solve(args) -> int:
     _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n", "--output")
     print(
         f"solve: converged={result.converged} iterations={result.iterations} "
-        f"residual={result.residual_max_rel:.3e}"
+        f"residual={result.residual_max_rel:.3e} stop_reason={result.stop_reason}"
     )
     return 0 if result.converged else 3
 

@@ -11,9 +11,11 @@ horoball cuts out a Euclidean disk (_shadows, one formula for every
 dimension). For n <= 2 a build turns those disks into the body's boundary
 once, and every query reads off it in closed form:
 
-* n = 1: one arc per supporting horoball (_PlanarBoundary). Facet lengths
-  are arc lengths, the volume is a sum of per-arc sector areas, and
-  the Hausdorff distance is a maximum over finitely many candidate angles.
+* n = 1: one arc per supporting horoball (_PlanarBoundary), cut by the
+  horoballs next to it in the angular order of the directions. Facet
+  lengths are arc lengths, the volume is a sum of per-arc sector areas,
+  and the Hausdorff distance is a maximum over finitely many candidate
+  angles.
 * n = 2: the circular arcs that bound each facet (_FacetArcs). Facet areas
   follow from Green's theorem, and the volume is a divergence-theorem sum
   of one smooth integral per arc.
@@ -31,7 +33,11 @@ estimate facet areas by Monte-Carlo over the facet's disks.
 
 A build makes the boundary (n <= 2) or the scan radii (n >= 3) and
 nothing more; support numbers and facet flags are computed on first use
-(HConvexPolytope), since a volume reads neither.
+(HConvexPolytope), since a volume reads neither. What a build reads of the
+directions alone (chart frames, the planar angular order and the disk
+terms of _shadows) is formed once per template: every spec that with_x
+makes from a spec shares it (PolytopeSpec._charts), so a solve's trial
+bodies form it once.
 
 SciPy is loaded on first use, through _adaptive_quad and _nm_minimize
 (_scalar_minimize is called nowhere here; the benchmark's tracer wraps
@@ -134,6 +140,10 @@ _SINH_SERIES = np.array([1.0 / math.factorial(2 * k + 3) for k in range(8, -1, -
 # An n = 2 facet's arcs are first swept over this many of its disks; the
 # rest join only where they cut the result.
 _SWEEP_START = 12
+
+# A planar arc is first cut by the disks of this many of its angular
+# neighbours on each side (see _planar_boundary).
+_WINDOW = 8
 
 
 def _direction_rows(directions, n: int) -> np.ndarray:
@@ -252,6 +262,11 @@ class PolytopeSpec:
     # antipodal pairs (i, j), i < j, of an even spec (see _even_pairing);
     # they depend on the directions only, so with_x passes them on
     _pairs: np.ndarray | None = field(default=None, init=False, repr=False)
+    # what builds read of the directions alone (_frames, _planar_order,
+    # _planar_window, _all_pair_terms), filled on first use; with_x and
+    # _scaled pass the same dict on, so every spec made from one template
+    # (a solve's trial specs) forms it once
+    _charts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         rows = _direction_rows(self.directions, self.n)
@@ -291,7 +306,7 @@ class PolytopeSpec:
         """The same directions with the scales new_x; only those are checked.
 
         An even spec passes its pairs on; a spec made even here pairs its
-        directions first.
+        directions first. Every spec passes its chart data (_charts) on.
         """
         even = self.even if even is None else even
         spec = object.__new__(PolytopeSpec)
@@ -299,13 +314,15 @@ class PolytopeSpec:
         object.__setattr__(spec, "directions", self.directions)
         object.__setattr__(spec, "even", even)
         object.__setattr__(spec, "_pairs", self._pairs if even else None)
+        object.__setattr__(spec, "_charts", self._charts)
         spec._set_x(new_x)
         return spec
 
     def _scaled(self, t: float) -> "PolytopeSpec":
-        """The same spec with the scales t x. Scaling keeps pair values that
-        are equal bit for bit equal, as in the solver's (z, z), so they are
-        not checked again; every other check of with_x runs."""
+        """The same spec with the scales t x, sharing the pairs and the chart
+        data. Scaling keeps pair values that are equal bit for bit equal,
+        as in the solver's (z, z), so they are not checked again; every
+        other check of with_x runs."""
         spec = object.__new__(PolytopeSpec)
         spec.__dict__.update(self.__dict__)
         spec._set_x(t * self.x, check_pairs=False)
@@ -325,16 +342,15 @@ class _PlanarBoundary:
     In the flat chart of horocycle j (see _shadows), s is signed arclength
     and grows counterclockwise about O. Horoball k cuts horocycle j in the
     interval |s - c_jk| <= w_jk, and the body's arc on it is [lo_j, hi_j],
-    the intersection of those intervals. `starts` holds X_j(lo_j) for every
-    active arc; each vertex of the polygon starts exactly one arc. `frames`
-    holds the chart frame T_j of every horoball.
+    the intersection of those intervals, where `active` is set (elsewhere
+    lo and hi mean nothing). `starts` holds X_j(lo_j) for every
+    active arc; each vertex of the polygon starts exactly one arc.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     active: np.ndarray
     starts: np.ndarray
-    frames: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,8 +360,7 @@ class _FacetArcs:
     Arc a bounds facet i = facet[a]. In the flat chart of horosphere i (see
     _shadows) it is s = center[a] + width[a] (cos t, sin t) for t in
     [lo[a], hi[a]], part of the circle that another horoball cuts from the
-    horosphere, and it runs counterclockwise around the facet. `frames`
-    holds the chart frame T_i of every horoball.
+    horosphere, and it runs counterclockwise around the facet.
     """
 
     facet: np.ndarray
@@ -354,7 +369,6 @@ class _FacetArcs:
     lo: np.ndarray
     hi: np.ndarray
     active: np.ndarray
-    frames: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,16 +452,47 @@ def _chart_frames(dirs: np.ndarray) -> np.ndarray:
     return _chart_basis(dirs)
 
 
-def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
-    """The disks that the horoballs cut from the horospheres in `rows`.
+def _frames(spec: PolytopeSpec) -> np.ndarray:
+    """_chart_frames of the spec's directions, formed once per template."""
+    charts = spec._charts
+    if "frames" not in charts:
+        frames = _chart_frames(spec.directions)
+        frames.setflags(write=False)
+        charts["frames"] = frames
+    return charts["frames"]
+
+
+def _pair_terms(spec: PolytopeSpec, j: np.ndarray, k: np.ndarray):
+    """The part of _shadows that depends on the directions alone, for the
+    index pairs (j, k): integer arrays that broadcast to one shape S.
+
+    Returns |e_j - e_k|^2 and |e_j + e_k|^2 (S), T_j (e_k - e_j) (S + (n,))
+    and `same` (S), which marks the pairs about one ideal point.
+    """
+    coords, frames = spec.directions.T, _frames(spec)
+    gap, side = coords[:, k] - coords[:, j], coords[:, k] + coords[:, j]
+    # |e_j - e_k|^2 = 2 (1 - e_j . e_k), free of cancellation, and
+    # |e_j + e_k|^2 = 4 - |e_j - e_k|^2, formed directly for the same reason;
+    # the sums run over the coordinates in order, whatever the shape S
+    chord_sq = sum(g * g for g in gap)
+    side_sq = sum(g * g for g in side)
+    # T_j e_k = T_j (e_k - e_j), which keeps its digits as e_k nears e_j
+    mine = frames[j]
+    toward = sum(mine[..., c] * gap[c][..., None] for c in range(spec.n + 1))
+    return chord_sq, side_sq, toward, chord_sq <= 1e-24
+
+
+def _shadows(spec: PolytopeSpec, j: np.ndarray, k: np.ndarray, terms=None):
+    """The disks that horoballs k cut from horospheres j, for the index
+    pairs (j, k): integer arrays that broadcast to one shape S.
 
     Horosphere i has the flat, isometric chart
 
         X_i(s) = P_i + (T_i^T s, 0) + |s|^2 / (2 E_i) (e_i, 1),  s in R^n,
 
     with E_i = e^{x_i}, P_i = (-sinh(x_i) e_i, cosh x_i) its point nearest O
-    and T_i = frames[i]. Along it -<X_i(s), (e_k, 1)> <= E_k says that
-    horoball k holds the disk |s - c_ik| <= w_ik, where
+    and T_i its chart frame (_chart_frames). Along it -<X_i(s), (e_k, 1)>
+    <= E_k says that horoball k holds the disk |s - c_ik| <= w_ik, where
 
         c_ik = 2 E_i T_i e_k / |e_i - e_k|^2,
         w_ik^2 = 4 E_i E_k / |e_i - e_k|^2 - 1.
@@ -462,41 +507,32 @@ def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
         |c_ik|^2 - w_ik^2 = (|e_i + e_k|^2 expm1(2 x_i)
                              - 4 expm1(x_i + x_k)) / |e_i - e_k|^2.
 
-    Returns c (r, m, n), w^2 (r, m), the power (r, m) and `same` (r, m).
-    `same` marks the horoballs about the ideal point of horosphere i
-    (including i itself); their entries are not finite, and each holds all
-    of horosphere i or none of it (see _eclipsed).
+    The terms that depend on the directions alone come from _pair_terms;
+    terms passes them in where the caller holds them (PolytopeSpec._charts).
+    Returns c (S + (n,)), w^2 (S), the power (S) and `same` (S). `same`
+    marks the pairs about one ideal point (i = k among them); their
+    entries are not finite, and horoball k holds all of horosphere i or
+    none of it (see _eclipsed).
 
     Since |c_ik|^2 = power + w_ik^2, bounding |power| and w_ik^2 bounds
     the squares of centers and radii. An n = 1 build squares them once (the
     chart points' |s|^2), and for n >= 2 products of two of them stay below
     16 times the largest square (Heron's product in _disk_intersection,
-    rho^2 in _arc_volume); a body whose disks leave room for neither, as
-    x_i + x_k nears log(float max) = 709.8, raises SpecError.
+    rho^2 in _arc_volume); a body whose disks, on any pair evaluated here,
+    leave room for neither, as x_i + x_k nears log(float max) = 709.8,
+    raises SpecError.
     """
-    x, coords = spec.x, np.ascontiguousarray(spec.directions.T)
-    # e_k - e_i and e_k + e_i, coordinate first: numpy's inner loops then
-    # run over k, not over the n + 1 coordinates
-    mine = coords[:, rows, None]
-    gap, side = coords[:, None, :] - mine, coords[:, None, :] + mine
-    # |e_i - e_k|^2 = 2 (1 - e_i . e_k), free of cancellation, and
-    # |e_i + e_k|^2 = 4 - |e_i - e_k|^2, formed directly for the same reason
-    chord_sq = np.einsum("cik,cik->ik", gap, gap)
-    side_sq = np.einsum("cik,cik->ik", side, side)
-    # T_i e_k = T_i (e_k - e_i), which keeps its digits as e_k nears e_i
-    toward = np.einsum("iac,cik->ika", frames, gap)
-    # the pair arrays are the largest here (m x m x (n + 1)); let them go
-    # before the m x m results are formed
-    del gap, side
+    chord_sq, side_sq, toward, same = _pair_terms(spec, j, k) if terms is None else terms
+    x = spec.x
+    mine = x[j]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        center = 2.0 * np.exp(x[rows, None, None]) * toward / chord_sq[..., None]
-        lift = 4.0 * np.expm1(x[rows, None] + x)
+        center = 2.0 * np.exp(mine[..., None]) * toward / chord_sq[..., None]
+        lift = 4.0 * np.expm1(mine + x[k])
         width_sq = lift + side_sq
         width_sq /= chord_sq
-        power = side_sq * np.expm1(2.0 * x[rows, None])
+        power = side_sq * np.expm1(2.0 * mine)
         power -= lift
         power /= chord_sq
-    same = chord_sq <= 1e-24
     # reductions, not temporaries of the size of the results; a NaN fails
     # the comparisons, so it counts as out of range too
     limit, other = (2.0**1023 if spec.n == 1 else 2.0**1020), ~same
@@ -512,14 +548,24 @@ def _shadows(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray):
     return center, width_sq, power, same
 
 
-def _eclipsed(spec: PolytopeSpec, rows: np.ndarray, same: np.ndarray) -> np.ndarray:
-    """Rows whose horosphere lies outside a horoball about the same ideal
-    point; of two equal horoballs the first listed keeps the facet."""
-    i, k = np.nonzero(same)
-    x, j = spec.x, rows[i]
-    out = np.zeros(rows.size, dtype=bool)
-    out[i[(x[k] < x[j]) | ((x[k] == x[j]) & (k < j))]] = True
-    return out
+def _all_pair_terms(spec: PolytopeSpec):
+    """_pair_terms of every pair (rows j, columns k), formed once per
+    template: the n = 2 builds read them all."""
+    charts = spec._charts
+    if "pairs" not in charts:
+        every = np.arange(spec.count)
+        terms = _pair_terms(spec, every[:, None], every[None, :])
+        for term in terms:
+            term.setflags(write=False)
+        charts["pairs"] = terms
+    return charts["pairs"]
+
+
+def _eclipsed(x: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """For pairs (j, k) of horoballs about one ideal point: whether
+    horosphere j lies outside horoball k. Of two equal horoballs the first
+    listed keeps the facet."""
+    return (x[k] < x[j]) | ((x[k] == x[j]) & (k < j))
 
 
 def _chart_points(spec: PolytopeSpec, j: np.ndarray, s: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -562,34 +608,141 @@ def _chart_quadratic(spec: PolytopeSpec, rows: np.ndarray, frames: np.ndarray, v
 # ---------------------------------------------------------------------------
 
 def _planar_boundary(spec: PolytopeSpec) -> _PlanarBoundary:
-    """Arcs of every horocycle that lie in all the other horoballs: the
-    intersection of the intervals from _shadows, all pairs at once.
+    """Arcs of every horocycle that lie in all the other horoballs.
 
-    Interval k on horocycle j is [c - w, c + w]. On a small body c and w
-    are both of size cot(angle / 2) while the arc is of the body's size.
-    The end farther from 0, c + sign(c) w, adds two terms of one sign; the
-    nearer one is taken as (c^2 - w^2) / (c + sign(c) w), with the power
+    Interval k on horocycle j is [c - w, c + w] (_shadows). On a small body
+    c and w are both of size cot(angle / 2) while the arc is of the body's
+    size. The end farther from 0, c + sign(c) w, adds two terms of one sign;
+    the nearer one is taken as (c^2 - w^2) / (c + sign(c) w), with the power
     c^2 - w^2 from _shadows, so that both ends keep their relative digits.
+
+    An h-convex body's boundary runs through its facets in the angular
+    order of their ideal points, so each arc is cut only by the horoballs
+    next to it in that order. The horoballs are taken in that order
+    (_planar_order), one per ideal point: the one _eclipsed keeps. Each
+    kept arc is intersected with the disks of its _WINDOW nearest kept
+    neighbours on each side (_planar_neighbours). An arc that is then
+    empty (hi <= lo, or a disk it misses) is empty against all of the
+    horoballs: its horocycle misses the common part of a subset of them,
+    a connected set that holds O, so its horoball holds that set and with
+    it the rest of the body. Dropping it changes no other arc. The arcs
+    whose windows lost a member then take their new windows, intersected
+    with what they had, until no arc drops or the window spans every kept
+    arc. Every remaining arc then meets its neighbours on both sides, so
+    the arcs close up around O in order, and each one's ends are the
+    vertices it shares with its two neighbours, which no farther horoball
+    cuts. Only then is an arc shorter than _ARC_TOL (relative to its ends)
+    counted as roundoff at a vertex: an arc that short still bounds its
+    neighbours, and dropping it earlier moves their ends. lo and hi are
+    the arcs' ends where `active` is set, and mean nothing elsewhere.
+
+    Cost per build: 2 _WINDOW disks per kept arc in the first pass (every
+    pair when there are no more than 2 _WINDOW + 1 arcs), whose pair terms
+    the spec's template carries (_planar_window), and 2 _WINDOW per arc
+    whose window changed in each later pass; a body whose every horoball
+    carries a facet takes one pass.
     """
-    rows = np.arange(spec.count)
-    frames = _chart_frames(spec.directions)
-    center, width_sq, power, same = _shadows(spec, rows, frames)
-    center = center[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        width = np.sqrt(np.maximum(width_sq, 0.0))
-        below = np.signbit(center)
-        far = center + np.copysign(width, center)
-        near = power / far
-        lo = np.max(np.where(same, -np.inf, np.where(below, far, near)), axis=1)
-        hi = np.min(np.where(same, np.inf, np.where(below, near, far)), axis=1)
-    missed = np.any(~same & (width_sq < 0.0), axis=1)
-    active = ~(_eclipsed(spec, rows, same) | missed) & (
-        hi - lo > _ARC_TOL * (1.0 + np.abs(lo) + np.abs(hi))
-    )
+    count, x = spec.count, spec.x
+    order, (same_j, same_k) = _planar_order(spec)
+    out = np.zeros(count, dtype=bool)
+    out[same_j[_eclipsed(x, same_j, same_k)]] = True
+    live = order[~out[order]]
+    j, k, terms = _planar_window(spec, live)
+    window = k
+    lo, hi = np.full(count, -np.inf), np.full(count, np.inf)
+    while True:
+        rows = j[:, 0]
+        center, width_sq, power, _ = _shadows(spec, j, k, terms)
+        center = center[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            width = np.sqrt(np.maximum(width_sq, 0.0))
+            below = np.signbit(center)
+            far = center + np.copysign(width, center)
+            near = power / far
+            lo[rows] = np.maximum(lo[rows], np.max(np.where(below, far, near), axis=1, initial=-np.inf))
+            hi[rows] = np.minimum(hi[rows], np.min(np.where(below, near, far), axis=1, initial=np.inf))
+        drop = np.any(width_sq < 0.0, axis=1) | (hi[rows] <= lo[rows])
+        out[rows[drop]] = True
+        if not np.any(drop) or live.size <= 2 * _WINDOW + 1:
+            break
+        kept = ~out[live]
+        live, before = live[kept], window[kept]
+        j, window = _planar_neighbours(live)
+        if window.shape == before.shape:
+            changed = np.any(window != before, axis=1)
+            j, k = j[changed], window[changed]
+        else:
+            k = window
+        terms = None
+    live = live[~out[live]]
+    first, last = lo[live], hi[live]
+    active = np.zeros(count, dtype=bool)
+    active[live] = last - first > _ARC_TOL * (1.0 + np.abs(first) + np.abs(last))
     active.setflags(write=False)
     j = np.flatnonzero(active)
-    starts = _chart_points(spec, j, lo[j][:, None], frames[j])
-    return _PlanarBoundary(lo=lo, hi=hi, active=active, starts=starts, frames=frames)
+    starts = _chart_points(spec, j, lo[j][:, None], _frames(spec)[j])
+    return _PlanarBoundary(lo=lo, hi=hi, active=active, starts=starts)
+
+
+def _planar_order(spec: PolytopeSpec):
+    """(order, (j, k)): the horoballs in the angular order of their
+    directions, and the pairs of them about one ideal point (`same` of
+    _pair_terms, both ways round); formed once per template.
+
+    Directions about one ideal point sit next to each other in the order,
+    in runs of chords below 1e-11 between neighbours (a margin over the
+    1e-12 of `same` for the rounding of the angles). Where there are runs,
+    the order starts after a longer chord, which the spec's two distinct
+    directions make sure of, so that no run wraps; `same` is evaluated on
+    every pair within a run.
+    """
+    charts = spec._charts
+    if "order" not in charts:
+        e = spec.directions
+        order = np.argsort(np.arctan2(e[:, 1], e[:, 0]), kind="stable")
+        ring = e[order]
+        step = np.diff(ring, axis=0, append=ring[:1])
+        close = np.einsum("ij,ij->i", step, step) <= 1e-22
+        j = k = np.zeros(0, dtype=np.intp)
+        if np.any(close):
+            start = 1 + int(np.argmin(close))
+            order, close = np.roll(order, -start), np.roll(close, -start)
+            edges = np.flatnonzero(np.diff(np.concatenate([[0], close, [0]]).astype(np.int8)))
+            runs = [order[a : b + 1] for a, b in zip(edges[0::2], edges[1::2])]
+            j = np.concatenate([np.repeat(run, run.size) for run in runs])
+            k = np.concatenate([np.tile(run, run.size) for run in runs])
+            same = (j != k) & _pair_terms(spec, j, k)[3]
+            j, k = j[same], k[same]
+        order.setflags(write=False)
+        charts["order"] = order, (j, k)
+    return charts["order"]
+
+
+def _planar_neighbours(ring: np.ndarray):
+    """Pairs (j, k) from each arc of ring (column j, in ring's cyclic
+    order) to its _WINDOW nearest on each side (rows of k), or to every
+    other arc of a ring of no more than 2 _WINDOW + 1."""
+    count = ring.size
+    if count <= 2 * _WINDOW + 1:
+        offsets = np.arange(1, count)
+    else:
+        offsets = np.concatenate([np.arange(-_WINDOW, 0), np.arange(1, _WINDOW + 1)])
+    return ring[:, None], ring[(np.arange(count)[:, None] + offsets) % count]
+
+
+def _planar_window(spec: PolytopeSpec, ring: np.ndarray):
+    """(j, k, _pair_terms) of the first pass's pairs over the kept arcs
+    ring, formed once per template, and again when the scales change which
+    horoball about an ideal point is kept."""
+    charts = spec._charts
+    cached = charts.get("window")
+    if cached is None or not np.array_equal(cached[0], ring):
+        j, k = _planar_neighbours(ring)
+        terms = _pair_terms(spec, j, k)
+        for array in (j, k, *terms):
+            array.setflags(write=False)
+        charts["window"] = cached = ring, j, k, terms
+    return cached[1:]
 
 
 def _vertex_values(starts: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -772,13 +925,16 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
     batched pass (_disk_intersection; its arrays hold facets x _SWEEP_START
     x 2 _SWEEP_START entries, whatever the count of horoballs). A facet with
     more disks than that and an arc goes on into the growth loop
-    (_grow_facet). A facet is nonempty exactly when it keeps an arc.
+    (_grow_facet). A facet is nonempty exactly when it keeps an arc. The
+    disks' direction terms come with the spec's template (_all_pair_terms).
     """
     count = spec.count
-    frames = _chart_frames(spec.directions)
     every = np.arange(count)
-    center, width_sq, _, same = _shadows(spec, every, frames)
-    rows = np.flatnonzero(~(_eclipsed(spec, every, same) | np.any(~same & (width_sq <= 0.0), axis=1)))
+    center, width_sq, _, same = _shadows(spec, every[:, None], every[None, :], _all_pair_terms(spec))
+    i, other = np.nonzero(same)
+    out = np.any(~same & (width_sq <= 0.0), axis=1)
+    out[i[_eclipsed(spec.x, i, other)]] = True
+    rows = np.flatnonzero(~out)
     # mine[r, k]: horoball k cuts a disk from horosphere rows[r]; zeros stand
     # in for the other entries, which are not finite
     mine = ~same[rows]
@@ -815,9 +971,7 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
     active = np.zeros(count, dtype=bool)
     active[rows[r]] = True
     active.setflags(write=False)
-    return _FacetArcs(
-        facet=rows[r], center=c[r, k], width=w[r, k], lo=lo, hi=hi, active=active, frames=frames
-    )
+    return _FacetArcs(facet=rows[r], center=c[r, k], width=w[r, k], lo=lo, hi=hi, active=active)
 
 
 def _grow_facet(c: np.ndarray, w: np.ndarray, mine: np.ndarray, pick: np.ndarray, k, lo, hi):
@@ -861,7 +1015,7 @@ def _arc_values(spec: PolytopeSpec, arcs: _FacetArcs, v: np.ndarray, sign: float
     from the facet. Returns the chart points (3, arcs, Q, 2) and the values
     (3, arcs, Q).
     """
-    alpha, beta, gamma = _chart_quadratic(spec, arcs.facet, arcs.frames[arcs.facet], v)
+    alpha, beta, gamma = _chart_quadratic(spec, arcs.facet, _frames(spec)[arcs.facet], v)
     c, w = arcs.center[:, None, :], arcs.width[:, None]
     turns = _arc_turns(arcs.lo[:, None], arcs.hi[:, None], sign * (beta + 2.0 * gamma[..., None] * c))
     points = np.stack([_on_circle(c, w, t) for t in np.broadcast_arrays(*turns)])
@@ -872,7 +1026,7 @@ def _arc_candidates(spec: PolytopeSpec, arcs: _FacetArcs, v: np.ndarray, sign: f
     """Hyperboloid coordinates of the points of _arc_values for one row v."""
     rows = np.tile(arcs.facet, 3)
     s = _arc_values(spec, arcs, v, sign)[0].reshape(-1, 2)
-    return _chart_points(spec, rows, s, arcs.frames[rows])
+    return _chart_points(spec, rows, s, _frames(spec)[rows])
 
 
 def _arc_areas(arcs: _FacetArcs, count: int) -> np.ndarray:
@@ -980,14 +1134,15 @@ def _exact_nearest(spec: PolytopeSpec, arcs, q: np.ndarray) -> np.ndarray:
     -g (_arc_values); all these candidates are compared.
     """
     rows = np.flatnonzero(arcs.active)
-    frames = arcs.frames[rows]
+    frames = _frames(spec)[rows]
     v = q[None, :-1] / q[-1]
     _, beta, gamma = _chart_quadratic(spec, rows, frames, v)
     s = -beta[:, 0] / (2.0 * gamma)
     if spec.n == 1:
         points = _chart_points(spec, rows, np.clip(s, arcs.lo[rows, None], arcs.hi[rows, None]), frames)
     else:
-        center, width_sq, _, same = _shadows(spec, rows, frames)
+        terms = tuple(term[rows] for term in _all_pair_terms(spec))
+        center, width_sq, _, same = _shadows(spec, rows[:, None], np.arange(spec.count)[None, :], terms)
         inside = np.all(same | (np.sum((s[:, None, :] - center) ** 2, axis=2) <= width_sq), axis=1)
         points = np.vstack(
             [_chart_points(spec, rows[inside], s[inside], frames[inside]), _arc_candidates(spec, arcs, v, -1.0)]
@@ -1205,9 +1360,9 @@ def facet_area(poly: HConvexPolytope, i: int) -> float:
         return 0.0
     if poly.boundary is not None:
         return float(poly._areas[i])
-    row = np.array([i])
-    center, width_sq, _, same = _shadows(spec, row, _chart_frames(spec.directions[row]))
-    if _eclipsed(spec, row, same)[0] or np.any(~same & (width_sq <= 0.0)):
+    every = np.arange(spec.count)
+    center, width_sq, _, same = _shadows(spec, np.array([[i]]), every[None, :])
+    if np.any(_eclipsed(spec.x, i, every[same[0]])) or np.any(~same & (width_sq <= 0.0)):
         return 0.0
     centers, radii = center[0, ~same[0]], np.sqrt(width_sq[0, ~same[0]])
     smallest = int(np.argmin(radii))

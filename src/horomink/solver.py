@@ -85,6 +85,9 @@ _STEP = 0.25
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-12
 
+# Why solve_even stopped (SolverResult.stop_reason).
+STOP_REASONS = ("converged", "max_iters", "line_search", "zero_direction")
+
 # Accepted iterations between checks of the exact gradient against central
 # differences of the volume (facet_area_fd's default step).
 _GRAD_CHECK_EVERY = 10
@@ -261,19 +264,17 @@ def residual(poly: HConvexPolytope, measure: DiscreteMeasure, p: float) -> tuple
         atoms, weights = measure.reduced_pairs()
     else:
         atoms, weights = measure.directions, measure.weights
-    dirs = poly.spec.directions
-    idx = []
-    for k in range(atoms.shape[0]):
-        gaps = np.linalg.norm(dirs - atoms[k][None, :], axis=1)
-        j = int(np.argmin(gaps))
-        if gaps[j] > 1e-9:
-            raise MismatchedDirectionsError(
-                f"measure atom {k} has no matching facet direction"
-            )
-        idx.append(j)
-    if len(set(idx)) != len(idx):
+    # gaps[k, j] = |e_j - a_k|: each atom's nearest facet direction, at once
+    gaps = np.linalg.norm(poly.spec.directions[None, :, :] - atoms[:, None, :], axis=2)
+    idx = np.argmin(gaps, axis=1)
+    unmatched = np.min(gaps, axis=1) > 1e-9
+    if np.any(unmatched):
+        raise MismatchedDirectionsError(
+            f"measure atom {int(np.argmax(unmatched))} has no matching facet direction"
+        )
+    if np.unique(idx).size != idx.size:
         raise MismatchedDirectionsError("two atoms matched the same facet direction")
-    areas = np.array([facet_area(poly, j) for j in idx])
+    areas = np.array([facet_area(poly, j) for j in idx.tolist()])
     return _lagrange_residual(areas, poly.canonical_support[idx], weights, p)
 
 

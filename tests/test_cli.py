@@ -754,6 +754,59 @@ def test_check_reads_old_solutions_with_a_quadrature_config(tmp_path, capsys):
     assert last_json(capsys)["match"] is True
 
 
+def test_solution_records_why_the_solver_stopped(tmp_path, asymmetric_instance, capsys):
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--input", asymmetric_instance, "--output", str(out)]) == 0
+    report = capsys.readouterr().out
+    sol = json.loads(out.read_text())
+    assert sol["stop_reason"] == "converged"
+    assert report.endswith(" stop_reason=converged\n")
+    # no check ran in the few iterations this solve takes
+    assert sol["gradient_check_max_rel"] == 0.0
+    assert main(["check", "--instance", asymmetric_instance, "--solution", str(out)]) == 0
+    assert last_json(capsys)["match"] is True
+    # a solve cut short says so, and checks all the same
+    assert main(["solve", "--input", asymmetric_instance, "--output", str(out), "--max-iters", "0"]) == 3
+    assert capsys.readouterr().out.endswith(" stop_reason=max_iters\n")
+    assert json.loads(out.read_text())["stop_reason"] == "max_iters"
+    assert main(["check", "--instance", asymmetric_instance, "--solution", str(out)]) == 0
+    assert last_json(capsys)["match"] is True
+
+
+def test_solutions_without_a_stop_reason_still_check(tmp_path, asymmetric_instance, capsys):
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--input", asymmetric_instance, "--output", str(out)]) == 0
+    sol = json.loads(out.read_text())
+    del sol["stop_reason"], sol["gradient_check_max_rel"]
+    older = write_json(tmp_path / "older.json", sol)
+    capsys.readouterr()
+    assert main(["check", "--instance", asymmetric_instance, "--solution", older]) == 0
+    assert last_json(capsys)["match"] is True
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("stop_reason", "tired", "expected one of converged, max_iters, line_search, zero_direction"),
+        ("stop_reason", 3, "expected one of converged, max_iters, line_search, zero_direction"),
+        ("stop_reason", "line_search", "line_search contradicts converged"),
+        ("gradient_check_max_rel", -1e-3, "must be >= 0"),
+        ("gradient_check_max_rel", "0", "expected a number"),
+        ("gradient_check_max_rel", math.inf, "must be finite"),
+    ],
+)
+def test_bad_run_records_exit_2(tmp_path, asymmetric_instance, capsys, field, value, message):
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--input", asymmetric_instance, "--output", str(out)]) == 0
+    sol = json.loads(out.read_text())
+    sol[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(sol), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "--instance", asymmetric_instance, "--solution", str(bad)]) == 2
+    assert capsys.readouterr().err == f"schema error: solution.{field}: {message}\n"
+
+
 def test_n3_instances_exit_2(tmp_path, capsys):
     atoms = []
     for axis in range(4):

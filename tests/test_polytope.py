@@ -657,6 +657,93 @@ def test_triple_point_body():
     assert extremal_radii(poly) == pytest.approx((ACOSH2, LOG2), abs=1e-12)
 
 
+def all_pairs_boundary(spec: PolytopeSpec):
+    """(active, lo, hi) of a planar body from every horoball's interval on
+    every horocycle: the m x m intersection, with no angular order."""
+    rows = np.arange(spec.count)
+    center, width_sq, power, same = _shadows(spec, rows[:, None], rows[None, :])
+    center = center[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        width = np.sqrt(np.maximum(width_sq, 0.0))
+        below = np.signbit(center)
+        far = center + np.copysign(width, center)
+        near = power / far
+        lo = np.max(np.where(same, -np.inf, np.where(below, far, near)), axis=1)
+        hi = np.min(np.where(same, np.inf, np.where(below, near, far)), axis=1)
+    # of horoballs about one ideal point the smallest, first listed, keeps its arc
+    x, (i, k) = spec.x, np.nonzero(same)
+    eclipsed = np.zeros(spec.count, dtype=bool)
+    eclipsed[i[(x[k] < x[i]) | ((x[k] == x[i]) & (k < i))]] = True
+    missed = np.any(~same & (width_sq < 0.0), axis=1)
+    tol = polytope._ARC_TOL * (1.0 + np.abs(lo) + np.abs(hi))
+    return ~(eclipsed | missed) & (hi - lo > tol), lo, hi
+
+
+def planar_stress_corpus(count: int, seed: int):
+    """Planar specs: random, with exact duplicates (equal and unequal
+    scales), with directions 1e-9 rad apart, and equal-scale regular
+    polygons; 2 to 39 horoballs, every 20th up to 300, at scales from
+    1e-11 to 200."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    for t in range(count):
+        kind, m = t % 5, int(rng.integers(2, 300 if t % 20 == 0 else 40))
+        ang = rng.uniform(0.0, 2.0 * math.pi, size=m)
+        scale = 10.0 ** rng.uniform(-11.0, math.log10(200.0))
+        x = scale * rng.uniform(0.5, 1.0, size=m)
+        if kind == 1:
+            ang = np.concatenate([ang, ang[: m // 2 + 1]])
+            x = np.concatenate([x, x[: m // 2 + 1] if t % 2 else scale * rng.uniform(0.5, 1.0, m // 2 + 1)])
+        elif kind == 2:
+            ang = np.concatenate([ang, ang[: m // 2 + 1] + 1e-9 * rng.choice([-1.0, 1.0], m // 2 + 1)])
+            x = np.concatenate([x, scale * rng.uniform(0.5, 1.0, m // 2 + 1)])
+        elif kind == 3:
+            ang, x = rng.uniform(0.0, 1.0) + 2.0 * math.pi * np.arange(m) / m, np.full(m, scale)
+        yield PolytopeSpec(n=1, directions=np.column_stack([np.cos(ang), np.sin(ang)]), x=x)
+
+
+def test_planar_boundary_matches_the_all_pairs_intersection():
+    # the angular-neighbour pass keeps the arcs of the m x m intersection,
+    # bit for bit
+    for spec in planar_stress_corpus(2000, seed=170):
+        arcs = polytope._planar_boundary(spec)
+        active, lo, hi = all_pairs_boundary(spec)
+        assert np.array_equal(arcs.active, active)
+        assert np.array_equal(arcs.lo[active], lo[active])
+        assert np.array_equal(arcs.hi[active], hi[active])
+
+
+def test_specs_from_one_template_follow_their_own_kept_horoballs():
+    # two horoballs about direction 0: the smaller keeps the arc, so which
+    # one does changes with the scales, and a spec made by with_x must not
+    # read the first pass its template made for the other
+    ang = 2.0 * math.pi * np.arange(7) / 7
+    rows = np.column_stack([np.cos(ang), np.sin(ang)])
+    spec = PolytopeSpec(n=1, directions=np.vstack([rows, rows[:1]]), x=np.r_[np.ones(7), 1.2])
+    for x in (spec.x, np.r_[1.2, np.ones(6), 1.0], spec.x):
+        arcs = polytope._planar_boundary(spec.with_x(x))
+        active, lo, hi = all_pairs_boundary(PolytopeSpec(n=1, directions=spec.directions, x=x))
+        assert np.array_equal(arcs.active, active)
+        assert np.array_equal(arcs.lo[active], lo[active])
+        assert np.array_equal(arcs.hi[active], hi[active])
+
+
+def test_planar_build_cuts_each_arc_by_its_neighbours(monkeypatch):
+    pairs = []
+    shadows = polytope._shadows
+
+    def counted(spec, j, k, terms=None):
+        pairs.append(np.broadcast(j, k).size)
+        return shadows(spec, j, k, terms)
+
+    monkeypatch.setattr(polytope, "_shadows", counted)
+    ang = 2.0 * math.pi * np.arange(256) / 256
+    polygon = PolytopeSpec(n=1, directions=np.column_stack([np.cos(ang), np.sin(ang)]), x=np.full(256, 0.9))
+    poly = build_polytope(polygon)
+    assert np.all(poly.facet_nonempty)
+    # 65280 pairs for every horoball on every other one
+    assert sum(pairs) <= 256 * 2 * polytope._WINDOW
+
+
 # ------------------------------------------------------------ n = 2 closed forms
 
 def even_sphere_spec(rng, pairs: int, x_range=(0.3, 1.5)) -> PolytopeSpec:
@@ -701,7 +788,7 @@ def test_shadow_circles_lie_on_both_horospheres():
     turns = np.linspace(0.0, 2.0 * math.pi, 7)
     for spec in n2_corpus(5, seed=30) + [random_spec(rng, 5)]:
         rows = np.arange(spec.count)
-        center, width_sq, _, same = _shadows(spec, rows, _chart_frames(spec.directions))
+        center, width_sq, _, same = _shadows(spec, rows[:, None], rows[None, :])
         for i in rows:
             for k in np.flatnonzero(~same[i] & (width_sq[i] > 0.0)):
                 if spec.n == 1:
@@ -720,7 +807,7 @@ def mc_facet_area(spec, i, samples, rng) -> tuple[float, float]:
     """(estimate, standard error) of the common part of the disks that the
     other horoballs cut from horosphere i, from uniform points in the
     overlap of the disks' bounding boxes."""
-    center, width_sq, _, same = _shadows(spec, np.array([i]), _chart_frames(spec.directions[[i]]))
+    center, width_sq, _, same = _shadows(spec, np.array([[i]]), np.arange(spec.count)[None, :])
     if np.any(width_sq[0, ~same[0]] <= 0.0):
         return 0.0, 0.0
     c, w = center[0, ~same[0]], np.sqrt(width_sq[0, ~same[0]])

@@ -282,6 +282,24 @@ def test_residual_mismatched_directions():
         residual(lens_polytope(LOG2, LOG2, even=True), mu, 0.0)
 
 
+def test_residual_errors_name_the_first_unmatched_atom():
+    # a lens certified against the square's measure: atoms 1 ((0, 1)) and
+    # 3 ((0, -1)) have no facet, and the first of them is named
+    square = DiscreteMeasure.from_even_pairs(np.eye(2), np.ones(2))
+    with pytest.raises(MismatchedDirectionsError, match=r"^measure atom 1 has no matching facet direction$"):
+        residual(lens_polytope(0.6, 0.9), square, 0.0)
+    # an even body reads one atom per pair: (1, 0), then (0.6, 0.8) and (0.8, -0.6)
+    skew = DiscreteMeasure.from_even_pairs(np.array([[1.0, 0.0], [0.6, 0.8], [0.8, -0.6]]), np.ones(3))
+    with pytest.raises(MismatchedDirectionsError, match=r"^measure atom 1 has no matching facet direction$"):
+        residual(build_polytope(PolytopeSpec(n=1, directions=np.vstack([np.eye(2), -np.eye(2)]),
+                                             x=np.ones(4), even=True)), skew, 0.0)
+    # a measure made past its checks, with atoms 0 and 1 on one direction
+    twice = DiscreteMeasure.from_even_pairs(np.eye(2), np.ones(2))
+    object.__setattr__(twice, "directions", np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]))
+    with pytest.raises(MismatchedDirectionsError, match=r"^two atoms matched the same facet direction$"):
+        residual(lens_polytope(0.6, 0.9), twice, 0.0)
+
+
 def test_residual_needs_even_measure():
     mu = DiscreteMeasure(
         n=1,
@@ -382,10 +400,12 @@ def test_solve_does_each_piece_of_work_once(monkeypatch):
     # trial spec inherits; one boundary per rescale evaluation. Each trial
     # (one _lagrange_residual) is judged on the body of its rescale's last
     # evaluation (_volume_rescale), and builds again (build_polytope, the
-    # polytope-side boundary) only when canonicalizing lowered a scale
+    # polytope-side boundary) only when canonicalizing lowered a scale. The
+    # chart frames come with the template, once per solve, in both dimensions
     calls = count_calls(
         monkeypatch,
         [
+            (polytope, "_chart_frames"),
             (polytope, "_even_pairing"),
             (solver, "_exact_boundary"),
             (polytope, "_exact_boundary"),
@@ -404,6 +424,11 @@ def test_solve_does_each_piece_of_work_once(monkeypatch):
     assert calls[("horomink.solver", "build_polytope")] == 1
     assert calls[("horomink.polytope", "_exact_boundary")] == 1
     assert calls[("horomink.solver", "_exact_boundary")] == 20
+    assert calls[("horomink.polytope", "_chart_frames")] == 1
+    calls.clear()
+    result = solve_even(DiscreteMeasure.from_even_pairs(*three_sphere_pairs()), SolverConfig(p=-1.0))
+    assert result.converged
+    assert calls[("horomink.polytope", "_chart_frames")] == 1
 
 
 def test_phi_mode_builds_each_trial_once(monkeypatch):
