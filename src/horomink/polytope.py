@@ -16,9 +16,10 @@ once, and every query reads off it in closed form:
   lengths are arc lengths, the volume is a sum of per-arc sector areas,
   and the Hausdorff distance is a maximum over finitely many candidate
   angles.
-* n = 2: the circular arcs that bound each facet (_FacetArcs). Facet areas
-  follow from Green's theorem, and the volume is a divergence-theorem sum
-  of one smooth integral per arc.
+* n = 2: the circular arcs that bound each facet (_FacetArcs), swept for
+  all facets at once, then in rounds for those that miss a disk. Facet
+  areas follow from Green's theorem, and the volume is a divergence-theorem
+  sum of one smooth integral per arc.
 
 Support numbers, the circumradius and nearest boundary points follow one
 rule: for q = (v, 1) with |v| <= 1 (an ideal point v, O at v = 0, or a
@@ -852,7 +853,8 @@ def _disk_intersection(c: np.ndarray, w: np.ndarray, valid: np.ndarray):
     is False pad the rows to one length K: they take part in no decision,
     only need to be finite, and leave the arithmetic of every valid entry
     as it would be without them, so the arcs of a row do not depend on what
-    other rows it is swept with.
+    other rows it is swept with. _facet_arcs rests on that: facets swept
+    together keep, bit for bit, the arcs each would keep swept alone.
 
     On circle a, every disk b that crosses it keeps the angles within
     atan2(h, d) of the direction of c_b - c_a, where h is half the common
@@ -923,9 +925,13 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
     so each facet is first swept over the _SWEEP_START disks that hold the
     middle of their bounding boxes' overlap most tightly, every facet in one
     batched pass (_disk_intersection; its arrays hold facets x _SWEEP_START
-    x 2 _SWEEP_START entries, whatever the count of horoballs). A facet with
-    more disks than that and an arc goes on into the growth loop
-    (_grow_facet). A facet is nonempty exactly when it keeps an arc. The
+    x 2 _SWEEP_START entries, whatever the count of horoballs). Facets with
+    more disks and an arc then grow in rounds: one array pass finds every
+    unpicked disk that does not hold their arcs (to within _ARC_TOL), and
+    the facets that miss one are swept again with them, in groups of like
+    size whose arrays are no larger than the first pass's or the largest
+    facet's alone. A facet stops when it misses no disk, keeps no arc or
+    has every disk. A facet is nonempty exactly when it keeps an arc. The
     disks' direction terms come with the spec's template (_all_pair_terms).
     """
     count = spec.count
@@ -955,51 +961,45 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
     slot = (np.arange(rows.size)[:, None], np.minimum(chosen, count - 1))
     r, a, lo, hi = _disk_intersection(c[slot], w[slot], valid)
     k = chosen[r, a]
-    grown = {}
-    for f in np.flatnonzero(disks > chosen.shape[1]):
-        arcs = r == f
-        if np.any(arcs):
-            grown[f] = _grow_facet(c[f], w[f], mine[f], chosen[f], k[arcs], lo[arcs], hi[arcs])
-    if grown:
-        kept = ~np.isin(r, list(grown))
-        parts = [(r[kept], k[kept], lo[kept], hi[kept])]
-        parts += [(np.full(arc[0].size, f), *arc) for f, arc in grown.items()]
-        r, k, lo, hi = (np.concatenate(column) for column in zip(*parts))
+    growing = np.flatnonzero(disks > chosen.shape[1])
+    if growing.size:
+        growing = growing[np.isin(growing, r)]
+        picked = np.zeros_like(mine)
+        picked[growing[:, None], chosen[growing]] = True
+    while growing.size:
+        # |s - c_j|^2 is largest at an end of an arc or at its point
+        # farthest from c_j
+        at = np.isin(r, growing)
+        f, on, radius = r[at], c[r[at], k[at]][:, None, :], w[r[at], k[at]][:, None]
+        ends = _arc_turns(lo[at, None], hi[at, None], on - c[f])
+        reach = np.max([np.sum((_on_circle(on, radius, t) - c[f]) ** 2, axis=2) for t in ends], axis=0)
+        missing = np.zeros_like(mine)
+        np.logical_or.at(missing, f, mine[f] & ~picked[f] & (reach > (w[f] * (1.0 + _ARC_TOL)) ** 2))
+        del ends, reach  # freed before the sweeps, which set the build's memory peak
+        growing = growing[np.any(missing[growing], axis=1)]
+        picked |= missing
+        growing = growing[np.argsort(-np.count_nonzero(picked[growing], axis=1), kind="stable")]
+        size = np.count_nonzero(picked[growing], axis=1)
+        # largest rows first, in groups no larger than the first pass or one row
+        room = max(2 * chosen.size * chosen.shape[1], 2 * int(np.max(size, initial=0)) ** 2)
+        swept, start = [tuple(column[~np.isin(r, growing)] for column in (r, k, lo, hi))], 0
+        while start < growing.size:
+            group = slice(start, start + room // (2 * int(size[start]) ** 2))
+            start, here, many = group.stop, growing[group], size[group]
+            # each row's picked disks in their listed order, then padding
+            pick = np.argsort(~picked[here], axis=1, kind="stable")[:, : many[0]]
+            slot = (here[:, None], pick)
+            g, a, lo, hi = _disk_intersection(c[slot], w[slot], np.arange(many[0]) < many[:, None])
+            swept.append((here[g], pick[g, a], lo, hi))
+        r, k, lo, hi = (np.concatenate(column) for column in zip(*swept))
         # facet by facet, each facet's arcs in the order of its last sweep
         order = np.argsort(r, kind="stable")
         r, k, lo, hi = r[order], k[order], lo[order], hi[order]
+        growing = growing[np.isin(growing, r) & (size < disks[growing])]
     active = np.zeros(count, dtype=bool)
     active[rows[r]] = True
     active.setflags(write=False)
     return _FacetArcs(facet=rows[r], center=c[r, k], width=w[r, k], lo=lo, hi=hi, active=active)
-
-
-def _grow_facet(c: np.ndarray, w: np.ndarray, mine: np.ndarray, pick: np.ndarray, k, lo, hi):
-    """The arcs (disk, lo, hi) of one facet whose disks k of pick were swept.
-
-    c and w hold the facet's disks where mine is set. Every disk that does
-    not hold the common part of the picked ones (to within _ARC_TOL,
-    checked on its arcs) joins them and the facet is swept again, until
-    none is left, the facet keeps no arc, or every disk is picked.
-    """
-    while True:
-        # |s - c_k|^2 is largest at an end of an arc or at its point
-        # farthest from c_k
-        ends = _arc_turns(lo[:, None], hi[:, None], c[k][:, None, :] - c[None, :, :])
-        reach = np.max(
-            [np.sum((_on_circle(c[k][:, None, :], w[k][:, None], t) - c) ** 2, axis=2) for t in ends],
-            axis=(0, 1),
-        )
-        missing = np.setdiff1d(np.flatnonzero(mine & (reach > (w * (1.0 + _ARC_TOL)) ** 2)), pick)
-        if missing.size == 0:
-            return k, lo, hi
-        pick = np.union1d(pick, missing)
-        _, a, lo, hi = _disk_intersection(
-            c[pick][None], w[pick][None], np.ones((1, pick.size), dtype=bool)
-        )
-        k = pick[a]
-        if k.size == 0 or pick.size == np.count_nonzero(mine):
-            return k, lo, hi
 
 
 def _arc_values(spec: PolytopeSpec, arcs: _FacetArcs, v: np.ndarray, sign: float):

@@ -1181,8 +1181,9 @@ def test_small_cubes_keep_their_volume():
     # the kernel read arccosh(cosh x + delta), which rounds to 0 for small x
     # and delta: 4.5e-6 relative error at s = 1e-6, 6.7e-4 at 1e-7 and NaN
     # from 1e-8 on. Measured now: 5.6e-10 and 6.3e-10 at 1e-6 and 1e-7, at
-    # most 1.7e-7 down to 1e-11; what is left comes from rho^2 along the
-    # arcs, |c + w u(t)|^2 with c and w of size 1 and rho of size s
+    # most 1.7e-7 down to 1e-11. What is left comes from the chart disks
+    # (_shadows), not from rho^2 along the arcs: with the disks formed at 50
+    # digits, the error falls within 1e-26
     cube = PolytopeSpec(n=2, directions=np.vstack([np.eye(3), -np.eye(3)]), x=np.ones(6))
     for s in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11):
         got = volume(build_polytope(cube.with_x(np.full(6, s))))
@@ -1239,6 +1240,64 @@ def test_facets_with_many_disks_grow_their_sweep(monkeypatch):
     whole = polytope._facet_arcs(spec)
     for name in ("facet", "center", "width", "lo", "hi", "active"):
         assert np.array_equal(getattr(poly.boundary, name), getattr(whole, name)), name
+
+
+def test_grown_facets_match_one_sweep_over_every_disk(monkeypatch):
+    # 60 random even bodies of 7 to 24 pairs, scales U(0.6, 1.4), U(1e-3, 2)
+    # and U(0.6, 1.4) times 10^U(-6, 1.5): the first sweep and the growth
+    # rounds keep, bit for bit, the arcs of one sweep over every disk
+    rng = np.random.Generator(np.random.Philox(22))
+    specs = []
+    for trial in range(60):
+        x_range = (1e-3, 2.0) if trial % 3 == 1 else (0.6, 1.4)
+        spec = even_sphere_spec(rng, int(rng.integers(7, 25)), x_range=x_range)
+        specs.append(spec.with_x(spec.x * 10.0 ** rng.uniform(-6.0, 1.5)) if trial % 3 == 2 else spec)
+    tests, grown = [], []
+    turns = polytope._arc_turns
+
+    def counted(lo, hi, g):
+        tests[-1] += 1
+        return turns(lo, hi, g)
+
+    monkeypatch.setattr(polytope, "_arc_turns", counted)
+    for spec in specs:
+        tests.append(0)
+        grown.append(polytope._facet_arcs(spec))
+    # every body has a facet that grows
+    assert min(tests) > 0
+    monkeypatch.setattr(polytope, "_SWEEP_START", 1000)
+    for spec, arcs in zip(specs, grown):
+        whole = polytope._facet_arcs(spec)
+        for name in ("facet", "center", "width", "lo", "hi", "active"):
+            assert np.array_equal(getattr(arcs, name), getattr(whole, name)), name
+
+
+def test_facet_sweeps_batch_the_growing_facets(monkeypatch):
+    sweeps, tests = [], []
+    sweep, turns = polytope._disk_intersection, polytope._arc_turns
+
+    def counted_sweep(c, w, valid):
+        sweeps.append(valid.shape)
+        return sweep(c, w, valid)
+
+    def counted_turns(lo, hi, g):
+        tests.append(lo.shape)
+        return turns(lo, hi, g)
+
+    monkeypatch.setattr(polytope, "_disk_intersection", counted_sweep)
+    monkeypatch.setattr(polytope, "_arc_turns", counted_turns)
+    # no facet of 6 horoballs has more than 12 disks: one sweep, no growth
+    cube = PolytopeSpec(n=2, directions=np.vstack([np.eye(3), -np.eye(3)]), x=np.ones(6))
+    for spec in (cube, even_sphere_spec(np.random.Generator(np.random.Philox(3)), 3)):
+        sweeps.clear()
+        build_polytope(spec)
+        assert (len(sweeps), len(tests)) == (1, 0)
+    # 64 pairs: four facets grow, to 22, 22, 18 and 18 disks, in one round
+    # and one sweep, and a second round finds no disk missing
+    sweeps.clear()
+    build_polytope(even_sphere_spec(np.random.Generator(np.random.Philox(28)), 64))
+    assert sweeps[1:] == [(4, 22)]
+    assert len(tests) == 2
 
 
 # ------------------------------------------------------------- canonical form
