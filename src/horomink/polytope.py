@@ -17,7 +17,7 @@ once, and every query reads off it in closed form:
   and the Hausdorff distance is a maximum over finitely many candidate
   angles.
 * n = 2: the circular arcs that bound each facet (_FacetArcs), swept for
-  all facets at once, then in rounds for those that miss a disk. Facet
+  all facets at once, then once more for those that miss a disk. Facet
   areas follow from Green's theorem, and the volume is a divergence-theorem
   sum of one smooth integral per arc.
 
@@ -926,13 +926,15 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
     middle of their bounding boxes' overlap most tightly, every facet in one
     batched pass (_disk_intersection; its arrays hold facets x _SWEEP_START
     x 2 _SWEEP_START entries, whatever the count of horoballs). Facets with
-    more disks and an arc then grow in rounds: one array pass finds every
+    more disks and an arc then grow once: one array pass finds every
     unpicked disk that does not hold their arcs (to within _ARC_TOL), and
     the facets that miss one are swept again with them, in groups of like
     size whose arrays are no larger than the first pass's or the largest
-    facet's alone. A facet stops when it misses no disk, keeps no arc or
-    has every disk. A facet is nonempty exactly when it keeps an arc. The
-    disks' direction terms come with the spec's template (_all_pair_terms).
+    facet's alone. One round is exact: adding the missing disks to the
+    region R1 of the first sweep leaves a region R2 within R1, which every
+    disk that holds R1 (to within _ARC_TOL) holds too. A facet is nonempty
+    exactly when it keeps an arc. The disks' direction terms come with the
+    spec's template (_all_pair_terms).
     """
     count = spec.count
     every = np.arange(count)
@@ -963,25 +965,23 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
     k = chosen[r, a]
     growing = np.flatnonzero(disks > chosen.shape[1])
     if growing.size:
-        growing = growing[np.isin(growing, r)]
-        picked = np.zeros_like(mine)
-        picked[growing[:, None], chosen[growing]] = True
-    while growing.size:
         # |s - c_j|^2 is largest at an end of an arc or at its point
         # farthest from c_j
         at = np.isin(r, growing)
         f, on, radius = r[at], c[r[at], k[at]][:, None, :], w[r[at], k[at]][:, None]
         ends = _arc_turns(lo[at, None], hi[at, None], on - c[f])
         reach = np.max([np.sum((_on_circle(on, radius, t) - c[f]) ** 2, axis=2) for t in ends], axis=0)
-        missing = np.zeros_like(mine)
-        np.logical_or.at(missing, f, mine[f] & ~picked[f] & (reach > (w[f] * (1.0 + _ARC_TOL)) ** 2))
-        del ends, reach  # freed before the sweeps, which set the build's memory peak
-        growing = growing[np.any(missing[growing], axis=1)]
-        picked |= missing
+        picked = np.zeros_like(mine)
+        picked[growing[:, None], chosen[growing]] = True
+        np.logical_or.at(picked, f, mine[f] & (reach > (w[f] * (1.0 + _ARC_TOL)) ** 2))
+        del ends, reach  # freed before the sweep, which sets the build's memory peak
+        # the facets that miss a disk (a facet that kept no arc misses none)
+        growing = growing[np.count_nonzero(picked[growing], axis=1) > chosen.shape[1]]
+    if growing.size:
         growing = growing[np.argsort(-np.count_nonzero(picked[growing], axis=1), kind="stable")]
         size = np.count_nonzero(picked[growing], axis=1)
         # largest rows first, in groups no larger than the first pass or one row
-        room = max(2 * chosen.size * chosen.shape[1], 2 * int(np.max(size, initial=0)) ** 2)
+        room = max(2 * chosen.size * chosen.shape[1], 2 * int(size[0]) ** 2)
         swept, start = [tuple(column[~np.isin(r, growing)] for column in (r, k, lo, hi))], 0
         while start < growing.size:
             group = slice(start, start + room // (2 * int(size[start]) ** 2))
@@ -992,10 +992,9 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
             g, a, lo, hi = _disk_intersection(c[slot], w[slot], np.arange(many[0]) < many[:, None])
             swept.append((here[g], pick[g, a], lo, hi))
         r, k, lo, hi = (np.concatenate(column) for column in zip(*swept))
-        # facet by facet, each facet's arcs in the order of its last sweep
+        # facet by facet, each facet's arcs in the order of its own sweep
         order = np.argsort(r, kind="stable")
         r, k, lo, hi = r[order], k[order], lo[order], hi[order]
-        growing = growing[np.isin(growing, r) & (size < disks[growing])]
     active = np.zeros(count, dtype=bool)
     active[rows[r]] = True
     active.setflags(write=False)

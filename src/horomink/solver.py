@@ -33,6 +33,8 @@ last evaluation (one boundary per evaluation). That body is canonicalized,
 and it is the body the trial is judged on unless canonicalizing lowered a
 scale; only then is the trial built a second time, at the lowered scales
 (rescaled back onto Phi_p = 1 in that mode).
+The loop takes no finite difference: the gradient check reads the
+returned body once (SolverResult.gradient_check_max_rel).
 The tube-volume support bound (boundedness_bound) is in closed form.
 
 The solver accepts n <= 2 only, where every area, volume, support number
@@ -47,6 +49,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,10 +90,6 @@ _MIN_STEP = 1e-12
 
 # Why solve_even stopped (SolverResult.stop_reason).
 STOP_REASONS = ("converged", "max_iters", "line_search", "zero_direction")
-
-# Accepted iterations between checks of the exact gradient against central
-# differences of the volume (facet_area_fd's default step).
-_GRAD_CHECK_EVERY = 10
 
 
 def phi_p(x, weights, p: float) -> float:
@@ -303,7 +302,7 @@ class SolverResult:
     """What solve_even returns. stop_reason says why the loop ended:
     "converged" (the residual reached tol), "max_iters", "line_search" (no
     step down to _MIN_STEP raised the score) or "zero_direction" (the
-    projected gradient vanished)."""
+    projected gradient vanished); gradient_check_max_rel, on first read."""
 
     polytope: HConvexPolytope
     z: np.ndarray
@@ -311,12 +310,26 @@ class SolverResult:
     residual_max_rel: float
     objective_trace: list[float] = field(default_factory=list)
     iterations: int = 0
-    gradient_check_max_rel: float = 0.0
     stop_reason: str = "max_iters"
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
+
+    @cached_property
+    def gradient_check_max_rel(self) -> float:
+        """Worst gap between the returned body's volume gradient 2 S_i and
+        central differences of its volume, over the largest 2 S_i; warns
+        above 1e-3. Norm-wise, since V has a kink where a facet closes, at
+        a step of 1e-4 min(1, min z): 1e-4 closes facets at scales ~1e-2."""
+        poly, m = self.polytope, self.z.size
+        delta = 1e-4 * min(1.0, float(np.min(self.z)))
+        direct = 2.0 * np.array([facet_area(poly, i) for i in range(m)])
+        fd = np.array([facet_area_fd(poly, i, delta) + facet_area_fd(poly, m + i, delta) for i in range(m)])
+        worst = float(np.max(np.abs(direct - fd)) / np.max(direct))
+        if worst > 1e-3:
+            logger.warning("direct and finite-difference gradients disagree: %.3g", worst)
+        return worst
 
 
 @dataclass(slots=True)
@@ -428,7 +441,6 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
     best = current
     step = _STEP
     iterations = 0
-    grad_check_worst = 0.0
     last = None  # (z, unnormalized d) at the previous accepted iterate
 
     while True:
@@ -480,18 +492,6 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
             logger.warning("support-bound safeguard is active on an accepted iterate")
         if current.res < best.res:
             best = current
-        if iterations % _GRAD_CHECK_EVERY == 0:
-            direct = 2.0 * current.areas
-            fd = np.array(
-                [facet_area_fd(current.poly, i) + facet_area_fd(current.poly, m + i) for i in range(m)]
-            )
-            # norm-wise: V has a kink where a facet closes, so a central
-            # difference over a facet that closes within the step (or is
-            # closed already) is off by O(1) relative to its own area
-            worst = float(np.max(np.abs(direct - fd)) / np.max(direct))
-            grad_check_worst = max(grad_check_worst, worst)
-            if worst > 1e-3:
-                logger.warning("direct and finite-difference gradients disagree: %.3g", worst)
 
     final = current if stop_reason == "converged" else best
     return SolverResult(
@@ -501,6 +501,5 @@ def solve_even(measure: DiscreteMeasure, config: SolverConfig) -> SolverResult:
         residual_max_rel=final.res,
         objective_trace=trace,
         iterations=iterations,
-        gradient_check_max_rel=grad_check_worst,
         stop_reason=stop_reason,
     )

@@ -761,8 +761,8 @@ def test_solution_records_why_the_solver_stopped(tmp_path, asymmetric_instance, 
     sol = json.loads(out.read_text())
     assert sol["stop_reason"] == "converged"
     assert report.endswith(" stop_reason=converged\n")
-    # no check ran in the few iterations this solve takes
-    assert sol["gradient_check_max_rel"] == 0.0
+    # the gradient check runs once, on the returned body: measured 2.0e-10
+    assert 0.0 < sol["gradient_check_max_rel"] <= 1e-9
     assert main(["check", "--instance", asymmetric_instance, "--solution", str(out)]) == 0
     assert last_json(capsys)["match"] is True
     # a solve cut short says so, and checks all the same

@@ -61,7 +61,8 @@ def test_n_le_2_work_loads_no_scipy(tmp_path):
         planar = DiscreteMeasure.from_even_pairs([[1.0, 0.0], [0.6, 0.8]], [1.0, 1.7])
         spatial = DiscreteMeasure.from_even_pairs(np.eye(3), [1.0, 1.5, 2.0])
         for measure, p in ((planar, 0.0), (spatial, -1.0)):
-            assert solve_even(measure, SolverConfig(p=p, tol=1e-2)).converged
+            result = solve_even(measure, SolverConfig(p=p, tol=1e-2))
+            assert result.converged and result.gradient_check_max_rel <= 1e-3
         for n in (1, 2):
             dirs = np.vstack([np.eye(n + 1), -np.eye(n + 1)])
             spec = PolytopeSpec(n=n, directions=dirs, x=np.full(dirs.shape[0], 0.8), even=True)

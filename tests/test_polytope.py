@@ -1292,12 +1292,12 @@ def test_facet_sweeps_batch_the_growing_facets(monkeypatch):
         sweeps.clear()
         build_polytope(spec)
         assert (len(sweeps), len(tests)) == (1, 0)
-    # 64 pairs: four facets grow, to 22, 22, 18 and 18 disks, in one round
-    # and one sweep, and a second round finds no disk missing
+    # 64 pairs: one containment pass, and four facets grow, to 22, 22, 18
+    # and 18 disks, in one sweep
     sweeps.clear()
     build_polytope(even_sphere_spec(np.random.Generator(np.random.Philox(28)), 64))
     assert sweeps[1:] == [(4, 22)]
-    assert len(tests) == 2
+    assert len(tests) == 1
 
 
 # ------------------------------------------------------------- canonical form

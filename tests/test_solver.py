@@ -1,6 +1,7 @@
 """Constraint functional, rescaling, optimality residual, and the
 projected-gradient solver on small even instances."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -605,7 +606,21 @@ def test_gradient_check_quiet_at_closing_facets(caplog):
     assert not [r for r in caplog.records if "disagree" in r.getMessage()]
 
 
-def test_gradient_check_catches_a_wrong_area(monkeypatch, caplog):
+def test_solve_takes_no_finite_differences(monkeypatch):
+    # the check runs once, on the returned body, when first read: 2m central
+    # differences for m pairs, and none in the loop's 10 or more iterations
+    calls = count_calls(monkeypatch, [(solver, "facet_area_fd")])
+    result = solve_even(steep_measure(), SolverConfig(p=-20.0))
+    assert result.iterations >= 10
+    assert calls == {}
+    first = result.gradient_check_max_rel
+    assert calls[("horomink.solver", "facet_area_fd")] == 2 * result.z.size
+    assert result.gradient_check_max_rel == first
+    assert calls[("horomink.solver", "facet_area_fd")] == 2 * result.z.size
+
+
+def inflate_largest_area(monkeypatch):
+    """Make solver.facet_area report each body's largest facet 1% too large."""
     exact = solver.facet_area
 
     def inflated(poly, i, *args, **kwargs):
@@ -613,12 +628,34 @@ def test_gradient_check_catches_a_wrong_area(monkeypatch, caplog):
         return areas[i] * (1.01 if i == int(np.argmax(areas)) else 1.0)
 
     monkeypatch.setattr(solver, "facet_area", inflated)
-    monkeypatch.setattr(solver, "_GRAD_CHECK_EVERY", 1)
+
+
+def test_gradient_check_catches_a_wrong_area(monkeypatch, caplog):
+    inflate_largest_area(monkeypatch)
     mu = random_even_measure(np.random.Generator(np.random.Philox(77)), 3)
     with caplog.at_level(logging.WARNING, logger="horomink.solver"):
         result = solve_even(mu, SolverConfig(p=2.0))
-    assert result.iterations >= 1
-    assert result.gradient_check_max_rel >= 5e-3
+        assert result.iterations >= 1
+        assert result.gradient_check_max_rel >= 5e-3
+    assert [r for r in caplog.records if "disagree" in r.getMessage()]
+
+
+def test_gradient_check_steps_relative_to_a_small_body(monkeypatch, caplog):
+    # 32 planar pairs whose scales come out near 0.012. A fixed step of 1e-4
+    # closes neighbouring facets there, past the kink of V: the check read
+    # 0.17 on this body with it, and 4.7e-9 at the step 1e-4 min z
+    ang = math.pi * (np.arange(32) + np.random.Generator(np.random.Philox(5)).uniform(-0.2, 0.2, 32)) / 32
+    weights = np.random.Generator(np.random.Philox(6)).uniform(0.5, 2.0, 32)
+    mu = DiscreteMeasure.from_even_pairs(np.column_stack([np.cos(ang), np.sin(ang)]), weights)
+    result = solve_even(mu, SolverConfig(p=2.0, tol=1e-6, max_iters=400))
+    assert result.converged
+    assert np.max(result.z) < 0.013
+    with caplog.at_level(logging.WARNING, logger="horomink.solver"):
+        assert result.gradient_check_max_rel <= 1e-6
+        assert not [r for r in caplog.records if "disagree" in r.getMessage()]
+        # the same body read again, with one area 1% off
+        inflate_largest_area(monkeypatch)
+        assert dataclasses.replace(result).gradient_check_max_rel >= 5e-3
     assert [r for r in caplog.records if "disagree" in r.getMessage()]
 
 
