@@ -21,18 +21,14 @@ from .geometry import (
     Direction,
     HyperboloidPoint,
     Isometry,
-    boost_to_origin,
     convert_model,
-    geodesic_distance,
     minkowski_dot,
-    origin,
     polar_point,
 )
 from .horoball import (
     Horoball,
     busemann_value,
     horoball_contains,
-    horoball_radial,
     horoball_transform,
 )
 from .polytope import (
@@ -45,13 +41,11 @@ from .polytope import (
     extremal_radii,
     facet_area,
     facet_area_fd,
-    facet_areas,
     hausdorff_distance,
     outer_parallel_support,
     radial,
     separate,
     support,
-    surface_measure_p,
     t_body_volume,
     t_body_volume_lower_bound,
     volume,
@@ -91,7 +85,6 @@ __all__ = [
     "SpecError",
     "SphereQuadrature",
     "UnreachableTargetError",
-    "boost_to_origin",
     "boundedness_bound",
     "build_polytope",
     "build_quadrature",
@@ -101,14 +94,10 @@ __all__ = [
     "extremal_radii",
     "facet_area",
     "facet_area_fd",
-    "facet_areas",
-    "geodesic_distance",
     "hausdorff_distance",
     "horoball_contains",
-    "horoball_radial",
     "horoball_transform",
     "minkowski_dot",
-    "origin",
     "outer_parallel_support",
     "phi_p",
     "polar_point",
@@ -120,7 +109,6 @@ __all__ = [
     "solve_even",
     "sphere_area",
     "support",
-    "surface_measure_p",
     "t_body_volume",
     "t_body_volume_lower_bound",
     "unit_ball_volume",

@@ -74,22 +74,6 @@ def radial_matrix(centers: np.ndarray, scales: np.ndarray, thetas: np.ndarray) -
     return out
 
 
-def horoball_radial(ball: Horoball, theta: Direction) -> float:
-    """Largest t with polar_point(t, theta) still inside the closed horoball.
-
-    Solves cosh(t) - cos(angle) sinh(t) = e^s in closed form via the larger
-    root of (1 - c) x^2 - 2 e^s x + (1 + c) = 0 for x = e^t. Returns
-    math.inf when theta is aligned with the center within 1e-9, because the
-    ray then converges to the ideal center without leaving the ball.
-    """
-    if ball.s <= 0.0:
-        raise ValueError("radial reach needs s > 0 (origin strictly inside)")
-    value = radial_matrix(
-        ball.center.vector[None, :], np.array([ball.s]), theta.vector[None, :]
-    )[0, 0]
-    return float(value)
-
-
 def horoball_transform(ball: Horoball, iso: Isometry) -> Horoball:
     """Push a horoball forward through an isometry.
 

@@ -67,13 +67,12 @@ from .geometry import (
     HyperboloidPoint,
     # Unused here; the benchmark's tracer swaps this name to count rotations.
     Isometry,  # noqa: F401
-    boost_to_origin,
     minkowski_dot,
     polar_point,
     pow2_scaled,
     safe_acosh,
 )
-from .horoball import Horoball, horoball_transform, radial_matrix
+from .horoball import Horoball, busemann_value, radial_matrix
 from .quadrature import SphereQuadrature, build_quadrature, sinh_power_integral, unit_ball_volume
 
 # The SciPy functions this module calls, imported on first use (see the
@@ -224,13 +223,6 @@ class DiscreteMeasure:
             pairs = _even_pairing(rows, "measure")
             _check_even_values(pairs, weights, "measure")
             object.__setattr__(self, "_pairs", pairs)
-
-    @property
-    def count(self) -> int:
-        return self.directions.shape[0]
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
 
     def reduced_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """One representative per antipodal pair (first occurrences, input order)."""
@@ -1377,11 +1369,6 @@ def facet_area(poly: HConvexPolytope, i: int) -> float:
     return box_volume * float(np.count_nonzero(inside)) / _MC_SAMPLES
 
 
-def facet_areas(poly: HConvexPolytope) -> np.ndarray:
-    """facet_area for every listed horoball."""
-    return np.array([facet_area(poly, i) for i in range(poly.spec.count)])
-
-
 def facet_area_fd(poly: HConvexPolytope, i: int, delta: float = 1e-4) -> float:
     """Facet area as the central difference of the volume in the scale x_i.
 
@@ -1401,26 +1388,6 @@ def facet_area_fd(poly: HConvexPolytope, i: int, delta: float = 1e-4) -> float:
     v_up = _volume_of_spec(spec.with_x(up, even=False), poly.scan)
     v_down = _volume_of_spec(spec.with_x(down, even=False), poly.scan)
     return (v_up - v_down) / (2.0 * step)
-
-
-def surface_measure_p(poly: HConvexPolytope, p: float) -> DiscreteMeasure:
-    """The p-weighted surface measure: atom e^{-p u_i} S_i at each facet direction."""
-    spec = poly.spec
-    dirs, weights = [], []
-    for i in range(spec.count):
-        area = facet_area(poly, i)
-        if area <= 0.0:
-            continue
-        dirs.append(spec.directions[i])
-        weights.append(math.exp(-p * float(poly.canonical_support[i])) * area)
-    if not dirs:
-        raise DegenerateBodyError("no supporting facets found")
-    return DiscreteMeasure(
-        n=spec.n,
-        directions=np.array(dirs),
-        weights=np.array(weights),
-        even=bool(spec.even and len(dirs) == spec.count),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1470,27 +1437,44 @@ def canonicalize(poly: HConvexPolytope) -> PolytopeSpec:
 def separate(poly: HConvexPolytope, point: HyperboloidPoint) -> Horoball:
     """Closed horoball containing the body but not the (strictly outside) point.
 
-    Finds the boundary point nearest to the query, then returns the
-    horoball tangent there to the geodesic sphere around the query,
-    expressed in the original coordinates. For n <= 2 the nearest point is
-    exact: the smallest cosh of the distance over the facets' interior
-    minimizers, arc ends and arc stationary points (_exact_nearest). For
-    n >= 3 it is the nearest scan point refined by Nelder-Mead.
+    Finds the boundary point X nearest to the query q, then returns the
+    horoball through X tangent there to the geodesic sphere around q. For
+    n <= 2 X is exact: the smallest cosh of the distance over the facets'
+    interior minimizers, arc ends and arc stationary points
+    (_exact_nearest). For n >= 3 it is the nearest scan point refined by
+    Nelder-Mead.
+
+    The ball is in closed form. The unit tangent T at X pointing away from q
+    is (-<X, q>) X - q, with its part along X taken out, over its own
+    Minkowski norm (not over sinh d, which loses every digit of a small
+    gap). The ball is the half-space {Y : -<Y, c> <= 1} with the null vector
+    c = X + T = e^{-s} (e, 1). Its scale is read at q, s = f_e(q) - d with
+    d = d(X, q), so q lies outside by d however small the gap: d is
+    acosh(-<X, q>) where that exceeds 2, and 2 asinh(|q - X| / 2) below,
+    which keeps a small d's digits.
     """
     spec = poly.spec
     if point.n != poly.n:
         raise SpecError("point dimension mismatch")
-    if np.all(np.log(_vertex_values(point.coords[None, :], spec.directions)[:, 0]) <= spec.x):
+    q = point.coords
+    if np.all(np.log(_vertex_values(q[None, :], spec.directions)[:, 0]) <= spec.x):
         raise PointInsideError("the point is not strictly outside the body")
     if poly.boundary is not None:
-        nearest = HyperboloidPoint(_exact_nearest(spec, poly.boundary, point.coords))
+        x = _exact_nearest(spec, poly.boundary, q)
     else:
-        nearest = _scan_nearest(poly, point)
-    to_origin = boost_to_origin(point)
-    moved = to_origin.apply(nearest)
-    dist = float(safe_acosh(moved.coords[-1]))
-    center = Direction.from_vector(moved.coords[:-1])
-    return horoball_transform(Horoball(center, -dist), to_origin.inverse())
+        x = _scan_nearest(poly, point).coords
+    cosh_d = -float(minkowski_dot(x, q))
+    away = cosh_d * x - q
+    # the roundoff of cosh_d leaves a part along x, of relative size
+    # eps / sinh d; taking it out keeps the tangent at x for small gaps
+    away = pow2_scaled(away + float(minkowski_dot(away, x)) * x)
+    tangent = away / math.sqrt(minkowski_dot(away, away))
+    if cosh_d > 2.0:
+        dist = math.acosh(cosh_d)
+    else:
+        dist = 2.0 * math.asinh(math.sqrt(minkowski_dot(q - x, q - x)) / 2.0)
+    center = Direction.from_vector((x + tangent)[:-1])
+    return Horoball(center, busemann_value(center, point) - dist)
 
 
 def _scan_nearest(poly: HConvexPolytope, point: HyperboloidPoint) -> HyperboloidPoint:
@@ -1517,26 +1501,17 @@ def _scan_nearest(poly: HConvexPolytope, point: HyperboloidPoint) -> Hyperboloid
     return polar_point(_radial_single(spec, theta_star), Direction(theta_star))
 
 
-def outer_parallel_support(
-    poly: HConvexPolytope,
-    eps: float,
-    dirs: SphereQuadrature | np.ndarray | None = None,
-) -> PolytopeSpec:
-    """Spec of the grid outer approximation of the eps-parallel body.
+def outer_parallel_support(poly: HConvexPolytope, eps: float, dirs: np.ndarray) -> PolytopeSpec:
+    """Spec of the outer approximation of the eps-parallel body on the
+    directions dirs, unit rows in R^{n+1} (required).
 
-    Each grid direction contributes the horoball with scale u(K, e) + eps;
-    the resulting body contains the true parallel body and matches its
-    support numbers exactly at the grid directions. The default grid is
-    the body's scan, or build_quadrature's default for n <= 2 bodies.
+    Each row contributes the horoball with scale u(K, e) + eps; the
+    resulting body contains the true parallel body and matches its support
+    numbers exactly at those directions.
     """
     if eps <= 0.0:
         raise ValueError("needs eps > 0")
-    if dirs is None:
-        rows = (poly.scan if poly.scan is not None else build_quadrature(poly.n)).nodes
-    elif isinstance(dirs, SphereQuadrature):
-        rows = dirs.nodes
-    else:
-        rows = _direction_rows(dirs, poly.n)
+    rows = _direction_rows(dirs, poly.n)
     values = np.empty(rows.shape[0])
     for g in range(rows.shape[0]):
         values[g] = support(poly, Direction(rows[g])) + eps

@@ -904,6 +904,34 @@ def test_separate_command(lens_body, capsys):
     assert err.startswith("geometry error:")
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_separate_far_from_the_body(tmp_path, n, capsys):
+    # the ball is formed in closed form; a boost back from the point failed
+    # its Lorentz test past a distance of about 9, and the command exited 5
+    dirs = np.vstack([np.eye(n + 1), -np.eye(n + 1)])
+    body = write_json(
+        tmp_path / "cube.json",
+        {"schema_version": "1", "n": n, "even": True, "horoballs": [{"direction": list(d), "x": 0.8} for d in dirs]},
+    )
+    poly = build_polytope(PolytopeSpec(n=n, directions=dirs, x=np.full(dirs.shape[0], 0.8), even=True))
+    theta = horomink.Direction.from_vector(np.arange(1.0, n + 2.0))
+    for r in (12.0, 100.0, 300.0):
+        q = horomink.polar_point(r, theta)
+        assert main(["separate", "--body", body, "--point", ",".join(map(repr, q.coords.tolist()))]) == 0
+        report = last_json(capsys)
+        center = horomink.Direction(np.array(report["center"]))
+        # the ball touches the body and leaves the point outside
+        assert horomink.support(poly, center) == pytest.approx(report["s"], abs=1e-12)
+        assert horomink.busemann_value(center, q) - report["s"] >= r - horomink.extremal_radii(poly)[0]
+
+
+@pytest.mark.parametrize("point", ["3e200,0,1e200", "1e200,0,1e200"])
+def test_separate_refuses_points_whose_squares_overflow(lens_body, point, capsys):
+    # <X, X> read inf - inf = nan, which passed the sheet test
+    assert main(["separate", "--body", lens_body, "--point", point]) == 2
+    assert "off the unit hyperboloid" in capsys.readouterr().err
+
+
 def test_oracle_volume_command(lens_body, capsys):
     assert main(
         ["oracle-volume", "--body", lens_body, "--samples", "100000", "--seed", "4"]

@@ -8,13 +8,10 @@ from horomink.geometry import (
     Direction,
     HyperboloidPoint,
     Isometry,
-    ball_distance,
-    boost_to_origin,
     convert_model,
-    geodesic_distance,
-    origin,
+    minkowski_dot,
     polar_point,
-    radial_decomposition,
+    safe_acosh,
 )
 from horomink.oracle import chord_arclength
 
@@ -27,16 +24,25 @@ def rand_point(rng, n, rmax=2.5):
     return polar_point(rng.uniform(0.0, rmax), rand_direction(rng, n))
 
 
+def origin(n):
+    return polar_point(0.0, Direction(np.eye(n + 1)[0]))
+
+
+def distance(x, y):
+    """d(X, Y) = acosh(-<X, Y>), as the package reads it off the form."""
+    return float(safe_acosh(-minkowski_dot(x.coords, y.coords)))
+
+
 def test_distance_origin_to_polar_is_radius():
     rng = np.random.default_rng(0)
     for n in (1, 2, 3):
         theta = rand_direction(rng, n)
-        assert geodesic_distance(origin(n), polar_point(1.0, theta)) == pytest.approx(1.0, abs=1e-12)
+        assert distance(origin(n), polar_point(1.0, theta)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distance_clamps_roundoff_for_coincident_points():
     x = polar_point(0.7, Direction(np.array([1.0, 0.0])))
-    d = geodesic_distance(x, x)
+    d = distance(x, x)
     assert d == 0.0 and not math.isnan(d)
 
 
@@ -45,8 +51,8 @@ def test_distance_symmetry_and_positivity():
     for _ in range(50):
         n = int(rng.integers(1, 4))
         x, y = rand_point(rng, n), rand_point(rng, n)
-        assert geodesic_distance(x, y) == geodesic_distance(y, x)
-        assert geodesic_distance(x, y) >= 0.0
+        assert distance(x, y) == distance(y, x)
+        assert distance(x, y) >= 0.0
 
 
 def test_distance_matches_chord_arclength_oracle():
@@ -55,7 +61,7 @@ def test_distance_matches_chord_arclength_oracle():
         n = int(rng.integers(1, 4))
         x, y = rand_point(rng, n), rand_point(rng, n)
         oracle = chord_arclength(x.coords, y.coords, segments=4096)
-        assert geodesic_distance(x, y) == pytest.approx(oracle, abs=1e-5)
+        assert distance(x, y) == pytest.approx(oracle, abs=1e-5)
 
 
 def test_polar_round_trip():
@@ -64,10 +70,11 @@ def test_polar_round_trip():
         n = int(rng.integers(1, 4))
         r = float(rng.uniform(0.0, 3.0))
         theta = rand_direction(rng, n)
-        r2, theta2 = radial_decomposition(polar_point(r, theta))
-        assert r2 == pytest.approx(r, abs=1e-10)
+        x = polar_point(r, theta)
+        assert distance(origin(n), x) == pytest.approx(r, abs=1e-10)
         if r > 1e-6:
-            assert np.allclose(theta2.vector, theta.vector, atol=1e-10)
+            spatial = x.coords[:-1]
+            assert np.allclose(spatial / np.linalg.norm(spatial), theta.vector, atol=1e-10)
 
 
 def test_polar_rejects_negative_radius():
@@ -94,9 +101,10 @@ def test_convert_preserves_distances():
     for _ in range(200):
         n = int(rng.integers(1, 4))
         x, y = rand_point(rng, n), rand_point(rng, n)
-        d = geodesic_distance(x, y)
-        db = ball_distance(convert_model(x, "ball"), convert_model(y, "ball"))
-        assert db == pytest.approx(d, abs=1e-9)
+        a, b = convert_model(x, "ball").coords, convert_model(y, "ball").coords
+        # the ball chart's own distance formula
+        gap = 2.0 * float(np.dot(a - b, a - b)) / ((1.0 - float(np.dot(a, a))) * (1.0 - float(np.dot(b, b))))
+        assert math.acosh(1.0 + gap) == pytest.approx(distance(x, y), abs=1e-9)
 
 
 def test_convert_is_identity_on_same_model():
@@ -140,7 +148,7 @@ def test_isometries_satisfy_lorentz_identity():
         eta[-1, -1] = -1.0
         b = Isometry.boost(rand_direction(rng, n), float(rng.uniform(-2, 2)))
         r = Isometry.rotation_between(rand_direction(rng, n), rand_direction(rng, n))
-        for iso in (b, r, b.compose(r), r.compose(b).inverse()):
+        for iso in (b, r, Isometry(b.matrix @ r.matrix), Isometry(eta @ (r.matrix @ b.matrix).T @ eta)):
             assert np.max(np.abs(iso.matrix.T @ eta @ iso.matrix - eta)) < 1e-10
 
 
@@ -148,18 +156,19 @@ def test_isometries_preserve_distance():
     rng = np.random.default_rng(8)
     for _ in range(50):
         n = int(rng.integers(1, 4))
-        iso = Isometry.boost(rand_direction(rng, n), float(rng.uniform(-1.5, 1.5))).compose(
-            Isometry.rotation_between(rand_direction(rng, n), rand_direction(rng, n))
-        )
+        boost = Isometry.boost(rand_direction(rng, n), float(rng.uniform(-1.5, 1.5)))
+        rotation = Isometry.rotation_between(rand_direction(rng, n), rand_direction(rng, n))
+        mat = boost.matrix @ rotation.matrix
         x, y = rand_point(rng, n), rand_point(rng, n)
-        assert geodesic_distance(iso.apply(x), iso.apply(y)) == pytest.approx(
-            geodesic_distance(x, y), abs=1e-9
-        )
+        moved = minkowski_dot(mat @ x.coords, mat @ y.coords)
+        assert float(safe_acosh(-moved)) == pytest.approx(distance(x, y), abs=1e-9)
 
 
 def test_isometry_rejects_non_lorentz_matrix():
     with pytest.raises(ValueError):
         Isometry(np.eye(3) * 2.0)
+    with pytest.raises(ValueError, match="not Lorentz"):
+        Isometry(Isometry.boost(Direction(np.array([0.6, 0.8])), 1.0).matrix * (1.0 + 1e-6))
 
 
 def test_boost_moves_origin_to_polar_point():
@@ -168,17 +177,18 @@ def test_boost_moves_origin_to_polar_point():
         n = int(rng.integers(1, 4))
         theta = rand_direction(rng, n)
         d = float(rng.uniform(0.0, 2.0))
-        image = Isometry.boost(theta, d).apply(origin(n))
-        assert np.max(np.abs(image.coords - polar_point(d, theta).coords)) < 1e-10
+        image = Isometry.boost(theta, d).matrix @ origin(n).coords
+        assert np.max(np.abs(image - polar_point(d, theta).coords)) < 1e-10
 
 
 def test_boost_to_origin_sends_point_home():
     rng = np.random.default_rng(10)
     for _ in range(50):
         n = int(rng.integers(1, 4))
-        x = rand_point(rng, n, rmax=3.0)
-        home = boost_to_origin(x).apply(x)
-        assert np.max(np.abs(home.coords - origin(n).coords)) < 1e-10
+        r, theta = float(rng.uniform(0.0, 3.0)), rand_direction(rng, n)
+        # a boost by -r moves the point at distance r back along its ray
+        home = Isometry.boost(theta, -r).matrix @ polar_point(r, theta).coords
+        assert np.max(np.abs(home - origin(n).coords)) < 1e-10
 
 
 def test_rotation_between_maps_first_to_second():
@@ -207,3 +217,20 @@ def test_rotation_between_near_antipode(n, delta):
         iso = Isometry.rotation_between(a, target)  # checks M^T eta M = eta
         assert np.allclose(iso.matrix[:-1, :-1] @ a.vector, target.vector, atol=1e-12)
         assert np.linalg.det(iso.matrix) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [9.0, 30.0, 300.0])
+def test_the_lorentz_test_scales_with_the_matrix(d):
+    # M^T eta M carries roundoff of the size of the largest squared entry,
+    # cosh(d)^2 for a boost; the absolute 1e-10 refused boosts past about 9
+    theta = Direction(np.array([0.6, 0.8]))
+    boost = Isometry.boost(theta, d)
+    image = boost.matrix @ origin(1).coords
+    assert np.max(np.abs(image - polar_point(d, theta).coords)) <= 1e-15 * math.cosh(d)
+    # one entry off by a relative 1e-6 moves M^T eta M by about 1e-7 cosh(d)^2
+    skewed = np.array(boost.matrix)
+    skewed[0, 0] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="not Lorentz"):
+        Isometry(skewed)
+    with pytest.raises(ValueError, match="swaps the hyperboloid sheets"):
+        Isometry(boost.matrix @ np.diag([1.0, 1.0, -1.0]))

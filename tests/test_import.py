@@ -53,7 +53,7 @@ def test_n_le_2_work_loads_no_scipy(tmp_path):
         import horomink
         import horomink.cli
         from horomink import (
-            DiscreteMeasure, Direction, PolytopeSpec, SolverConfig, build_polytope, facet_areas,
+            DiscreteMeasure, Direction, PolytopeSpec, SolverConfig, build_polytope, facet_area,
             hausdorff_distance, polar_point, separate, solve_even, support, volume,
         )
 
@@ -67,7 +67,7 @@ def test_n_le_2_work_loads_no_scipy(tmp_path):
             dirs = np.vstack([np.eye(n + 1), -np.eye(n + 1)])
             spec = PolytopeSpec(n=n, directions=dirs, x=np.full(dirs.shape[0], 0.8), even=True)
             poly = build_polytope(spec)
-            assert volume(poly) > 0.0 and np.all(facet_areas(poly) > 0.0)
+            assert volume(poly) > 0.0 and all(facet_area(poly, i) > 0.0 for i in range(poly.spec.count))
             support(poly, Direction(np.ones(n + 1) / np.sqrt(n + 1)))
             separate(poly, polar_point(5.0, Direction(np.ones(n + 1) / np.sqrt(n + 1))))
             if n == 1:
@@ -88,7 +88,7 @@ def test_n_ge_3_work_loads_scipy(tmp_path):
 
         import numpy as np
 
-        from horomink import PolytopeSpec, build_polytope, build_quadrature, facet_areas, t_body_volume, volume
+        from horomink import PolytopeSpec, build_polytope, build_quadrature, facet_area, t_body_volume, volume
 
         dirs = np.vstack([np.eye(4), -np.eye(4)])
         spec = PolytopeSpec(n=3, directions=dirs, x=np.ones(8), even=True)
@@ -96,7 +96,7 @@ def test_n_ge_3_work_loads_scipy(tmp_path):
         # a volume reads the scan radii only; facet flags refine support numbers
         assert volume(poly) > 0.0
         assert "scipy" not in sys.modules
-        assert np.all(facet_areas(poly) > 0.0)
+        assert all(facet_area(poly, i) > 0.0 for i in range(poly.spec.count))
         assert "scipy.optimize" in sys.modules and "scipy.integrate" not in sys.modules
         assert t_body_volume(1.0, 3) > 0.0
         assert "scipy.integrate" in sys.modules

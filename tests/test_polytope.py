@@ -25,17 +25,15 @@ from horomink import (
     extremal_radii,
     facet_area,
     facet_area_fd,
-    facet_areas,
     hausdorff_distance,
     horoball_contains,
     horoball_transform,
-    origin,
     outer_parallel_support,
     polar_point,
     radial,
     separate,
     support,
-    surface_measure_p,
+    residual,
     t_body_volume,
     t_body_volume_lower_bound,
     volume,
@@ -64,6 +62,10 @@ def lens_spec(s: float = LOG2, n: int = 1) -> PolytopeSpec:
     dirs[0, 0] = 1.0
     dirs[1, 0] = -1.0
     return PolytopeSpec(n=n, directions=dirs, x=np.array([s, s]), even=True)
+
+
+def all_facet_areas(poly) -> np.ndarray:
+    return np.array([facet_area(poly, i) for i in range(poly.spec.count)])
 
 
 def random_spec(rng, m: int, x_range=(0.2, 2.0), even: bool = False) -> PolytopeSpec:
@@ -465,7 +467,7 @@ def test_facet_area_fd_matches_direct(lens):
     for _ in range(3):
         spec = random_spec(rng, int(rng.integers(3, 6)))
         poly = build_polytope(spec)
-        direct = facet_areas(poly)
+        direct = all_facet_areas(poly)
         for i in range(spec.count):
             fd = facet_area_fd(poly, i)
             assert abs(direct[i] - fd) / max(direct[i], 1e-8) <= 1e-3
@@ -490,14 +492,15 @@ def test_facet_index_out_of_range(lens):
 
 
 def test_surface_measure(lens):
-    mu0 = surface_measure_p(lens, 0.0)
-    assert mu0.even
-    assert np.allclose(mu0.weights, 2.0 * math.sqrt(math.exp(2 * LOG2) - 1.0), atol=1e-9)
-    p = 1.7
-    mup = surface_measure_p(lens, p)
-    for k in range(2):
-        want = math.exp(-p * lens.canonical_support[k]) * mu0.weights[k]
-        assert mup.weights[k] == pytest.approx(want, rel=1e-12)
+    # the p-weighted surface measure e^{-p u_k} S_k, formed once, by the
+    # solver's residual: the lens solves it with lambda = 1 and residual 0
+    area = 2.0 * math.sqrt(math.exp(2 * LOG2) - 1.0)
+    for p in (0.0, 1.7):
+        weights = np.exp(-p * lens.canonical_support) * area
+        mu = DiscreteMeasure(n=1, directions=lens.spec.directions, weights=weights, even=True)
+        lam, res = residual(lens, mu, p)
+        assert lam == pytest.approx(1.0, rel=1e-12)
+        assert res <= 1e-12
 
 
 def test_evenness_invariants():
@@ -577,7 +580,7 @@ def test_planar_results_do_not_depend_on_the_scan():
                 (
                     poly.canonical_support,
                     poly.facet_nonempty,
-                    facet_areas(poly),
+                    all_facet_areas(poly),
                     np.array(extremal_radii(poly)),
                     np.array([support(poly, Direction(e)) for e in probes]),
                     np.array([volume(poly), hausdorff_distance(poly, build_polytope(other, scan))]),
@@ -651,7 +654,7 @@ def test_triple_point_body():
     poly = build_polytope(spec)
     assert poly.facet_nonempty.tolist() == [True, True, False]
     assert poly.boundary.starts.shape == (2, 3)
-    assert np.allclose(facet_areas(poly), [LENS_FACET_LOG2, LENS_FACET_LOG2, 0.0], atol=1e-12)
+    assert np.allclose(all_facet_areas(poly), [LENS_FACET_LOG2, LENS_FACET_LOG2, 0.0], atol=1e-12)
     assert volume(poly) == pytest.approx(LENS_VOLUME_LOG2, abs=1e-12)
     assert np.allclose(poly.canonical_support, spec.x, atol=1e-12)
     assert extremal_radii(poly) == pytest.approx((ACOSH2, LOG2), abs=1e-12)
@@ -947,7 +950,7 @@ def test_n2_results_do_not_depend_on_the_scan(monkeypatch):
                 (
                     poly.canonical_support,
                     poly.facet_nonempty,
-                    facet_areas(poly),
+                    all_facet_areas(poly),
                     volume(poly),
                     np.array([support(poly, Direction(e)) for e in probes]),
                     np.array(radii),
@@ -1035,14 +1038,14 @@ def test_n2_duplicate_and_nearly_coincident_horoballs():
     base = even_sphere_spec(rng, 4, x_range=(0.4, 1.2))
     dirs, x = base.directions, base.x
     poly = build_polytope(base)
-    top = int(np.argmax(facet_areas(poly)))
+    top = int(np.argmax(all_facet_areas(poly)))
     # a copy of the largest facet's horoball cuts the same disk from every
     # other horosphere
     twin = build_polytope(
         PolytopeSpec(n=2, directions=np.vstack([dirs, dirs[top]]), x=np.append(x, x[top]))
     )
     assert volume(twin) == pytest.approx(volume(poly), rel=1e-12)
-    assert np.allclose(facet_areas(twin), np.append(facet_areas(poly), 0.0), rtol=1e-12)
+    assert np.allclose(all_facet_areas(twin), np.append(all_facet_areas(poly), 0.0), rtol=1e-12)
     # horoballs 2e-7 rad from that one cut disks of radius ~1e7 from its
     # horosphere; once canonicalized they touch the body
     for _ in range(6):
@@ -1096,7 +1099,7 @@ def test_cube_vertices_meet_three_facets():
             s = arcs.center[a] + arcs.width[a] * np.array([[math.cos(t), math.sin(t)]])
             gaps = exp_busemann(chart_points(spec, arcs.facet[a], s), spec.directions) - np.exp(spec.x)
             assert np.count_nonzero(np.abs(gaps) <= 1e-12) == 3
-    areas = facet_areas(poly)
+    areas = all_facet_areas(poly)
     assert areas.min() > 0.0
     assert np.ptp(areas) <= 1e-12 * areas.max()
 
@@ -1429,9 +1432,83 @@ def test_separate_contract(lens):
 
 def test_separate_rejects_interior_points(lens):
     with pytest.raises(PointInsideError):
-        separate(lens, origin(1))
+        separate(lens, polar_point(0.0, Direction(np.array([1.0, 0.0]))))
     with pytest.raises(PointInsideError):
         separate(lens, polar_point(0.3, Direction(np.array([1.0, 0.0]))))
+
+
+def reference_separation(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
+    """The separating horoball through the boundary point x, at 50 digits:
+    c = x + T for the unit tangent T at x pointing away from q, and
+    s = f_e(q) - d(x, q)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        xm, qm = [mpmath.mpf(float(v)) for v in x], [mpmath.mpf(float(v)) for v in q]
+
+        def form(a, b):
+            return mpmath.fsum(u * v for u, v in zip(a[:-1], b[:-1])) - a[-1] * b[-1]
+
+        cosh_d = -form(xm, qm)
+        away = [cosh_d * u - v for u, v in zip(xm, qm)]
+        norm = mpmath.sqrt(form(away, away))
+        c = [u + v / norm for u, v in zip(xm, away)]
+        length = mpmath.sqrt(mpmath.fsum(v * v for v in c[:-1]))
+        e = [v / length for v in c[:-1]]
+        s = mpmath.log(-form(qm, e + [mpmath.mpf(1)])) - mpmath.acosh(cosh_d)
+        return np.array([float(v) for v in e]), float(s)
+
+
+def test_separate_matches_a_50_digit_evaluation():
+    # the isometry round trip was off by up to 1.5e-10 in the center and
+    # 3.5e-10 (relative) in s on bodies like these
+    rng = np.random.Generator(np.random.Philox(45))
+    for k in range(16):
+        spec = random_spec(rng, 3, even=True) if k % 2 else even_sphere_spec(rng, 3)
+        poly = build_polytope(spec)
+        theta = Direction.from_vector(rng.normal(size=spec.n + 1))
+        q = polar_point(radial(poly, theta) + rng.uniform(1.5, 8.0), theta)
+        ball = separate(poly, q)
+        center, s = reference_separation(polytope._exact_nearest(spec, poly.boundary, q.coords), q.coords)
+        assert np.max(np.abs(ball.center.vector - center)) <= 1e-12
+        assert abs(ball.s - s) <= 1e-12 * max(1.0, abs(s))
+
+
+def test_separate_keeps_small_gaps_outside():
+    # s is read at q, so q lies outside by d however small the gap; the
+    # isometry round trip left q on the ball's boundary, to roundoff, at
+    # gaps of 1e-8
+    rng = np.random.Generator(np.random.Philox(46))
+    angles = np.linspace(0.0, 2.0 * math.pi, 20_000, endpoint=False)
+    thetas = np.column_stack([np.cos(angles), np.sin(angles)])
+    worst = dict.fromkeys((1e-2, 1e-4, 1e-6, 1e-8), -math.inf)
+    for _ in range(30):
+        spec = random_spec(rng, int(rng.integers(2, 6)), even=True)
+        poly = build_polytope(spec)
+        rho = _radial_rows(spec, thetas)
+        boundary = np.column_stack([np.sinh(rho)[:, None] * thetas, np.cosh(rho)])
+        theta = Direction(thetas[int(rng.integers(thetas.shape[0]))])
+        for gap in worst:
+            q = polar_point(radial(poly, theta) + gap, theta)
+            ball = separate(poly, q)
+            assert busemann_value(ball.center, q) > ball.s
+            excess = np.log(exp_busemann(boundary, ball.center.vector[None, :]))[:, 0] - ball.s
+            worst[gap] = max(worst[gap], float(np.max(excess)))
+    assert max(worst[1e-2], worst[1e-4], worst[1e-6]) <= 1e-8
+    assert worst[1e-8] <= 1e-6
+
+
+def test_separate_far_from_an_n3_body():
+    # a boost back from q failed its Lorentz test past a distance of about 9
+    spec = PolytopeSpec(n=3, directions=np.vstack([np.eye(4), -np.eye(4)]), x=np.full(8, 0.8), even=True)
+    poly = build_polytope(spec, scan=build_quadrature(3, 500))
+    theta = Direction.from_vector(np.array([1.0, 2.0, 3.0, 4.0]))
+    big_r = extremal_radii(poly)[0]
+    for r in (12.0, 100.0, 300.0):
+        q = polar_point(r, theta)
+        ball = separate(poly, q)
+        assert busemann_value(ball.center, q) - ball.s >= r - big_r
+        assert support(poly, ball.center) <= ball.s + 1e-6
 
 
 # ------------------------------------------------------------ outer parallel
@@ -1472,7 +1549,7 @@ def test_outer_parallel_radial_growth_bound(lens):
 
 def test_outer_parallel_needs_positive_eps(lens):
     with pytest.raises(ValueError):
-        outer_parallel_support(lens, 0.0)
+        outer_parallel_support(lens, 0.0, np.array([[1.0, 0.0]]))
 
 
 # ----------------------------------------------------------------- T bodies
@@ -1620,8 +1697,8 @@ def test_boundedness_bound_caps_supports():
 def test_discrete_measure_validation():
     dirs = np.array([[1.0, 0.0], [-1.0, 0.0]])
     mu = DiscreteMeasure(n=1, directions=dirs, weights=np.array([1.0, 1.0]), even=True)
-    assert mu.count == 2
-    assert mu.total_mass() == pytest.approx(2.0)
+    assert mu.directions.shape == (2, 2)
+    assert np.array_equal(mu.weights, [1.0, 1.0])
     red_dirs, red_w = mu.reduced_pairs()
     assert red_dirs.shape == (1, 2)
     assert red_w[0] == 1.0
@@ -1642,6 +1719,6 @@ def test_discrete_measure_from_even_pairs():
         np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 3.0])
     )
     assert mu.even
-    assert mu.count == 4
+    assert mu.directions.shape == (4, 2)
     red_dirs, red_w = mu.reduced_pairs()
     assert np.allclose(red_w, [2.0, 3.0])

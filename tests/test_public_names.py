@@ -1,0 +1,99 @@
+"""Every public name of the package has a reader, so a name that nothing
+calls is deleted rather than kept. Read from the source alone: nothing here
+imports the package, SciPy or the benchmark."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "horomink"
+# oracle.py is independent of the fast paths by design, and its test-side
+# helpers are read by tests only
+OWN = sorted(path for path in PACKAGE.glob("*.py") if path.name not in ("__init__.py", "oracle.py"))
+READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def public_definitions() -> dict:
+    """name -> (module path, definition node) of every public module-level
+    function and class outside oracle.py."""
+    found = {}
+    for path in OWN:
+        for node in parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found[node.name] = (path, node)
+    return found
+
+
+def exported() -> list:
+    for node in parse(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    raise AssertionError("horomink/__init__.py sets no __all__")
+
+
+def reads(tree: ast.AST) -> tuple[set, set, set]:
+    """(names loaded, attributes loaded, names imported by from-imports) in tree."""
+    names, attributes, imported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(alias.name for alias in node.names)
+    return names, attributes, imported
+
+
+def test_every_public_name_has_a_reader():
+    definitions = public_definitions()
+    wanted = set(definitions) | set(exported())
+    assert wanted <= set(definitions), f"exported but not defined: {sorted(wanted - set(definitions))}"
+    read = set()
+    for path in READERS:
+        if path == PACKAGE / "__init__.py":
+            continue
+        tree = parse(path)
+        imported = reads(tree)[2]
+        for statement in tree.body:
+            names, attributes, _ = reads(statement)
+            # a bare name counts in its own module, outside its own
+            # definition, and elsewhere where it was imported under it
+            read |= {
+                name
+                for name in wanted
+                if definitions[name][1] is not statement
+                and (name in attributes or (name in names and (path == definitions[name][0] or name in imported)))
+            }
+    assert wanted <= read, f"public names that nothing reads: {sorted(wanted - read)}"
+
+
+def tracer_targets() -> set:
+    """(module, attribute) of every t.wrap / t.replace in bench/tracer.py."""
+    targets = set()
+    for node in ast.walk(parse(ROOT / "bench" / "tracer.py")):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("wrap", "replace")
+            and len(node.args) >= 2
+            and isinstance(node.args[0], ast.Name)
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            targets.add((node.args[0].id, node.args[1].value))
+    return targets
+
+
+def test_unused_imports_are_the_tracers():
+    # an import kept only for the benchmark's tracer is marked noqa: F401;
+    # each must name an attribute that the tracer wraps or replaces
+    kept = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            code, marked, _ = line.partition("# noqa: F401")
+            if marked:
+                kept.add((path.stem, code.strip().rstrip(",").split()[-1]))
+    assert kept <= tracer_targets(), f"noqa: F401 imports the tracer never touches: {sorted(kept - tracer_targets())}"
