@@ -276,9 +276,7 @@ def _measure_from_instance(inst: dict, where: str) -> DiscreteMeasure:
     """The even measure of a validated instance; atoms that do not pair, or
     two atoms on one direction, are a fault of the file at `where`."""
     try:
-        return DiscreteMeasure(
-            n=inst["n"], directions=inst["directions"], weights=inst["weights"], even=True
-        )
+        return DiscreteMeasure(n=inst["n"], directions=inst["directions"], weights=inst["weights"])
     except (NotEvenError, SpecError) as exc:
         raise SchemaViolation(f"{where}.atoms", str(exc))
 
@@ -293,19 +291,11 @@ def _poly_from_body(body: dict, scan=None) -> HConvexPolytope:
 
 def _poly_from_solution(sol: dict) -> HConvexPolytope:
     """The body rebuilt from a solution's echo and scales."""
-    inst = sol["instance"]
-    reduced_dirs, _ = _measure_from_instance(inst, "solution.instance").reduced_pairs()
-    m = reduced_dirs.shape[0]
+    measure = _measure_from_instance(sol["instance"], "solution.instance")
+    m = measure.weights.size // 2
     if len(sol["z"]) != m:
         raise SchemaViolation("solution.z", f"expected {m} entries for {m} direction pairs")
-    z = np.array(sol["z"])
-    spec = PolytopeSpec(
-        n=inst["n"],
-        directions=np.vstack([reduced_dirs, -reduced_dirs]),
-        x=np.concatenate([z, z]),
-        even=True,
-    )
-    return build_polytope(spec)
+    return build_polytope(measure.spec(sol["z"]))
 
 
 def _parse_csv_floats(text: str, where: str) -> np.ndarray:

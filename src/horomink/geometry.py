@@ -6,8 +6,8 @@ The Poincare ball chart is kept alongside, with exact closed-form
 conversions: `horomink render` draws in the ball and `oracle.mc_volume`
 samples there. Bodies themselves are built in each horosphere's flat chart
 (see polytope._shadows), and no query moves a point: distances are read off
-the form, d(X, Y) = acosh(-<X, Y>). Isometry serves the oracle's tube-body
-construction and the tests of invariance.
+the form, d(X, Y) = acosh(-<X, Y>). Isometry serves the tests of
+invariance only.
 
 The hyperboloid origin is O = (0, ..., 0, 1); the ball chart sends it to 0.
 """
@@ -182,6 +182,7 @@ class Isometry:
     the size of the largest squared entry, so the defect is measured against
     LORENTZ_TOL times max(1, max |M_ij|)^2. A boost by d has entries of size
     cosh d; it passes up to d ~ 355, where their squares leave the floats.
+    Only the tests of invariance move bodies by one.
     """
 
     matrix: np.ndarray

@@ -16,8 +16,6 @@ import math
 import numpy as np
 
 from .errors import SpecError
-from .geometry import Direction, Isometry
-from .horoball import Horoball, horoball_transform
 from .polytope import (
     HConvexPolytope,
     PolytopeSpec,
@@ -131,15 +129,14 @@ def grid_search_even(
     """
     if resolution < 100:
         raise ValueError("grid search needs resolution >= 100")
-    reduced_dirs, reduced_w = measure.reduced_pairs()
-    m = reduced_dirs.shape[0]
+    _, reduced_w = measure.reduced_pairs()
+    m = reduced_w.size
     if m > 2:
         raise ValueError("grid search handles at most two direction pairs")
     n = measure.n
     # n <= 2 volumes are exact and read no rule
     rule = build_quadrature(n) if n > 2 else None
-    full_dirs = np.vstack([reduced_dirs, -reduced_dirs])
-    template = PolytopeSpec(n=n, directions=full_dirs, x=np.ones(2 * m), even=True)
+    template = measure.spec(np.ones(m))
 
     def local_phi(z: np.ndarray) -> float:
         if p == 0.0:
@@ -192,12 +189,14 @@ def t_body_wulff_spec(r: float, n: int, count: int = 256, seed: int = 0) -> Poly
 
     In the upper half-space chart that sends the ideal point (0, ..., 0, 1)
     to infinity and O to height 1 over the floor origin, T(r) is cut out by
-    horoballs tangent to the floor at |p| = e^{r/2} with scale 0, whose
-    centers are the directions (2 p, |p|^2 - 1) / (|p|^2 + 1); this returns
-    those horoballs pushed by the boost that centers the body at the origin
-    (displacement r/2 toward the chart's infinity), so the scales become
-    positive and the radial machinery applies. count is the number of contact points (n = 1
-    always uses the two endpoints; n >= 3 draws seeded random ones).
+    horoballs tangent to the floor at |p| = e^{r/2} with scale 0. The boost
+    by r/2 that centers the body at O sends each of them to the equator: the
+    image of its null vector has last spatial part 0 and time part
+    cosh(r/2) - sinh(r/2) tanh(r/2) = 1 / cosh(r/2), so it is the horoball
+    at (theta, 0), theta the contact direction, with scale log cosh(r/2),
+    taken as r/2 + log1p(e^{-r}) - log 2 so that it is finite for every r.
+    count is the number of contact points (n = 1 always uses the two
+    endpoints; n >= 3 draws seeded random ones).
     """
     if r <= 0.0:
         raise SpecError("needs r > 0")
@@ -212,20 +211,6 @@ def t_body_wulff_spec(r: float, n: int, count: int = 256, seed: int = 0) -> Poly
         rng = np.random.Generator(np.random.Philox(seed))
         thetas = rng.normal(size=(count, n))
         thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
-    contacts = math.exp(0.5 * r) * thetas
-    denom = math.exp(r) + 1.0
-    directions = np.column_stack([2.0 * contacts, np.full(len(contacts), math.exp(r) - 1.0)])
-    directions /= denom
-    axis = np.zeros(n + 1)
-    axis[-1] = 1.0
-    recenter = Isometry.boost(Direction.from_vector(axis), -0.5 * r)
-    moved = [
-        horoball_transform(Horoball(Direction.from_vector(e), 0.0), recenter)
-        for e in directions
-    ]
-    return PolytopeSpec(
-        n=n,
-        directions=np.array([b.center.vector for b in moved]),
-        x=np.array([b.s for b in moved]),
-        even=False,
-    )
+    scale = 0.5 * r + math.log1p(math.exp(-r)) - math.log(2.0)
+    directions = np.column_stack([thetas, np.zeros(len(thetas))])
+    return PolytopeSpec(n=n, directions=directions, x=np.full(len(thetas), scale))

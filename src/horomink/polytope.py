@@ -32,13 +32,13 @@ only absorbs roundoff where a horoball touches a vertex. For n >= 3 the
 queries maximize over a scan quadrature, refine with Nelder-Mead and
 estimate facet areas by Monte-Carlo over the facet's disks.
 
-A build makes the boundary (n <= 2) or the scan radii (n >= 3) and
-nothing more; support numbers and facet flags are computed on first use
-(HConvexPolytope), since a volume reads neither. What a build reads of the
-directions alone (chart frames, the planar angular order and the disk
-terms of _shadows) is formed once per template: every spec that with_x
-makes from a spec shares it (PolytopeSpec._charts), so a solve's trial
-bodies form it once.
+A build (_body, where every body is made) makes the boundary (n <= 2) or
+the scan radii (n >= 3) and nothing more; support numbers and facet flags
+are computed on first use (HConvexPolytope), since a volume reads neither.
+What a build reads of the directions alone (their antipodal pairs, chart
+frames, the planar angular order and the disk terms of _shadows) is formed
+once per template (_Template): every spec that with_x or _scaled makes from
+a spec shares it, so a solve's trial bodies form it once.
 
 SciPy is loaded on first use, through _adaptive_quad and _nm_minimize
 (_scalar_minimize is called nowhere here; the benchmark's tracer wraps
@@ -196,14 +196,15 @@ def _check_even_values(pairs: np.ndarray, values: np.ndarray, what: str):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Finite positive measure on S^n: atoms (direction, weight)."""
+    """Finite positive even measure on S^n: atoms (direction, weight) in
+    antipodal pairs of equal weight. Atoms that do not pair raise
+    NotEvenError."""
 
     n: int
     directions: np.ndarray
     weights: np.ndarray
-    even: bool = False
-    # antipodal pairs (i, j), i < j, of an even measure (see _even_pairing)
-    _pairs: np.ndarray | None = field(default=None, init=False, repr=False)
+    # antipodal pairs (i, j), i < j (see _even_pairing)
+    _pairs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = _direction_rows(self.directions, self.n)
@@ -219,17 +220,20 @@ class DiscreteMeasure:
         weights.setflags(write=False)
         object.__setattr__(self, "directions", rows)
         object.__setattr__(self, "weights", weights)
-        if self.even:
-            pairs = _even_pairing(rows, "measure")
-            _check_even_values(pairs, weights, "measure")
-            object.__setattr__(self, "_pairs", pairs)
+        pairs = _even_pairing(rows, "measure")
+        _check_even_values(pairs, weights, "measure")
+        object.__setattr__(self, "_pairs", pairs)
 
     def reduced_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """One representative per antipodal pair (first occurrences, input order)."""
-        if not self.even:
-            raise NotEvenError("measure is not flagged even")
         idx = self._pairs[:, 0]
         return self.directions[idx], self.weights[idx]
+
+    def spec(self, z) -> "PolytopeSpec":
+        """The even spec on the reduced pairs: directions (rows, -rows) and
+        scales (z, z), for the rows of reduced_pairs."""
+        rows = self.reduced_pairs()[0]
+        return PolytopeSpec(n=self.n, directions=np.vstack([rows, -rows]), x=np.concatenate([z, z]), even=True)
 
     @classmethod
     def from_even_pairs(cls, directions, weights) -> "DiscreteMeasure":
@@ -240,8 +244,85 @@ class DiscreteMeasure:
             n=rows.shape[1] - 1,
             directions=np.vstack([rows, -rows]),
             weights=np.concatenate([w, w]),
-            even=True,
         )
+
+
+@dataclass(eq=False)
+class _Template:
+    """What builds read of a set of directions alone, each formed on first
+    use. Every spec that with_x or _scaled makes from a spec shares its
+    template, so a solve's trial bodies form each of these once."""
+
+    directions: np.ndarray
+    # the first planar pass's pairs (see window), the one slot that the
+    # scales can change
+    _window: tuple | None = field(default=None, repr=False)
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Antipodal pairs (i, j), i < j, read by even specs only (see
+        _even_pairing)."""
+        return _even_pairing(self.directions, "spec")
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        """_chart_frames of the directions."""
+        frames = _chart_frames(self.directions)
+        frames.setflags(write=False)
+        return frames
+
+    @cached_property
+    def all_pair_terms(self):
+        """_pair_terms of every pair (rows j, columns k): the n = 2 builds
+        read them all."""
+        every = np.arange(self.directions.shape[0])
+        terms = _pair_terms(self, every[:, None], every[None, :])
+        for term in terms:
+            term.setflags(write=False)
+        return terms
+
+    @cached_property
+    def order(self):
+        """(order, (j, k)): the horoballs in the angular order of their
+        directions, and the pairs of them about one ideal point (`same` of
+        _pair_terms, both ways round).
+
+        Directions about one ideal point sit next to each other in the order,
+        in runs of chords below 1e-11 between neighbours (a margin over the
+        1e-12 of `same` for the rounding of the angles). Where there are runs,
+        the order starts after a longer chord, which the spec's two distinct
+        directions make sure of, so that no run wraps; `same` is evaluated on
+        every pair within a run.
+        """
+        e = self.directions
+        order = np.argsort(np.arctan2(e[:, 1], e[:, 0]), kind="stable")
+        ring = e[order]
+        step = np.diff(ring, axis=0, append=ring[:1])
+        close = np.einsum("ij,ij->i", step, step) <= 1e-22
+        j = k = np.zeros(0, dtype=np.intp)
+        if np.any(close):
+            start = 1 + int(np.argmin(close))
+            order, close = np.roll(order, -start), np.roll(close, -start)
+            edges = np.flatnonzero(np.diff(np.concatenate([[0], close, [0]]).astype(np.int8)))
+            runs = [order[a : b + 1] for a, b in zip(edges[0::2], edges[1::2])]
+            j = np.concatenate([np.repeat(run, run.size) for run in runs])
+            k = np.concatenate([np.tile(run, run.size) for run in runs])
+            same = (j != k) & _pair_terms(self, j, k)[3]
+            j, k = j[same], k[same]
+        order.setflags(write=False)
+        return order, (j, k)
+
+    def window(self, ring: np.ndarray):
+        """(j, k, _pair_terms) of the first planar pass's pairs over the
+        kept arcs ring, formed again only when the scales change which
+        horoball about an ideal point is kept."""
+        if self._window is None or not np.array_equal(self._window[0], ring):
+            j, k = _planar_neighbours(ring)
+            terms = _pair_terms(self, j, k)
+            for array in (j, k, *terms):
+                array.setflags(write=False)
+            self._window = ring, j, k, terms
+        return self._window[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,14 +333,8 @@ class PolytopeSpec:
     directions: np.ndarray
     x: np.ndarray
     even: bool = False
-    # antipodal pairs (i, j), i < j, of an even spec (see _even_pairing);
-    # they depend on the directions only, so with_x passes them on
-    _pairs: np.ndarray | None = field(default=None, init=False, repr=False)
-    # what builds read of the directions alone (_frames, _planar_order,
-    # _planar_window, _all_pair_terms), filled on first use; with_x and
-    # _scaled pass the same dict on, so every spec made from one template
-    # (a solve's trial specs) forms it once
-    _charts: dict = field(default_factory=dict, init=False, repr=False)
+    # what builds read of the directions alone; with_x and _scaled pass it on
+    _template: _Template = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = _direction_rows(self.directions, self.n)
@@ -271,6 +346,7 @@ class PolytopeSpec:
             # every off-diagonal pair nearly coincides: no two distinct directions
             raise SpecError("need at least two distinct directions")
         object.__setattr__(self, "directions", rows)
+        object.__setattr__(self, "_template", _Template(rows))
         self._set_x(self.x)
 
     def _set_x(self, new_x, check_pairs: bool = True):
@@ -285,11 +361,8 @@ class PolytopeSpec:
             raise SpecError("zero scales are only representable for even specs")
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
-        if self.even:
-            if self._pairs is None:
-                object.__setattr__(self, "_pairs", _even_pairing(self.directions, "spec"))
-            if check_pairs:
-                _check_even_values(self._pairs, x, "spec")
+        if self.even and check_pairs:
+            _check_even_values(self._template.pairs, x, "spec")
 
     @property
     def count(self) -> int:
@@ -298,24 +371,22 @@ class PolytopeSpec:
     def with_x(self, new_x, even: bool | None = None) -> "PolytopeSpec":
         """The same directions with the scales new_x; only those are checked.
 
-        An even spec passes its pairs on; a spec made even here pairs its
-        directions first. Every spec passes its chart data (_charts) on.
+        Every spec passes its template (_Template) on, and with it the
+        pairs of its directions; a spec made even here pairs them first.
         """
-        even = self.even if even is None else even
         spec = object.__new__(PolytopeSpec)
         object.__setattr__(spec, "n", self.n)
         object.__setattr__(spec, "directions", self.directions)
-        object.__setattr__(spec, "even", even)
-        object.__setattr__(spec, "_pairs", self._pairs if even else None)
-        object.__setattr__(spec, "_charts", self._charts)
+        object.__setattr__(spec, "even", self.even if even is None else even)
+        object.__setattr__(spec, "_template", self._template)
         spec._set_x(new_x)
         return spec
 
     def _scaled(self, t: float) -> "PolytopeSpec":
-        """The same spec with the scales t x, sharing the pairs and the chart
-        data. Scaling keeps pair values that are equal bit for bit equal,
-        as in the solver's (z, z), so they are not checked again; every
-        other check of with_x runs."""
+        """The same spec with the scales t x, sharing the template. Scaling
+        keeps pair values that are equal bit for bit equal, as in the
+        solver's (z, z), so they are not checked again; every other check
+        of with_x runs."""
         spec = object.__new__(PolytopeSpec)
         spec.__dict__.update(self.__dict__)
         spec._set_x(t * self.x, check_pairs=False)
@@ -445,24 +516,15 @@ def _chart_frames(dirs: np.ndarray) -> np.ndarray:
     return _chart_basis(dirs)
 
 
-def _frames(spec: PolytopeSpec) -> np.ndarray:
-    """_chart_frames of the spec's directions, formed once per template."""
-    charts = spec._charts
-    if "frames" not in charts:
-        frames = _chart_frames(spec.directions)
-        frames.setflags(write=False)
-        charts["frames"] = frames
-    return charts["frames"]
-
-
-def _pair_terms(spec: PolytopeSpec, j: np.ndarray, k: np.ndarray):
+def _pair_terms(template: _Template, j: np.ndarray, k: np.ndarray):
     """The part of _shadows that depends on the directions alone, for the
-    index pairs (j, k): integer arrays that broadcast to one shape S.
+    index pairs (j, k) of the template's directions: integer arrays that
+    broadcast to one shape S.
 
     Returns |e_j - e_k|^2 and |e_j + e_k|^2 (S), T_j (e_k - e_j) (S + (n,))
     and `same` (S), which marks the pairs about one ideal point.
     """
-    coords, frames = spec.directions.T, _frames(spec)
+    coords, frames = template.directions.T, template.frames
     gap, side = coords[:, k] - coords[:, j], coords[:, k] + coords[:, j]
     # |e_j - e_k|^2 = 2 (1 - e_j . e_k), free of cancellation, and
     # |e_j + e_k|^2 = 4 - |e_j - e_k|^2, formed directly for the same reason;
@@ -471,7 +533,7 @@ def _pair_terms(spec: PolytopeSpec, j: np.ndarray, k: np.ndarray):
     side_sq = sum(g * g for g in side)
     # T_j e_k = T_j (e_k - e_j), which keeps its digits as e_k nears e_j
     mine = frames[j]
-    toward = sum(mine[..., c] * gap[c][..., None] for c in range(spec.n + 1))
+    toward = sum(mine[..., c] * gap[c][..., None] for c in range(coords.shape[0]))
     return chord_sq, side_sq, toward, chord_sq <= 1e-24
 
 
@@ -501,7 +563,7 @@ def _shadows(spec: PolytopeSpec, j: np.ndarray, k: np.ndarray, terms=None):
                              - 4 expm1(x_i + x_k)) / |e_i - e_k|^2.
 
     The terms that depend on the directions alone come from _pair_terms;
-    terms passes them in where the caller holds them (PolytopeSpec._charts).
+    terms passes them in where the caller holds them (the spec's _Template).
     Returns c (S + (n,)), w^2 (S), the power (S) and `same` (S). `same`
     marks the pairs about one ideal point (i = k among them); their
     entries are not finite, and horoball k holds all of horosphere i or
@@ -515,7 +577,7 @@ def _shadows(spec: PolytopeSpec, j: np.ndarray, k: np.ndarray, terms=None):
     leave room for neither, as x_i + x_k nears log(float max) = 709.8,
     raises SpecError.
     """
-    chord_sq, side_sq, toward, same = _pair_terms(spec, j, k) if terms is None else terms
+    chord_sq, side_sq, toward, same = _pair_terms(spec._template, j, k) if terms is None else terms
     x = spec.x
     mine = x[j]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -539,19 +601,6 @@ def _shadows(spec: PolytopeSpec, j: np.ndarray, k: np.ndarray, terms=None):
             f"hold e^(x_i + x_k) with scales up to {float(np.max(x)):g}"
         )
     return center, width_sq, power, same
-
-
-def _all_pair_terms(spec: PolytopeSpec):
-    """_pair_terms of every pair (rows j, columns k), formed once per
-    template: the n = 2 builds read them all."""
-    charts = spec._charts
-    if "pairs" not in charts:
-        every = np.arange(spec.count)
-        terms = _pair_terms(spec, every[:, None], every[None, :])
-        for term in terms:
-            term.setflags(write=False)
-        charts["pairs"] = terms
-    return charts["pairs"]
 
 
 def _eclipsed(x: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -612,7 +661,7 @@ def _planar_boundary(spec: PolytopeSpec) -> _PlanarBoundary:
     An h-convex body's boundary runs through its facets in the angular
     order of their ideal points, so each arc is cut only by the horoballs
     next to it in that order. The horoballs are taken in that order
-    (_planar_order), one per ideal point: the one _eclipsed keeps. Each
+    (_Template.order), one per ideal point: the one _eclipsed keeps. Each
     kept arc is intersected with the disks of its _WINDOW nearest kept
     neighbours on each side (_planar_neighbours). An arc that is then
     empty (hi <= lo, or a disk it misses) is empty against all of the
@@ -631,16 +680,16 @@ def _planar_boundary(spec: PolytopeSpec) -> _PlanarBoundary:
 
     Cost per build: 2 _WINDOW disks per kept arc in the first pass (every
     pair when there are no more than 2 _WINDOW + 1 arcs), whose pair terms
-    the spec's template carries (_planar_window), and 2 _WINDOW per arc
+    the spec's template carries (_Template.window), and 2 _WINDOW per arc
     whose window changed in each later pass; a body whose every horoball
     carries a facet takes one pass.
     """
-    count, x = spec.count, spec.x
-    order, (same_j, same_k) = _planar_order(spec)
+    count, x, template = spec.count, spec.x, spec._template
+    order, (same_j, same_k) = template.order
     out = np.zeros(count, dtype=bool)
     out[same_j[_eclipsed(x, same_j, same_k)]] = True
     live = order[~out[order]]
-    j, k, terms = _planar_window(spec, live)
+    j, k, terms = template.window(live)
     window = k
     lo, hi = np.full(count, -np.inf), np.full(count, np.inf)
     while True:
@@ -673,42 +722,8 @@ def _planar_boundary(spec: PolytopeSpec) -> _PlanarBoundary:
     active[live] = last - first > _ARC_TOL * (1.0 + np.abs(first) + np.abs(last))
     active.setflags(write=False)
     j = np.flatnonzero(active)
-    starts = _chart_points(spec, j, lo[j][:, None], _frames(spec)[j])
+    starts = _chart_points(spec, j, lo[j][:, None], template.frames[j])
     return _PlanarBoundary(lo=lo, hi=hi, active=active, starts=starts)
-
-
-def _planar_order(spec: PolytopeSpec):
-    """(order, (j, k)): the horoballs in the angular order of their
-    directions, and the pairs of them about one ideal point (`same` of
-    _pair_terms, both ways round); formed once per template.
-
-    Directions about one ideal point sit next to each other in the order,
-    in runs of chords below 1e-11 between neighbours (a margin over the
-    1e-12 of `same` for the rounding of the angles). Where there are runs,
-    the order starts after a longer chord, which the spec's two distinct
-    directions make sure of, so that no run wraps; `same` is evaluated on
-    every pair within a run.
-    """
-    charts = spec._charts
-    if "order" not in charts:
-        e = spec.directions
-        order = np.argsort(np.arctan2(e[:, 1], e[:, 0]), kind="stable")
-        ring = e[order]
-        step = np.diff(ring, axis=0, append=ring[:1])
-        close = np.einsum("ij,ij->i", step, step) <= 1e-22
-        j = k = np.zeros(0, dtype=np.intp)
-        if np.any(close):
-            start = 1 + int(np.argmin(close))
-            order, close = np.roll(order, -start), np.roll(close, -start)
-            edges = np.flatnonzero(np.diff(np.concatenate([[0], close, [0]]).astype(np.int8)))
-            runs = [order[a : b + 1] for a, b in zip(edges[0::2], edges[1::2])]
-            j = np.concatenate([np.repeat(run, run.size) for run in runs])
-            k = np.concatenate([np.tile(run, run.size) for run in runs])
-            same = (j != k) & _pair_terms(spec, j, k)[3]
-            j, k = j[same], k[same]
-        order.setflags(write=False)
-        charts["order"] = order, (j, k)
-    return charts["order"]
 
 
 def _planar_neighbours(ring: np.ndarray):
@@ -721,21 +736,6 @@ def _planar_neighbours(ring: np.ndarray):
     else:
         offsets = np.concatenate([np.arange(-_WINDOW, 0), np.arange(1, _WINDOW + 1)])
     return ring[:, None], ring[(np.arange(count)[:, None] + offsets) % count]
-
-
-def _planar_window(spec: PolytopeSpec, ring: np.ndarray):
-    """(j, k, _pair_terms) of the first pass's pairs over the kept arcs
-    ring, formed once per template, and again when the scales change which
-    horoball about an ideal point is kept."""
-    charts = spec._charts
-    cached = charts.get("window")
-    if cached is None or not np.array_equal(cached[0], ring):
-        j, k = _planar_neighbours(ring)
-        terms = _pair_terms(spec, j, k)
-        for array in (j, k, *terms):
-            array.setflags(write=False)
-        charts["window"] = cached = ring, j, k, terms
-    return cached[1:]
 
 
 def _vertex_values(starts: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -926,11 +926,11 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
     region R1 of the first sweep leaves a region R2 within R1, which every
     disk that holds R1 (to within _ARC_TOL) holds too. A facet is nonempty
     exactly when it keeps an arc. The disks' direction terms come with the
-    spec's template (_all_pair_terms).
+    spec's template (_Template.all_pair_terms).
     """
     count = spec.count
     every = np.arange(count)
-    center, width_sq, _, same = _shadows(spec, every[:, None], every[None, :], _all_pair_terms(spec))
+    center, width_sq, _, same = _shadows(spec, every[:, None], every[None, :], spec._template.all_pair_terms)
     i, other = np.nonzero(same)
     out = np.any(~same & (width_sq <= 0.0), axis=1)
     out[i[_eclipsed(spec.x, i, other)]] = True
@@ -1006,7 +1006,7 @@ def _arc_values(spec: PolytopeSpec, arcs: _FacetArcs, v: np.ndarray, sign: float
     from the facet. Returns the chart points (3, arcs, Q, 2) and the values
     (3, arcs, Q).
     """
-    alpha, beta, gamma = _chart_quadratic(spec, arcs.facet, _frames(spec)[arcs.facet], v)
+    alpha, beta, gamma = _chart_quadratic(spec, arcs.facet, spec._template.frames[arcs.facet], v)
     c, w = arcs.center[:, None, :], arcs.width[:, None]
     turns = _arc_turns(arcs.lo[:, None], arcs.hi[:, None], sign * (beta + 2.0 * gamma[..., None] * c))
     points = np.stack([_on_circle(c, w, t) for t in np.broadcast_arrays(*turns)])
@@ -1017,7 +1017,7 @@ def _arc_candidates(spec: PolytopeSpec, arcs: _FacetArcs, v: np.ndarray, sign: f
     """Hyperboloid coordinates of the points of _arc_values for one row v."""
     rows = np.tile(arcs.facet, 3)
     s = _arc_values(spec, arcs, v, sign)[0].reshape(-1, 2)
-    return _chart_points(spec, rows, s, _frames(spec)[rows])
+    return _chart_points(spec, rows, s, spec._template.frames[rows])
 
 
 def _arc_areas(arcs: _FacetArcs, count: int) -> np.ndarray:
@@ -1120,21 +1120,22 @@ def _exact_nearest(spec: PolytopeSpec, arcs, q: np.ndarray) -> np.ndarray:
     cosh d(X_i(s), q) = -<X_i(s), q> is q_0 times the convex quadratic of
     _chart_quadratic for v = q' / q_0 (gamma > 0), smallest at
     s* = -beta / (2 gamma). For n = 1 s* is clipped to each arc. For n = 2
-    the facet's smallest value is at s* when s* lies in all of the facet's
-    disks, and otherwise on one of its arcs, at an end or at the angle of
-    -g (_arc_values); all these candidates are compared.
+    the facet's smallest value is at s* when s* lies in the disks of all of
+    the facet's arcs, whose common part the facet is, and otherwise on one
+    of its arcs, at an end or at the angle of -g (_arc_values); all these
+    candidates are compared.
     """
     rows = np.flatnonzero(arcs.active)
-    frames = _frames(spec)[rows]
+    frames = spec._template.frames[rows]
     v = q[None, :-1] / q[-1]
     _, beta, gamma = _chart_quadratic(spec, rows, frames, v)
     s = -beta[:, 0] / (2.0 * gamma)
     if spec.n == 1:
         points = _chart_points(spec, rows, np.clip(s, arcs.lo[rows, None], arcs.hi[rows, None]), frames)
     else:
-        terms = tuple(term[rows] for term in _all_pair_terms(spec))
-        center, width_sq, _, same = _shadows(spec, rows[:, None], np.arange(spec.count)[None, :], terms)
-        inside = np.all(same | (np.sum((s[:, None, :] - center) ** 2, axis=2) <= width_sq), axis=1)
+        at = np.searchsorted(rows, arcs.facet)
+        inside = np.ones(rows.size, dtype=bool)
+        inside[at[np.sum((s[at] - arcs.center) ** 2, axis=1) > arcs.width**2]] = False
         points = np.vstack(
             [_chart_points(spec, rows[inside], s[inside], frames[inside]), _arc_candidates(spec, arcs, v, -1.0)]
         )
@@ -1205,6 +1206,21 @@ def _scan_support(poly: HConvexPolytope, e_vec: np.ndarray) -> float:
     return max(float(vals[g]), _refine_max_sphere(value, poly.scan.nodes[g], _scan_spacing(poly.scan)))
 
 
+def _body(spec: PolytopeSpec, scan: SphereQuadrature | None = None) -> HConvexPolytope:
+    """The body of the spec, and the one place a body is made:
+    build_polytope without its checks (a zero scale, a scan of another
+    dimension, a body too small to keep an arc)."""
+    arcs = _exact_boundary(spec)
+    if arcs is not None:
+        return HConvexPolytope(spec=spec, boundary=arcs)
+    if scan is None:
+        scan = build_quadrature(spec.n)
+    radii = _radial_rows(spec, scan.nodes)
+    if not np.all(np.isfinite(radii)):
+        raise SpecError("body is unbounded along a scanned direction")
+    return HConvexPolytope(spec=spec, scan=scan, scan_radii=radii)
+
+
 def build_polytope(spec: PolytopeSpec, scan: SphereQuadrature | None = None) -> HConvexPolytope:
     """Intersect the spec's horoballs.
 
@@ -1224,20 +1240,13 @@ def build_polytope(spec: PolytopeSpec, scan: SphereQuadrature | None = None) -> 
         raise DegenerateBodyError("an even pair with scale 0 pins the body to the basepoint")
     if scan is not None and scan.n != spec.n:
         raise SpecError("scan quadrature dimension does not match the spec")
-    arcs = _exact_boundary(spec)
-    if arcs is not None:
-        if not np.any(arcs.active):
-            raise DegenerateBodyError(
-                f"every boundary arc is shorter than the arc tolerance {_ARC_TOL:g}: "
-                "the body is too small to resolve"
-            )
-        return HConvexPolytope(spec=spec, boundary=arcs)
-    if scan is None:
-        scan = build_quadrature(spec.n)
-    radii = _radial_rows(spec, scan.nodes)
-    if not np.all(np.isfinite(radii)):
-        raise SpecError("body is unbounded along a scanned direction")
-    return HConvexPolytope(spec=spec, scan=scan, scan_radii=radii)
+    body = _body(spec, scan)
+    if body.boundary is not None and not np.any(body.boundary.active):
+        raise DegenerateBodyError(
+            f"every boundary arc is shorter than the arc tolerance {_ARC_TOL:g}: "
+            "the body is too small to resolve"
+        )
+    return body
 
 
 def radial(poly: HConvexPolytope, theta: Direction) -> float:
@@ -1319,14 +1328,9 @@ def volume(poly: HConvexPolytope) -> float:
 
 
 def _volume_of_spec(spec: PolytopeSpec, rule: SphereQuadrature | None) -> float:
-    """Volume of the spec's body without building it; the rule serves n >= 3 only."""
-    arcs = _exact_boundary(spec)
-    if arcs is not None:
-        return _exact_volume(spec, arcs)
-    radii = _radial_rows(spec, rule.nodes)
-    if not np.all(np.isfinite(radii)):
-        raise SpecError("body is unbounded along a scanned direction")
-    return rule.integrate(sinh_power_integral(spec.n, radii))
+    """Volume of the spec's body, with no check of its scales; the rule
+    serves n >= 3 only."""
+    return volume(_body(spec, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -1429,7 +1433,7 @@ def canonicalize(poly: HConvexPolytope) -> PolytopeSpec:
     """
     new_x = np.array(poly.canonical_support)
     if poly.spec.even:
-        i, j = poly.spec._pairs.T
+        i, j = poly.spec._template.pairs.T
         new_x[i] = new_x[j] = np.minimum(new_x[i], new_x[j])
     return poly.spec.with_x(new_x)
 

@@ -351,6 +351,37 @@ def test_check_rebuilds_the_solved_body_from_raw_directions(tmp_path, capsys):
     assert last_json(capsys)["residual_max_rel"] == sol["residual_max_rel"]
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.6, 0.8]]],
+    ids=["n1", "n2"],
+)
+def test_check_and_render_rebuild_the_solved_body_bit_for_bit(tmp_path, monkeypatch, rows):
+    # check and render rebuild the body from the solution file
+    # (_poly_from_solution) through the measure's own even spec, as the
+    # solver built it
+    results = []
+
+    def solve_and_keep(measure, config):
+        results.append(horomink.solver.solve_even(measure, config))
+        return results[-1]
+
+    monkeypatch.setattr(horomink.cli, "solve_even", solve_and_keep)
+    atoms = [
+        {"direction": [sign * v for v in row], "weight": weight}
+        for sign in (1.0, -1.0)
+        for row, weight in zip(rows, (1.0, 1.7, 0.8))
+    ]
+    payload = {"schema_version": "1", "n": len(rows[0]) - 1, "p": 0.0, "even": True, "atoms": atoms}
+    sol = horomink.cli.validate_solution(solved(tmp_path, write_json(tmp_path / "inst.json", payload)))
+    assert sol["iterations"] > 0
+    body, rebuilt = results[0].polytope, horomink.cli._poly_from_solution(sol)
+    assert np.array_equal(np.array(sol["z"]), results[0].z)
+    assert np.array_equal(rebuilt.spec.x, body.spec.x)
+    for field in body.boundary.__dataclass_fields__:
+        assert np.array_equal(getattr(rebuilt.boundary, field), getattr(body.boundary, field)), field
+
+
 def cube_body(tmp_path) -> str:
     rows = np.vstack([np.eye(3), -np.eye(3)])
     return write_json(

@@ -156,6 +156,17 @@ def test_wulff_family_n1_matches_integral():
     assert got == pytest.approx(t_body_volume(2.0, 1), rel=1e-4)
 
 
+@pytest.mark.parametrize("r", [2.0, 17.0, 30.0, 40.0, 100.0])
+def test_wulff_family_n1_is_the_tube_at_every_radius(r):
+    # the boosted horoballs in closed form; pushed through a boost, their
+    # scales were off by 6.7e-10 at r = 17 and 2.6e-4 at r = 30, and r = 40
+    # raised ValueError
+    spec = t_body_wulff_spec(r, 1)
+    assert spec.directions.tolist() == [[1.0, 0.0], [-1.0, 0.0]]
+    assert spec.x[0] == pytest.approx(math.log(math.cosh(0.5 * r)), rel=1e-15)
+    assert volume(build_polytope(spec)) == pytest.approx(t_body_volume(r, 1), rel=1e-13)
+
+
 def test_wulff_family_n2_matches_integral():
     spec = t_body_wulff_spec(1.5, 2, count=96)
     got = volume(build_polytope(spec))

@@ -140,7 +140,7 @@ FAR_ROWS = [([1e200, 1e200], [math.sqrt(0.5)] * 2), ([1e-320, 0.0], [1.0, 0.0])]
 def test_directions_whose_squares_leave_the_float_range(row, unit):
     # [1e200, 1e200] became [0, 0] with an overflow warning
     spec = PolytopeSpec(n=1, directions=[row, [-1.0, 0.0], [0.0, -1.0]], x=[1.0, 1.0, 1.0])
-    measure = DiscreteMeasure(n=1, directions=[row, [-1.0, 0.0]], weights=[1.0, 1.0])
+    measure = DiscreteMeasure(n=1, directions=[row, [-c for c in row]], weights=[1.0, 1.0])
     for rows in (spec.directions, measure.directions):
         np.testing.assert_allclose(rows[0], unit, rtol=1e-15, atol=0.0)
 
@@ -497,7 +497,7 @@ def test_surface_measure(lens):
     area = 2.0 * math.sqrt(math.exp(2 * LOG2) - 1.0)
     for p in (0.0, 1.7):
         weights = np.exp(-p * lens.canonical_support) * area
-        mu = DiscreteMeasure(n=1, directions=lens.spec.directions, weights=weights, even=True)
+        mu = DiscreteMeasure(n=1, directions=lens.spec.directions, weights=weights)
         lam, res = residual(lens, mu, p)
         assert lam == pytest.approx(1.0, rel=1e-12)
         assert res <= 1e-12
@@ -1696,7 +1696,7 @@ def test_boundedness_bound_caps_supports():
 
 def test_discrete_measure_validation():
     dirs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    mu = DiscreteMeasure(n=1, directions=dirs, weights=np.array([1.0, 1.0]), even=True)
+    mu = DiscreteMeasure(n=1, directions=dirs, weights=np.array([1.0, 1.0]))
     assert mu.directions.shape == (2, 2)
     assert np.array_equal(mu.weights, [1.0, 1.0])
     red_dirs, red_w = mu.reduced_pairs()
@@ -1707,18 +1707,22 @@ def test_discrete_measure_validation():
                         weights=np.array([1.0, 1.0]))
     with pytest.raises(SpecError):
         DiscreteMeasure(n=1, directions=dirs, weights=np.array([1.0, -1.0]))
-    with pytest.raises(NotEvenError):
-        DiscreteMeasure(n=1, directions=dirs, weights=np.array([1.0, 2.0]), even=True)
-    with pytest.raises(NotEvenError):
+    # every measure is even: atoms that do not pair raise when it is made
+    with pytest.raises(NotEvenError, match="^measure: entries 0 and 1 pair with unequal values$"):
+        DiscreteMeasure(n=1, directions=dirs, weights=np.array([1.0, 2.0]))
+    with pytest.raises(NotEvenError, match="^measure: no antipodal partner for entry 0$"):
         DiscreteMeasure(n=1, directions=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                        weights=np.array([1.0, 1.0]), even=True)
+                        weights=np.array([1.0, 1.0]))
 
 
 def test_discrete_measure_from_even_pairs():
     mu = DiscreteMeasure.from_even_pairs(
         np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 3.0])
     )
-    assert mu.even
     assert mu.directions.shape == (4, 2)
     red_dirs, red_w = mu.reduced_pairs()
     assert np.allclose(red_w, [2.0, 3.0])
+    # the even spec on the reduced pairs, scales (z, z)
+    spec = mu.spec(np.array([0.5, 0.7]))
+    assert spec.even and spec.x.tolist() == [0.5, 0.7, 0.5, 0.7]
+    assert np.array_equal(spec.directions, np.vstack([red_dirs, -red_dirs]))

@@ -97,3 +97,29 @@ def test_unused_imports_are_the_tracers():
             if marked:
                 kept.add((path.stem, code.strip().rstrip(",").split()[-1]))
     assert kept <= tracer_targets(), f"noqa: F401 imports the tracer never touches: {sorted(kept - tracer_targets())}"
+
+
+def constructor_calls(tree: ast.AST) -> int:
+    return sum(
+        isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "HConvexPolytope"
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_body_constructor_and_one_template():
+    # every body is made in polytope._body, and no module but polytope reads
+    # the boundary builder or a spec's directions template, so a second
+    # body constructor or a second template cannot come back unseen
+    own = PACKAGE / "polytope.py"
+    for path in READERS:
+        tree = parse(path)
+        allowed = 0
+        if path == own:
+            body = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_body")
+            allowed = constructor_calls(body)
+            assert allowed > 0
+        else:
+            names, attributes, imported = reads(tree)
+            private = {"_exact_boundary", "_template"} & (names | attributes | imported)
+            assert not private, f"{path.name} reads {sorted(private)}"
+        assert constructor_calls(tree) == allowed, f"{path.name} calls HConvexPolytope outside polytope._body"

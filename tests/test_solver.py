@@ -191,7 +191,7 @@ def random_even_body(rng, n: int) -> PolytopeSpec:
 @pytest.mark.parametrize("n", [1, 2])
 def test_rescale_volume_newton_on_random_even_bodies(monkeypatch, n):
     rng = np.random.Generator(np.random.Philox(4400 + n))
-    calls = counted(monkeypatch, "_exact_boundary")
+    calls = counted(monkeypatch, "_body")
     redundant = 0
     for _ in range(30):
         spec = random_even_body(rng, n)
@@ -294,21 +294,17 @@ def test_residual_errors_name_the_first_unmatched_atom():
     with pytest.raises(MismatchedDirectionsError, match=r"^measure atom 1 has no matching facet direction$"):
         residual(build_polytope(PolytopeSpec(n=1, directions=np.vstack([np.eye(2), -np.eye(2)]),
                                              x=np.ones(4), even=True)), skew, 0.0)
-    # a measure made past its checks, with atoms 0 and 1 on one direction
-    twice = DiscreteMeasure.from_even_pairs(np.eye(2), np.ones(2))
-    object.__setattr__(twice, "directions", np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]))
-    with pytest.raises(MismatchedDirectionsError, match=r"^two atoms matched the same facet direction$"):
-        residual(lens_polytope(0.6, 0.9), twice, 0.0)
 
 
 def test_residual_needs_even_measure():
-    mu = DiscreteMeasure(
-        n=1,
-        directions=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-        weights=np.array([1.0, 2.0]),
-    )
+    # the measure refuses unequal pair weights when it is made, so residual
+    # never meets one
     with pytest.raises(NotEvenError):
-        residual(lens_polytope(LOG2, LOG2, even=True), mu, 0.0)
+        DiscreteMeasure(
+            n=1,
+            directions=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+            weights=np.array([1.0, 2.0]),
+        )
 
 
 # ---------------------------------------------------------------------- solve
@@ -398,17 +394,17 @@ def count_calls(monkeypatch, targets) -> dict:
 
 def test_solve_does_each_piece_of_work_once(monkeypatch):
     # one pairing for the measure and one for the spec template, which every
-    # trial spec inherits; one boundary per rescale evaluation. Each trial
+    # trial spec inherits; one body (_body) per rescale evaluation. Each trial
     # (one _lagrange_residual) is judged on the body of its rescale's last
-    # evaluation (_volume_rescale), and builds again (build_polytope, the
-    # polytope-side boundary) only when canonicalizing lowered a scale. The
+    # evaluation (_volume_rescale), and builds again (build_polytope, one
+    # more boundary) only when canonicalizing lowered a scale. The
     # chart frames come with the template, once per solve, in both dimensions
     calls = count_calls(
         monkeypatch,
         [
             (polytope, "_chart_frames"),
             (polytope, "_even_pairing"),
-            (solver, "_exact_boundary"),
+            (solver, "_body"),
             (polytope, "_exact_boundary"),
             (solver, "build_polytope"),
             (solver, "_volume_rescale"),
@@ -423,8 +419,8 @@ def test_solve_does_each_piece_of_work_once(monkeypatch):
     assert calls[("horomink.solver", "_volume_rescale")] == 7
     assert calls[("horomink.solver", "_lagrange_residual")] == 7
     assert calls[("horomink.solver", "build_polytope")] == 1
-    assert calls[("horomink.polytope", "_exact_boundary")] == 1
-    assert calls[("horomink.solver", "_exact_boundary")] == 20
+    assert calls[("horomink.solver", "_body")] == 20
+    assert calls[("horomink.polytope", "_exact_boundary")] == 21
     assert calls[("horomink.polytope", "_chart_frames")] == 1
     calls.clear()
     result = solve_even(DiscreteMeasure.from_even_pairs(*three_sphere_pairs()), SolverConfig(p=-1.0))
