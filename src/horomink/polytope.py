@@ -30,7 +30,10 @@ interior minimizer. The inradius is min_i x_i in
 every dimension. No scan enters there, and the one tolerance (_ARC_TOL)
 only absorbs roundoff where a horoball touches a vertex. For n >= 3 the
 queries maximize over a scan quadrature, refine with Nelder-Mead and
-estimate facet areas by Monte-Carlo over the facet's disks.
+estimate facet areas by Monte-Carlo over the facet's disks. The scan's
+boundary points are kept in hyperboloid coordinates and read like n = 1
+vertices: one kernel (_vertex_values) gives -<X, (v, 1)> at both, and
+_support_values is the one support formula for every dimension.
 
 A build (_body, where every body is made) makes the boundary (n <= 2) or
 the scan radii (n >= 3) and nothing more; support numbers and facet flags
@@ -441,8 +444,9 @@ class HConvexPolytope:
 
     n <= 2 bodies carry their boundary arcs and no scan (scan and
     scan_radii are None); n >= 3 bodies carry a scan quadrature with the
-    radial function on its nodes. Support numbers and facet flags are
-    computed on first use, since a volume reads neither.
+    radial function on its nodes. Support numbers, facet flags and an
+    n >= 3 body's boundary points on the scan (_scan_points, read like
+    n = 1 vertices) are computed on first use, since a volume reads none.
     """
 
     spec: PolytopeSpec
@@ -462,7 +466,7 @@ class HConvexPolytope:
         if arcs is None:
             return np.array([min(_scan_support(self, e), x) for e, x in zip(spec.directions, spec.x.tolist())])
         # a facet lies on its own horosphere, so that horoball touches the body
-        return np.where(arcs.active, spec.x, np.minimum(_exact_support(spec, arcs, spec.directions), spec.x))
+        return np.where(arcs.active, spec.x, np.minimum(_support_values(self, spec.directions), spec.x))
 
     @cached_property
     def facet_nonempty(self) -> np.ndarray:
@@ -474,17 +478,22 @@ class HConvexPolytope:
         return (self.spec.x - self.canonical_support) <= FACET_TOL
 
     @cached_property
-    def _scan_cosh(self) -> np.ndarray:
-        return np.cosh(self.scan_radii)
-
-    @cached_property
-    def _scan_sinh(self) -> np.ndarray:
-        return np.sinh(self.scan_radii)
+    def _scan_points(self) -> np.ndarray:
+        """The scan's boundary points (sinh(rho) theta, cosh rho), rows in
+        hyperboloid coordinates, read like n = 1 vertices (_vertex_values)."""
+        radii = self.scan_radii
+        return np.column_stack([np.sinh(radii)[:, None] * self.scan.nodes, np.cosh(radii)])
 
     @cached_property
     def _areas(self) -> np.ndarray:
-        # every facet's exact area (n <= 2), computed once for all facets
-        return _exact_areas(self.spec, self.boundary)
+        # every facet's exact area (n <= 2), computed once for all facets: arc
+        # lengths for n = 1, Green's theorem over the facet's arcs for n = 2
+        arcs = self.boundary
+        if self.n == 2:
+            return _arc_areas(arcs, self.spec.count)
+        out = np.zeros(self.spec.count)
+        out[arcs.active] = arcs.hi[arcs.active] - arcs.lo[arcs.active]
+        return out
 
 
 def _radial_rows(spec: PolytopeSpec, thetas: np.ndarray) -> np.ndarray:
@@ -1027,9 +1036,7 @@ def _arc_areas(arcs: _FacetArcs, count: int) -> np.ndarray:
     Unlike the sector form w (w dt + c x du) / 2 this keeps its digits when
     a circle is much larger than the facet."""
     w, span = arcs.width, arcs.hi - arcs.lo
-    (ax, ay), (bx, by) = (
-        (arcs.center + w[:, None] * np.column_stack([np.cos(t), np.sin(t)])).T for t in (arcs.lo, arcs.hi)
-    )
+    (ax, ay), (bx, by) = (_on_circle(arcs.center, w, t).T for t in (arcs.lo, arcs.hi))
     halves = 0.5 * (w * w * (span - np.sin(span)) + ax * by - ay * bx)
     return np.bincount(arcs.facet, weights=halves, minlength=count)
 
@@ -1106,12 +1113,14 @@ def _exact_boundary(spec: PolytopeSpec) -> _PlanarBoundary | _FacetArcs | None:
     return _facet_arcs(spec) if spec.n == 2 else None
 
 
-def _exact_support(spec: PolytopeSpec, arcs, dirs: np.ndarray) -> np.ndarray:
+def _support_values(poly: HConvexPolytope, dirs: np.ndarray) -> np.ndarray:
     """Support numbers for each row of dirs: the log of the largest
-    -<X, (e, 1)>, over the vertices for n = 1 and per arc for n = 2."""
-    if spec.n == 1:
-        return np.log(np.max(_vertex_values(arcs.starts, dirs), axis=1))
-    return np.log(np.max(_arc_values(spec, arcs, dirs, 1.0)[1], axis=0)).max(axis=0)
+    -<X, (e, 1)>, per arc for n = 2, and otherwise over the vertices
+    (n = 1) or the scan's boundary points (n >= 3)."""
+    if poly.n == 2:
+        return np.log(np.max(_arc_values(poly.spec, poly.boundary, dirs, 1.0)[1], axis=0)).max(axis=0)
+    points = poly.boundary.starts if poly.n == 1 else poly._scan_points
+    return np.log(np.max(_vertex_values(points, dirs), axis=1))
 
 
 def _exact_nearest(spec: PolytopeSpec, arcs, q: np.ndarray) -> np.ndarray:
@@ -1142,39 +1151,25 @@ def _exact_nearest(spec: PolytopeSpec, arcs, q: np.ndarray) -> np.ndarray:
     return points[int(np.argmin(-minkowski_dot(points, q[None, :])))]
 
 
-def _exact_volume(spec: PolytopeSpec, arcs) -> float:
-    if spec.n == 1:
-        return _volume_closed_plane(spec, arcs)
-    return _arc_volume(spec, arcs)
-
-
-def _exact_areas(spec: PolytopeSpec, arcs) -> np.ndarray:
-    """Every facet's area, 0 for an empty facet: arc lengths for n = 1,
-    Green's theorem over the facet's arcs for n = 2."""
-    if spec.n == 1:
-        out = np.zeros(spec.count)
-        out[arcs.active] = arcs.hi[arcs.active] - arcs.lo[arcs.active]
-        return out
-    return _arc_areas(arcs, spec.count)
-
-
 # ---------------------------------------------------------------------------
 # building and support
 # ---------------------------------------------------------------------------
 
-def _refine_max_sphere(objective, theta0: np.ndarray, step: float) -> float:
-    """Maximize a function of a unit vector in R^{n+1}, n >= 2, near theta0."""
+def _refine_max_sphere(objective, theta0: np.ndarray, rule: SphereQuadrature):
+    """Maximize a function of a unit vector in R^{n+1}, n >= 2, near theta0,
+    a node of the rule, from a simplex of the rule's mean node spacing.
+    Returns the value and the unit vector where it is taken."""
     basis = _chart_basis(theta0)
     k = basis.shape[0]
 
-    def neg(v):
+    def unit(v):
         vec = theta0 + basis.T @ v
-        return -objective(vec / np.linalg.norm(vec))
+        return vec / np.linalg.norm(vec)
 
     simplex = np.zeros((k + 1, k))
-    simplex[1:] = np.eye(k) * step
+    simplex[1:] = np.eye(k) * (float(np.sum(rule.weights)) / rule.count) ** (1.0 / rule.n)
     res = _nm_minimize(
-        neg,
+        lambda v: -objective(unit(v)),
         np.zeros(k),
         method="Nelder-Mead",
         options={
@@ -1184,26 +1179,22 @@ def _refine_max_sphere(objective, theta0: np.ndarray, step: float) -> float:
             "maxiter": 600,
         },
     )
-    return max(objective(theta0), -float(res.fun))
-
-
-def _scan_spacing(scan: SphereQuadrature) -> float:
-    # mean angular spacing estimate for scattered node sets on S^n
-    return (float(np.sum(scan.weights)) / scan.count) ** (1.0 / scan.n)
+    start, best = objective(theta0), -float(res.fun)
+    return (start, theta0) if start >= best else (best, unit(res.x))
 
 
 def _scan_support(poly: HConvexPolytope, e_vec: np.ndarray) -> float:
     """n >= 3 support number along the unit vector e_vec: the best scan
-    node, refined by Nelder-Mead."""
+    point, refined by Nelder-Mead."""
     spec = poly.spec
-    vals = np.log(poly._scan_cosh - poly._scan_sinh * (poly.scan.nodes @ e_vec))
-    g = int(np.argmax(vals))
+    values = _vertex_values(poly._scan_points, e_vec[None, :])[0]
+    g = int(np.argmax(values))
 
     def value(theta: np.ndarray) -> float:
         rho = _radial_single(spec, theta)
         return math.log(math.cosh(rho) - math.sinh(rho) * float(np.dot(theta, e_vec)))
 
-    return max(float(vals[g]), _refine_max_sphere(value, poly.scan.nodes[g], _scan_spacing(poly.scan)))
+    return max(float(np.log(values[g])), _refine_max_sphere(value, poly.scan.nodes[g], poly.scan)[0])
 
 
 def _body(spec: PolytopeSpec, scan: SphereQuadrature | None = None) -> HConvexPolytope:
@@ -1266,24 +1257,17 @@ def support(poly: HConvexPolytope, e: Direction) -> float:
     if e.n != poly.n:
         raise SpecError("direction dimension mismatch")
     if poly.boundary is not None:
-        return float(_exact_support(poly.spec, poly.boundary, e.vector[None, :])[0])
+        return float(_support_values(poly, e.vector[None, :])[0])
     return _scan_support(poly, e.vector)
 
 
 def _support_grid(poly: HConvexPolytope, dirs: np.ndarray) -> np.ndarray:
-    """Support numbers for many directions: exact for n <= 2, scan maxima for
-    n >= 3, 512 directions at a time to bound the arrays of one pass."""
+    """_support_values for many directions (scan maxima for n >= 3), 512
+    at a time to bound the arrays of one pass."""
     chunk = 512
     out = np.empty(dirs.shape[0])
     for lo in range(0, dirs.shape[0], chunk):
-        rows = dirs[lo : lo + chunk]
-        if poly.boundary is not None:
-            out[lo : lo + chunk] = _exact_support(poly.spec, poly.boundary, rows)
-        else:
-            cos = poly.scan.nodes @ rows.T
-            out[lo : lo + chunk] = np.max(
-                np.log(poly._scan_cosh[:, None] - poly._scan_sinh[:, None] * cos), axis=0
-            )
+        out[lo : lo + chunk] = _support_values(poly, dirs[lo : lo + chunk])
     return out
 
 
@@ -1303,10 +1287,8 @@ def extremal_radii(poly: HConvexPolytope) -> tuple[float, float]:
     spec, arcs = poly.spec, poly.boundary
     small = float(np.min(spec.x))
     if arcs is None:
-        big = _refine_max_sphere(
-            lambda theta: _radial_single(spec, theta),
-            poly.scan.nodes[int(np.argmax(poly.scan_radii))],
-            _scan_spacing(poly.scan),
+        big, _ = _refine_max_sphere(
+            lambda theta: _radial_single(spec, theta), poly.scan.nodes[int(np.argmax(poly.scan_radii))], poly.scan
         )
         return float(big), small
     points = arcs.starts if spec.n == 1 else _arc_candidates(spec, arcs, np.zeros((1, 3)), 1.0)
@@ -1322,9 +1304,10 @@ def volume(poly: HConvexPolytope) -> float:
     sinh-power integral over the body's scan, the rule
     build_polytope(spec, scan=...) was given.
     """
-    if poly.boundary is not None:
-        return _exact_volume(poly.spec, poly.boundary)
-    return poly.scan.integrate(sinh_power_integral(poly.n, poly.scan_radii))
+    spec, arcs = poly.spec, poly.boundary
+    if arcs is None:
+        return poly.scan.integrate(sinh_power_integral(poly.n, poly.scan_radii))
+    return _volume_closed_plane(spec, arcs) if spec.n == 1 else _arc_volume(spec, arcs)
 
 
 def _volume_of_spec(spec: PolytopeSpec, rule: SphereQuadrature | None) -> float:
@@ -1420,7 +1403,7 @@ def hausdorff_distance(k_body: HConvexPolytope, l_body: HConvexPolytope) -> floa
         e = Direction(vec / np.linalg.norm(vec))
         return abs(support(k_body, e) - support(l_body, e))
 
-    refined = _refine_max_sphere(gap, dirs[g], _scan_spacing(rule))
+    refined, _ = _refine_max_sphere(gap, dirs[g], rule)
     return max(float(diff[g]), refined)
 
 
@@ -1466,7 +1449,7 @@ def separate(poly: HConvexPolytope, point: HyperboloidPoint) -> Horoball:
     if poly.boundary is not None:
         x = _exact_nearest(spec, poly.boundary, q)
     else:
-        x = _scan_nearest(poly, point).coords
+        x = _scan_nearest(poly, q)
     cosh_d = -float(minkowski_dot(x, q))
     away = cosh_d * x - q
     # the roundoff of cosh_d leaves a part along x, of relative size
@@ -1481,28 +1464,20 @@ def separate(poly: HConvexPolytope, point: HyperboloidPoint) -> Horoball:
     return Horoball(center, busemann_value(center, point) - dist)
 
 
-def _scan_nearest(poly: HConvexPolytope, point: HyperboloidPoint) -> HyperboloidPoint:
+def _scan_nearest(poly: HConvexPolytope, q: np.ndarray) -> np.ndarray:
+    """The n >= 3 boundary point nearest to the outside point q (hyperboloid
+    coordinates): the nearest scan point, refined by Nelder-Mead."""
     spec = poly.spec
-    boundary = np.empty((poly.scan.count, spec.n + 2))
-    boundary[:, :-1] = poly._scan_sinh[:, None] * poly.scan.nodes
-    boundary[:, -1] = poly._scan_cosh
-    dots = -minkowski_dot(boundary, point.coords[None, :])
-    dists = safe_acosh(dots)
-    g = int(np.argmin(dists))
-
-    best = {"d": float(dists[g]), "theta": poly.scan.nodes[g]}
+    g = int(np.argmin(-minkowski_dot(poly._scan_points, q[None, :])))
 
     def neg_dist(theta):
         x = polar_point(_radial_single(spec, theta), Direction(theta))
-        d = float(safe_acosh(-minkowski_dot(x.coords, point.coords)))
-        if d < best["d"]:
-            best["d"], best["theta"] = d, theta
-        return -d
+        return -float(safe_acosh(-minkowski_dot(x.coords, q)))
 
-    _refine_max_sphere(neg_dist, poly.scan.nodes[g], _scan_spacing(poly.scan))
-
-    theta_star = best["theta"] / np.linalg.norm(best["theta"])
-    return polar_point(_radial_single(spec, theta_star), Direction(theta_star))
+    _, theta = _refine_max_sphere(neg_dist, poly.scan.nodes[g], poly.scan)
+    # a scan node is a unit vector only to roundoff
+    theta = theta / np.linalg.norm(theta)
+    return polar_point(_radial_single(spec, theta), Direction(theta)).coords
 
 
 def outer_parallel_support(poly: HConvexPolytope, eps: float, dirs: np.ndarray) -> PolytopeSpec:

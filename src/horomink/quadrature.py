@@ -41,7 +41,6 @@ class SphereQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
-    seed: int | None = None
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=np.float64)
@@ -103,7 +102,7 @@ def _monte_carlo(n: int, count: int, seed: int) -> SphereQuadrature:
     raw = rng.normal(size=(count, n + 1))
     nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     weights = np.full(count, sphere_area(n) / count)
-    return SphereQuadrature(n, nodes, weights, "monte-carlo", seed=seed)
+    return SphereQuadrature(n, nodes, weights, "monte-carlo")
 
 
 def build_quadrature(

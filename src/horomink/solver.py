@@ -35,7 +35,8 @@ scale; only then is the trial built a second time, at the lowered scales
 (rescaled back onto Phi_p = 1 in that mode).
 The loop takes no finite difference: the gradient check reads the
 returned body once (SolverResult.gradient_check_max_rel).
-The tube-volume support bound (boundedness_bound) is in closed form.
+The tube-volume support bound (boundedness_bound) is no closed form: it
+doubles r and then bisects to 1e-6 in r, on the closed-form tube volume.
 
 The solver accepts n <= 2 only, where every area, volume, support number
 and slope it reads is exact and the certificate is exact with them; for

@@ -44,6 +44,8 @@ from horomink.polytope import (
     _chart_frames,
     _cone_kernel,
     _radial_rows,
+    _radial_single,
+    _refine_max_sphere,
     _shadows,
     _support_grid,
     _volume_of_spec,
@@ -1509,6 +1511,43 @@ def test_separate_far_from_an_n3_body():
         ball = separate(poly, q)
         assert busemann_value(ball.center, q) - ball.s >= r - big_r
         assert support(poly, ball.center) <= ball.s + 1e-6
+
+
+def test_scan_points_are_read_like_vertices():
+    # for n >= 3 the support grid is the vertex kernel on the scan's
+    # boundary points; it agrees with the polar form log max(cosh rho -
+    # sinh rho theta . e) over the nodes to roundoff (2.2e-16 measured)
+    rng = np.random.Generator(np.random.Philox(48))
+    worst = 0.0
+    for n in (3, 4):
+        for k in range(6):
+            pairs = int(rng.integers(n + 1, n + 4))
+            rows = rng.normal(size=(pairs, n + 1))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            x = rng.uniform(0.3, 1.5, size=pairs)
+            spec = PolytopeSpec(n=n, directions=np.vstack([rows, -rows]), x=np.concatenate([x, x]), even=True)
+            scan = build_quadrature(n, 500, seed=k)
+            poly = build_polytope(spec, scan)
+            probes = rng.normal(size=(40, n + 1))
+            probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+            rho = _radial_rows(spec, scan.nodes)[:, None]
+            polar = np.log(np.max(np.cosh(rho) - np.sinh(rho) * (scan.nodes @ probes.T), axis=0))
+            grid = _support_grid(poly, probes)
+            worst = max(worst, float(np.max(np.abs(grid - polar))))
+            e = Direction(probes[0])
+            assert support(poly, e) >= _support_grid(poly, probes[:1])[0]
+            # separate's distance is at most the nearest scan point's
+            q = polar_point(radial(poly, e) + rng.uniform(0.05, 1.0), e)
+            points = np.column_stack([np.sinh(rho) * scan.nodes, np.cosh(rho)])
+            nearest = float(np.min(np.arccosh(np.maximum(points @ np.append(-q.coords[:-1], q.coords[-1]), 1.0))))
+            ball = separate(poly, q)
+            assert busemann_value(ball.center, q) - ball.s <= nearest + 1e-12
+            # the refinement returns a unit vector and the objective's value there
+            g = int(np.argmax(rho))
+            value, theta = _refine_max_sphere(lambda t: _radial_single(spec, t), scan.nodes[g], scan)
+            assert abs(float(np.linalg.norm(theta)) - 1.0) <= 1e-15
+            assert _radial_single(spec, theta) == value >= float(rho[g, 0])
+    assert worst <= 1e-15
 
 
 # ------------------------------------------------------------ outer parallel

@@ -1,6 +1,6 @@
-"""Every public name of the package has a reader, so a name that nothing
-calls is deleted rather than kept. Read from the source alone: nothing here
-imports the package, SciPy or the benchmark."""
+"""Every public name and private helper of the package has a reader, so a
+name that nothing calls is deleted rather than kept. Read from the source
+alone: nothing here imports the package, SciPy or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -17,13 +17,13 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def public_definitions() -> dict:
-    """name -> (module path, definition node) of every public module-level
-    function and class outside oracle.py."""
+def definitions(private: bool) -> dict:
+    """name -> (module path, definition node) of every module-level function
+    and class outside oracle.py, public or private (a leading underscore)."""
     found = {}
     for path in OWN:
         for node in parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") == private:
                 found[node.name] = (path, node)
     return found
 
@@ -48,10 +48,8 @@ def reads(tree: ast.AST) -> tuple[set, set, set]:
     return names, attributes, imported
 
 
-def test_every_public_name_has_a_reader():
-    definitions = public_definitions()
-    wanted = set(definitions) | set(exported())
-    assert wanted <= set(definitions), f"exported but not defined: {sorted(wanted - set(definitions))}"
+def read_names(defined: dict) -> set:
+    """The names of defined that a reader (outside __init__.py) reads."""
     read = set()
     for path in READERS:
         if path == PACKAGE / "__init__.py":
@@ -64,11 +62,27 @@ def test_every_public_name_has_a_reader():
             # definition, and elsewhere where it was imported under it
             read |= {
                 name
-                for name in wanted
-                if definitions[name][1] is not statement
-                and (name in attributes or (name in names and (path == definitions[name][0] or name in imported)))
+                for name, (own, node) in defined.items()
+                if node is not statement
+                and (name in attributes or (name in names and (path == own or name in imported)))
             }
-    assert wanted <= read, f"public names that nothing reads: {sorted(wanted - read)}"
+    return read
+
+
+def test_every_public_name_has_a_reader():
+    defined = definitions(private=False)
+    wanted = set(defined) | set(exported())
+    assert wanted <= set(defined), f"exported but not defined: {sorted(wanted - set(defined))}"
+    unread = wanted - read_names(defined)
+    assert not unread, f"public names that nothing reads: {sorted(unread)}"
+
+
+def test_every_private_helper_has_a_reader():
+    # a private helper left behind by a refactor, with no caller, fails
+    # here; the ones only the benchmark's tracer reaches pass by its targets
+    defined = definitions(private=True)
+    unread = set(defined) - read_names(defined) - {name for _, name in tracer_targets()}
+    assert not unread, f"private helpers that nothing reads: {sorted(unread)}"
 
 
 def tracer_targets() -> set:

@@ -296,17 +296,6 @@ def test_residual_errors_name_the_first_unmatched_atom():
                                              x=np.ones(4), even=True)), skew, 0.0)
 
 
-def test_residual_needs_even_measure():
-    # the measure refuses unequal pair weights when it is made, so residual
-    # never meets one
-    with pytest.raises(NotEvenError):
-        DiscreteMeasure(
-            n=1,
-            directions=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-            weights=np.array([1.0, 2.0]),
-        )
-
-
 # ---------------------------------------------------------------------- solve
 
 def test_solve_symmetric_p0():
