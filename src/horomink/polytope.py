@@ -16,10 +16,12 @@ once, and every query reads off it in closed form:
   lengths are arc lengths, the volume is a sum of per-arc sector areas,
   and the Hausdorff distance is a maximum over finitely many candidate
   angles.
-* n = 2: the circular arcs that bound each facet (_FacetArcs), swept for
-  all facets at once, then once more for those that miss a disk. Facet
-  areas follow from Green's theorem, and the volume is a divergence-theorem
-  sum of one smooth integral per arc.
+* n = 2: the circular arcs that bound each facet (_FacetArcs). A facet
+  lies in the overlap B of its disks' bounding boxes, so a disk that holds
+  B holds the facet. One that holds B's farthest corner by _ARC_TOL of its
+  radius sets no side of B either, so each facet is swept once over the
+  disks that cut B. Facet areas follow from Green's theorem, and the
+  volume is a divergence-theorem sum of one smooth integral per arc.
 
 Support numbers, the circumradius and nearest boundary points follow one
 rule: for q = (v, 1) with |v| <= 1 (an ideal point v, O at v = 0, or a
@@ -140,9 +142,9 @@ _TUBE_SERIES = (2 * _ATAN_POWERS + 2) / (3 * (2 * _ATAN_POWERS + 5))
 # np.polyval); 9 terms reach roundoff for u < 1
 _SINH_SERIES = np.array([1.0 / math.factorial(2 * k + 3) for k in range(8, -1, -1)])
 
-# An n = 2 facet's arcs are first swept over this many of its disks; the
-# rest join only where they cut the result.
-_SWEEP_START = 12
+# The n = 2 facets are swept in groups whose arrays hold no more than this
+# many disks per facet, unless one facet alone has more (see _facet_arcs).
+_GROUP_DISKS = 12
 
 # A planar arc is first cut by the disks of this many of its angular
 # neighbours on each side (see _planar_boundary).
@@ -922,20 +924,16 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
     """The arcs that bound every facet of an n = 2 body.
 
     Facet i is the common part of the disks that the other horoballs cut
-    from horosphere i (_shadows). Most of those disks hold the whole facet,
-    so each facet is first swept over the _SWEEP_START disks that hold the
-    middle of their bounding boxes' overlap most tightly, every facet in one
-    batched pass (_disk_intersection; its arrays hold facets x _SWEEP_START
-    x 2 _SWEEP_START entries, whatever the count of horoballs). Facets with
-    more disks and an arc then grow once: one array pass finds every
-    unpicked disk that does not hold their arcs (to within _ARC_TOL), and
-    the facets that miss one are swept again with them, in groups of like
-    size whose arrays are no larger than the first pass's or the largest
-    facet's alone. One round is exact: adding the missing disks to the
-    region R1 of the first sweep leaves a region R2 within R1, which every
-    disk that holds R1 (to within _ARC_TOL) holds too. A facet is nonempty
-    exactly when it keeps an arc. The disks' direction terms come with the
-    spec's template (_Template.all_pair_terms).
+    from horosphere i (_shadows), so it lies in the overlap B of their
+    bounding boxes, and a disk that holds B holds the facet. A disk that
+    holds B's farthest corner by _ARC_TOL of its radius sets no side of B
+    either, so the boxes of the disks that cut B overlap in B too, and one
+    sweep over those alone (_disk_intersection) gives the facet exactly.
+    The facets go largest first, in groups of like size whose arrays are
+    no larger than _GROUP_DISKS disks per facet or the largest facet alone
+    would make. A facet is nonempty exactly when it keeps an arc. The
+    disks' direction terms come with the spec's template
+    (_Template.all_pair_terms).
     """
     count = spec.count
     every = np.arange(count)
@@ -952,50 +950,28 @@ def _facet_arcs(spec: PolytopeSpec) -> _FacetArcs:
     low = np.max(np.where(mine[..., None], c - w[..., None], -np.inf), axis=1)
     high = np.min(np.where(mine[..., None], c + w[..., None], np.inf), axis=1)
     boxed = ~np.any(low >= high, axis=1)
-    rows, mine, c, w = rows[boxed], mine[boxed], c[boxed], w[boxed]
-    gap = 0.5 * (low[boxed] + high[boxed])[:, None, :] - c
-    clearance = np.where(mine, w - np.hypot(gap[..., 0], gap[..., 1]), np.inf)
-    disks = np.count_nonzero(mine, axis=1)
-    chosen = np.argsort(clearance, axis=1, kind="stable")[:, :_SWEEP_START]
-    valid = np.arange(chosen.shape[1]) < disks[:, None]
-    # each facet's chosen disks in their listed order, then the padding,
-    # which reads any disk: it only needs to be finite
-    chosen = np.sort(np.where(valid, chosen, count), axis=1)
-    slot = (np.arange(rows.size)[:, None], np.minimum(chosen, count - 1))
-    r, a, lo, hi = _disk_intersection(c[slot], w[slot], valid)
-    k = chosen[r, a]
-    growing = np.flatnonzero(disks > chosen.shape[1])
-    if growing.size:
-        # |s - c_j|^2 is largest at an end of an arc or at its point
-        # farthest from c_j
-        at = np.isin(r, growing)
-        f, on, radius = r[at], c[r[at], k[at]][:, None, :], w[r[at], k[at]][:, None]
-        ends = _arc_turns(lo[at, None], hi[at, None], on - c[f])
-        reach = np.max([np.sum((_on_circle(on, radius, t) - c[f]) ** 2, axis=2) for t in ends], axis=0)
-        picked = np.zeros_like(mine)
-        picked[growing[:, None], chosen[growing]] = True
-        np.logical_or.at(picked, f, mine[f] & (reach > (w[f] * (1.0 + _ARC_TOL)) ** 2))
-        del ends, reach  # freed before the sweep, which sets the build's memory peak
-        # the facets that miss a disk (a facet that kept no arc misses none)
-        growing = growing[np.count_nonzero(picked[growing], axis=1) > chosen.shape[1]]
-    if growing.size:
-        growing = growing[np.argsort(-np.count_nonzero(picked[growing], axis=1), kind="stable")]
-        size = np.count_nonzero(picked[growing], axis=1)
-        # largest rows first, in groups no larger than the first pass or one row
-        room = max(2 * chosen.size * chosen.shape[1], 2 * int(size[0]) ** 2)
-        swept, start = [tuple(column[~np.isin(r, growing)] for column in (r, k, lo, hi))], 0
-        while start < growing.size:
-            group = slice(start, start + room // (2 * int(size[start]) ** 2))
-            start, here, many = group.stop, growing[group], size[group]
-            # each row's picked disks in their listed order, then padding
-            pick = np.argsort(~picked[here], axis=1, kind="stable")[:, : many[0]]
-            slot = (here[:, None], pick)
-            g, a, lo, hi = _disk_intersection(c[slot], w[slot], np.arange(many[0]) < many[:, None])
-            swept.append((here[g], pick[g, a], lo, hi))
-        r, k, lo, hi = (np.concatenate(column) for column in zip(*swept))
-        # facet by facet, each facet's arcs in the order of its own sweep
-        order = np.argsort(r, kind="stable")
-        r, k, lo, hi = r[order], k[order], lo[order], hi[order]
+    rows, mine, c, w, low, high = rows[boxed], mine[boxed], c[boxed], w[boxed], low[boxed, None], high[boxed, None]
+    # the disks that cut B: those that miss its farthest corner, to within
+    # _ARC_TOL of their radius
+    far = np.maximum(high - c, c - low)
+    cuts = mine & (np.hypot(far[..., 0], far[..., 1]) > w * (1.0 - _ARC_TOL))
+    size = np.count_nonzero(cuts, axis=1)
+    ranked = np.argsort(-size, kind="stable")
+    room = max(rows.size * _GROUP_DISKS**2, int(np.max(size, initial=0)) ** 2)
+    swept, start = [(every[:0], every[:0], np.empty(0), np.empty(0))], 0
+    while start < rows.size:
+        here = ranked[start : start + room // int(size[ranked[start]]) ** 2]
+        start += here.size
+        # each facet's cutting disks in their listed order, then padding,
+        # which reads any disk: it only needs to be finite
+        pick = np.argsort(~cuts[here], axis=1, kind="stable")[:, : size[here[0]]]
+        slot = (here[:, None], pick)
+        g, a, lo, hi = _disk_intersection(c[slot], w[slot], np.arange(pick.shape[1]) < size[here, None])
+        swept.append((here[g], pick[g, a], lo, hi))
+    r, k, lo, hi = (np.concatenate(column) for column in zip(*swept))
+    # facet by facet, each facet's arcs in the order of its own sweep
+    order = np.argsort(r, kind="stable")
+    r, k, lo, hi = r[order], k[order], lo[order], hi[order]
     active = np.zeros(count, dtype=bool)
     active[rows[r]] = True
     active.setflags(write=False)

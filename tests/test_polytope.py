@@ -1225,10 +1225,37 @@ def test_bodies_past_the_float_range_say_so():
             build_polytope(spec.with_x(np.full(spec.count, s)))
 
 
-def test_facets_with_many_disks_grow_their_sweep(monkeypatch):
+ARC_FIELDS = ("facet", "center", "width", "lo", "hi", "active")
+
+
+def every_disk_arcs(spec) -> dict:
+    """The _FacetArcs fields of one _disk_intersection sweep of each facet
+    over every disk it has, with the build's rule for facets that are out;
+    the entries that are no disk pad the rows."""
+    every = np.arange(spec.count)
+    center, width_sq, _, same = _shadows(spec, every[:, None], every[None, :])
+    i, other = np.nonzero(same)
+    out = np.any(~same & (width_sq <= 0.0), axis=1)
+    out[i[polytope._eclipsed(spec.x, i, other)]] = True
+    rows = np.flatnonzero(~out)
+    mine = ~same[rows]
+    c = np.where(mine[..., None], center[rows], 0.0)
+    w = np.sqrt(np.where(mine, width_sq[rows], 0.0))
+    r, k, lo, hi = polytope._disk_intersection(c, w, mine)
+    active = np.zeros(spec.count, dtype=bool)
+    active[rows[r]] = True
+    return dict(facet=rows[r], center=c[r, k], width=w[r, k], lo=lo, hi=hi, active=active)
+
+
+def assert_every_disk_arcs(spec, arcs):
+    want = every_disk_arcs(spec)
+    for name in ARC_FIELDS:
+        assert np.array_equal(getattr(arcs, name), want[name]), name
+
+
+def test_facets_with_many_disks_keep_the_arcs_of_every_disk():
     # e_3 and a ring of 16 directions at polar angle 0.5 (even, 17 pairs):
-    # facet 0 is cut by all 16 ring disks, more than _SWEEP_START, so its
-    # first sweep misses some and the growth loop adds them
+    # all 16 ring disks bound facet 0
     ring = 2.0 * math.pi * np.arange(16) / 16
     tilted = np.column_stack(
         [math.sin(0.5) * np.cos(ring), math.sin(0.5) * np.sin(ring), np.full(16, math.cos(0.5))]
@@ -1241,68 +1268,69 @@ def test_facets_with_many_disks_grow_their_sweep(monkeypatch):
     ring_areas = np.array([facet_area(poly, i) for i in range(1, 17)])
     assert ring_areas == pytest.approx(np.full(16, ring_areas[0]), rel=1e-12)
     # one sweep over every disk gives the same arcs, bit for bit
-    monkeypatch.setattr(polytope, "_SWEEP_START", 1000)
-    whole = polytope._facet_arcs(spec)
-    for name in ("facet", "center", "width", "lo", "hi", "active"):
-        assert np.array_equal(getattr(poly.boundary, name), getattr(whole, name)), name
+    assert_every_disk_arcs(spec, poly.boundary)
 
 
-def test_grown_facets_match_one_sweep_over_every_disk(monkeypatch):
+def test_facet_arcs_match_one_sweep_over_every_disk():
     # 60 random even bodies of 7 to 24 pairs, scales U(0.6, 1.4), U(1e-3, 2)
-    # and U(0.6, 1.4) times 10^U(-6, 1.5): the first sweep and the growth
-    # rounds keep, bit for bit, the arcs of one sweep over every disk
+    # and U(0.6, 1.4) times 10^U(-6, 1.5), 32 Fibonacci pairs and the body
+    # of the 8 cube-corner directions, where four facets meet at each
+    # vertex: sweeping each facet over the disks that cut its bounding box
+    # keeps, bit for bit, the arcs of one sweep over every disk
     rng = np.random.Generator(np.random.Philox(22))
     specs = []
     for trial in range(60):
         x_range = (1e-3, 2.0) if trial % 3 == 1 else (0.6, 1.4)
         spec = even_sphere_spec(rng, int(rng.integers(7, 25)), x_range=x_range)
         specs.append(spec.with_x(spec.x * 10.0 ** rng.uniform(-6.0, 1.5)) if trial % 3 == 2 else spec)
-    tests, grown = [], []
-    turns = polytope._arc_turns
-
-    def counted(lo, hi, g):
-        tests[-1] += 1
-        return turns(lo, hi, g)
-
-    monkeypatch.setattr(polytope, "_arc_turns", counted)
+    fibonacci = fibonacci_sphere(64)[:32]
+    corners = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]]) / math.sqrt(3.0)
+    for rows in (fibonacci, corners):
+        specs.append(PolytopeSpec(n=2, directions=np.vstack([rows, -rows]), x=np.ones(2 * len(rows)), even=True))
     for spec in specs:
-        tests.append(0)
-        grown.append(polytope._facet_arcs(spec))
-    # every body has a facet that grows
-    assert min(tests) > 0
-    monkeypatch.setattr(polytope, "_SWEEP_START", 1000)
-    for spec, arcs in zip(specs, grown):
-        whole = polytope._facet_arcs(spec)
-        for name in ("facet", "center", "width", "lo", "hi", "active"):
-            assert np.array_equal(getattr(arcs, name), getattr(whole, name)), name
+        assert_every_disk_arcs(spec, polytope._facet_arcs(spec))
 
 
-def test_facet_sweeps_batch_the_growing_facets(monkeypatch):
-    sweeps, tests = [], []
-    sweep, turns = polytope._disk_intersection, polytope._arc_turns
+def recorded_sweeps(monkeypatch) -> list:
+    """The (rows, disks) shape of every _disk_intersection call from here on."""
+    shapes, sweep = [], polytope._disk_intersection
 
-    def counted_sweep(c, w, valid):
-        sweeps.append(valid.shape)
+    def counted(c, w, valid):
+        shapes.append(valid.shape)
         return sweep(c, w, valid)
 
-    def counted_turns(lo, hi, g):
-        tests.append(lo.shape)
-        return turns(lo, hi, g)
+    monkeypatch.setattr(polytope, "_disk_intersection", counted)
+    return shapes
 
-    monkeypatch.setattr(polytope, "_disk_intersection", counted_sweep)
-    monkeypatch.setattr(polytope, "_arc_turns", counted_turns)
-    # no facet of 6 horoballs has more than 12 disks: one sweep, no growth
+
+def test_facet_sweeps_go_largest_first_within_the_budget(monkeypatch):
+    shapes = recorded_sweeps(monkeypatch)
+    # the cube and a 3-pair body: one sweep
     cube = PolytopeSpec(n=2, directions=np.vstack([np.eye(3), -np.eye(3)]), x=np.ones(6))
     for spec in (cube, even_sphere_spec(np.random.Generator(np.random.Philox(3)), 3)):
-        sweeps.clear()
+        shapes.clear()
         build_polytope(spec)
-        assert (len(sweeps), len(tests)) == (1, 0)
-    # 64 pairs: one containment pass, and four facets grow, to 22, 22, 18
-    # and 18 disks, in one sweep
-    sweeps.clear()
-    build_polytope(even_sphere_spec(np.random.Generator(np.random.Philox(28)), 64))
-    assert sweeps[1:] == [(4, 22)]
-    assert len(tests) == 1
+        assert len(shapes) == 1
+    # larger bodies: groups of falling width, each no larger than
+    # _GROUP_DISKS disks per facet or the widest facet alone would make
+    for pairs, seed in ((64, 28), (128, 64)):
+        shapes.clear()
+        build_polytope(even_sphere_spec(np.random.Generator(np.random.Philox(seed)), pairs, x_range=(0.6, 1.4)))
+        rows, widths = np.array(shapes).T
+        assert len(shapes) > 1
+        assert np.all(np.diff(widths) <= 0)
+        room = max(rows.sum() * polytope._GROUP_DISKS**2, widths[0] ** 2)
+        assert np.all(rows * widths**2 <= room)
+
+
+def test_empty_facets_take_no_wide_sweep(monkeypatch):
+    # 256 Gaussian pairs: the containment round swept one facet over 430
+    # disks to prove it empty, the build's memory peak; its bounding box
+    # is cut by far fewer
+    spec = even_sphere_spec(np.random.Generator(np.random.Philox(256)), 256, x_range=(0.6, 1.4))
+    shapes = recorded_sweeps(monkeypatch)
+    polytope._facet_arcs(spec)
+    assert max(width for _, width in shapes) <= 64
 
 
 # ------------------------------------------------------------- canonical form

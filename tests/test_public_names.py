@@ -1,8 +1,10 @@
-"""Every public name and private helper of the package has a reader, so a
-name that nothing calls is deleted rather than kept. Read from the source
-alone: nothing here imports the package, SciPy or the benchmark."""
+"""Every public name, private helper and private constant of the package
+has a reader, so a name that nothing calls is deleted rather than kept.
+Read from the source alone: nothing here imports the package, SciPy or the
+benchmark."""
 
 import ast
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -13,6 +15,7 @@ OWN = sorted(path for path in PACKAGE.glob("*.py") if path.name not in ("__init_
 READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 
+@cache
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -25,6 +28,23 @@ def definitions(private: bool) -> dict:
         for node in parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") == private:
                 found[node.name] = (path, node)
+    return found
+
+
+def private_constants() -> dict:
+    """name -> (module path, assignment node) of every module-level
+    _UPPER_CASE assignment outside oracle.py."""
+    found = {}
+    for path in OWN:
+        for node in parse(path).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            else:
+                targets = [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                name = getattr(target, "id", "")
+                if name.startswith("_") and name.isupper():
+                    found[name] = (path, node)
     return found
 
 
@@ -83,6 +103,15 @@ def test_every_private_helper_has_a_reader():
     defined = definitions(private=True)
     unread = set(defined) - read_names(defined) - {name for _, name in tracer_targets()}
     assert not unread, f"private helpers that nothing reads: {sorted(unread)}"
+
+
+def test_every_private_constant_has_a_reader():
+    # a constant left behind by a refactor, read only where it is set,
+    # fails here, with the same readers and tracer targets as a helper
+    defined = private_constants()
+    assert "_ARC_TOL" in defined
+    unread = set(defined) - read_names(defined) - {name for _, name in tracer_targets()}
+    assert not unread, f"private constants that nothing reads: {sorted(unread)}"
 
 
 def tracer_targets() -> set:
